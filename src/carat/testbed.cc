@@ -162,6 +162,11 @@ class Testbed {
     }
   }
 
+  // The user, leg and probe processes still parked when the run ends
+  // reference the nodes, locks and detector declared after kernel_; end
+  // them while those are alive.
+  ~Testbed() { kernel_.DestroyProcesses(); }
+
   TestbedResult Run() {
     SpawnUsers();
     if (input_.cc_backend == cc::BackendKind::k2PL) {

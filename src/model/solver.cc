@@ -12,7 +12,6 @@
 #include "model/phases.h"
 #include "model/transition.h"
 #include "model/yao.h"
-#include "qn/mva.h"
 #include "qn/mva_batch.h"
 
 namespace carat::model {
@@ -55,20 +54,16 @@ struct SiteState {
   double log_q = 0.0;
 };
 
-// Per-site MVA network, built once per Solve() and updated in place each
-// fixed-point iteration (only the chain demands change). The workspace
-// persists across iterations, so the MVA solves allocate nothing after the
-// first iteration and Schweitzer-Bard warm-starts from the previous
-// iteration's queue lengths.
+// Per-site MVA network of one lane, built once per shape and updated in
+// place each fixed-point iteration (only the chain demands change). The MVA
+// workspace is the unit's qn::BatchMvaWorkspace in the arena, shared by the
+// lanes.
 struct SiteNetwork {
   qn::ClosedNetwork net;
   std::size_t cpu = 0, disk = 0, log_disk = 0;
   std::size_t lw = 0, rw = 0, cw = 0, ut = 0;
   std::vector<TxnType> chain_types;
   double buffer_hit_prob = 0.0;
-  qn::MvaWorkspace ws;
-  bool mva_ok = true;
-  std::string mva_error;
 };
 
 // ---- Site classes (hierarchical solving, DESIGN.md §14). -------------------
@@ -393,12 +388,12 @@ void BuildShapeKey(const ModelInput& input, const ClassPartition& part,
 }
 
 // ---- Fixed-point building blocks. -----------------------------------------
-// SolveInto and SolveBatchInto are the same algorithm: one scenario's solve
-// is a sequence of these per-scenario steps plus the per-site MVA solves.
-// The batch driver runs each step per lane and swaps the scalar MVA call for
-// the lockstep batch kernels, so lane w's floating-point op sequence is
-// exactly the scalar solve's — that (plus the batch kernels' own bit-identity
-// contract) is why a batch solve is bit-identical per lane to SolveInto.
+// One scenario's solve is a sequence of these per-scenario steps plus the
+// per-site MVA solves. SolveBatchInto, the one driver, runs each step per
+// lane and the MVA solves across lanes through the batch kernels, so lane
+// w's floating-point op sequence is exactly a one-lane solve's — that (plus
+// the batch kernels' own bit-identity contract) is why a batch solve is
+// bit-identical per lane to SolveInto, which is the one-lane call.
 //
 // Every step takes `units`: the sites the fixed point actually iterates —
 // all of them flat, one representative per class when collapsing. Identical
@@ -477,7 +472,6 @@ void RefreshSolveState(const ModelInput& input,
     const SiteParams& site = input.sites[units[u]];
     SiteNetwork& sn = (*nets)[u];
     sn.buffer_hit_prob = BufferHitProbability(site);
-    sn.mva_ok = true;
     for (std::size_t k = 0; k < sn.chain_types.size(); ++k) {
       sn.net.chains[k].population = site.Class(sn.chain_types[k]).population;
       sn.net.chains[k].think_time = site.think_time_ms;
@@ -492,7 +486,6 @@ void RefreshSolveState(const ModelInput& input,
 void ZeroLaneNetworks(std::vector<SiteNetwork>* nets) {
   for (SiteNetwork& sn : *nets) {
     sn.buffer_hit_prob = 0.0;
-    sn.mva_ok = true;
     for (qn::Chain& chain : sn.net.chains) {
       chain.population = 0;
       chain.think_time = 0.0;
@@ -946,7 +939,7 @@ void AssembleSolution(const ModelInput& input, const std::vector<SiteState>& st,
   }
 }
 
-// Resets the solve-status fields of `out` the way SolveInto's prologue does.
+// Resets the solve-status fields of `out` before a solve.
 void ResetSolution(ModelSolution* out) {
   out->ok = false;
   out->converged = false;
@@ -958,32 +951,14 @@ void ResetSolution(ModelSolution* out) {
 
 }  // namespace
 
-// Cross-solve state reused by SolveInto: everything whose size depends only
-// on the input's shape. `shape` records the signature the buffers were built
-// for; `shape_scratch` is persistent so re-deriving the signature of the
-// next input allocates nothing.
+// Cross-solve state of SolveBatchInto: everything whose size depends only on
+// the shape and the lane count. Per-lane solve state plus the shared per-unit
+// MVA workspaces; lane w's column in site_ws[u] (scalar_ws[0] for one lane)
+// retains that lane's Schweitzer queue lengths across solves. `shape`
+// records the signature the buffers were built for; the scratch strings are
+// persistent so re-deriving the signature of the next input allocates
+// nothing.
 struct SolveArena::Impl {
-  std::string shape;
-  std::string shape_scratch;
-  ClassPartition part;
-  std::vector<std::size_t> units;
-  std::vector<SiteState> st;
-  std::vector<SiteNetwork> nets;
-  std::vector<double> prev_x;
-  ClassCoupling coupling;
-};
-
-SolveArena::SolveArena() : impl_(std::make_unique<Impl>()) {}
-SolveArena::~SolveArena() = default;
-SolveArena::SolveArena(SolveArena&&) noexcept = default;
-SolveArena& SolveArena::operator=(SolveArena&&) noexcept = default;
-
-// Cross-solve state of SolveBatchInto: per-lane solve state (each lane is
-// one scenario's SolveInto state) plus the shared per-site lockstep MVA
-// workspaces. Lane w's column in site_ws[i] retains that lane's Schweitzer
-// queue lengths across solves exactly like SolveArena retains its single
-// site workspace.
-struct BatchSolveArena::Impl {
   std::string shape;
   std::string shape_scratch;
   std::string lane_scratch;
@@ -1012,11 +987,10 @@ struct BatchSolveArena::Impl {
   std::vector<std::string> site_error;
 };
 
-BatchSolveArena::BatchSolveArena() : impl_(std::make_unique<Impl>()) {}
-BatchSolveArena::~BatchSolveArena() = default;
-BatchSolveArena::BatchSolveArena(BatchSolveArena&&) noexcept = default;
-BatchSolveArena& BatchSolveArena::operator=(BatchSolveArena&&) noexcept =
-    default;
+SolveArena::SolveArena() : impl_(std::make_unique<Impl>()) {}
+SolveArena::~SolveArena() = default;
+SolveArena::SolveArena(SolveArena&&) noexcept = default;
+SolveArena& SolveArena::operator=(SolveArena&&) noexcept = default;
 
 std::string SolveShapeKey(const ModelInput& input) {
   ClassPartition part;
@@ -1068,185 +1042,21 @@ ModelSolution CaratModel::Solve(const SolverOptions& options,
 void CaratModel::SolveInto(const SolverOptions& options, SolveArena* arena,
                            const WarmStart* warm, ModelSolution* out,
                            WarmStart* warm_out) const {
-  ResetSolution(out);
-  if (!input_.Validate(&out->error)) {
-    out->sites.clear();
-    return;
-  }
-  out->ok = true;
-
-  std::optional<SolveArena> local_arena;
-  if (arena == nullptr) local_arena.emplace();
-  SolveArena::Impl& ar =
-      arena != nullptr ? *arena->impl_ : *local_arena->impl_;
-
-  const std::size_t num_sites = input_.sites.size();
-  // Alpha is fixed input unless the Ethernet model is enabled, in which
-  // case it is re-derived from the model's own message rate each iteration
-  // (the two-level coupling of Section 3).
-  double alpha = input_.comm_delay_ms;
-
-  // ---- Site classes and solve units. ---------------------------------------
-  // The partition drives the class-aggregated coupling sums; with
-  // collapse_site_classes it additionally shrinks the solved set to one
-  // representative per class (expanded back after convergence).
-  if (!EffectivePartition(input_, options, &ar.part, &out->error)) {
-    out->ok = false;
-    out->sites.clear();
-    return;
-  }
-  const bool collapse =
-      options.collapse_site_classes && ar.part.num_classes() < num_sites;
-  std::vector<std::size_t>& units = ar.units;
-  units.clear();
-  units.reserve(collapse ? ar.part.num_classes() : num_sites);
-  if (collapse) {
-    for (std::size_t cls = 0; cls < ar.part.num_classes(); ++cls) {
-      units.push_back(ar.part.rep_site[cls]);
-    }
-  } else {
-    for (std::size_t i = 0; i < num_sites; ++i) units.push_back(i);
-  }
-
-  std::vector<SiteState>& st = ar.st;
-  st.assign(num_sites, SiteState{});
-  InitWorkloadInvariants(input_, units, &st);
-
-  // ---- Shape-keyed arena state. --------------------------------------------
-  // The per-unit networks, the class coupling and every other shape-sized
-  // buffer are rebuilt only when the input's shape signature (presence +
-  // partition + collapse mode) differs from the arena's; same-shape
-  // re-solves just rewrite populations and demands in place and allocate
-  // nothing.
-  BuildShapeKey(input_, ar.part, &ar.shape_scratch);
-  ar.shape_scratch.push_back(collapse ? '\1' : '\0');
-  if (ar.shape != ar.shape_scratch) {
-    ar.shape = ar.shape_scratch;
-    BuildSiteNetworks(input_, st, units, &ar.nets);
-    BuildClassCoupling(input_, ar.part, &ar.coupling);
-  }
-  std::vector<SiteNetwork>& nets = ar.nets;
-  RefreshSolveState(input_, units, &nets);
-
-  // ---- Warm-start seeding. -------------------------------------------------
-  // A compatible seed initializes the fixed point's state variables (Pb, Pd,
-  // Pra, the synchronization delays, alpha under the Ethernet model and the
-  // retained per-site Schweitzer queue lengths) from a neighbor's converged
-  // values. A cold solve resets the arena's retained queue lengths so the
-  // trajectory is bit-identical to a fresh-arena solve.
-  const bool seeded = warm != nullptr && warm->CompatibleWith(input_);
-  out->warm_started = seeded;
-  if (seeded) {
-    if (options.ethernet.has_value()) alpha = warm->comm_delay_ms;
-    SeedClassStates(*warm, units, &st);
-  } else {
-    for (SiteNetwork& sn : nets) sn.ws.qkm.clear();
-  }
-
-  // ---- Fixed-point iteration (Section 6). ----------------------------------
-  const std::size_t num_units = units.size();
-  std::vector<double>& prev_x = ar.prev_x;
-  prev_x.assign(num_units * kNumTxnTypes, 0.0);
-  bool converged = false;
-  int iteration = 0;
-  // High-contention inputs can make the plain damped iteration oscillate;
-  // shrinking the damping factor over time restores convergence.
-  double damping = options.damping;
-
-  for (iteration = 1; iteration <= options.max_iterations; ++iteration) {
-    if (iteration % 100 == 0) damping = std::max(damping * 0.5, 0.02);
-    // (1) Visit counts with the current Pb / Pd / Pra.
-    if (!StepVisitCounts(input_, units, &st)) {
-      out->error = "visit-count system singular";
-      out->ok = false;
-      out->sites.clear();
-      return;
-    }
-
-    // (2) sigma, P_a, N_s.
-    StepAbortChain(input_, options, ar.part, ar.coupling, units, &st);
-
-    // (3) Demands (Eqs. 5-10) and per-site MVA solve. Each site's network
-    // depends only on that site's state from steps (1)-(2), so the solves
-    // are independent and run concurrently on options.pool when provided
-    // (bit-identical to the serial order — no cross-site reads or writes).
-    const auto solve_site = [&](std::size_t u) {
-      const std::size_t i = units[u];
-      const SiteParams& site = input_.sites[i];
-      SiteNetwork& sn = nets[u];
-      FillSiteDemands(site, &st[i], &sn);
-
-      // Warm-start from the previous iteration's queue lengths: the fixed
-      // point moves the demands only slightly per iteration, so large-
-      // population Schweitzer sites converge in a few rounds.
-      sn.mva_ok =
-          options.use_exact_mva
-              ? qn::SolveMvaInPlace(sn.net, &sn.ws, 1u << 20,
-                                    /*warm_start=*/true, &sn.mva_error)
-              : qn::SchweitzerMvaInPlace(sn.net, &sn.ws, /*tolerance=*/1e-9,
-                                         /*max_iterations=*/10000,
-                                         /*warm_start=*/true, &sn.mva_error);
-      if (!sn.mva_ok) return;
-      ReadSiteSolution(site, sn.ws.solution, sn, &st[i]);
-    };
-    if (options.pool == nullptr) {
-      // Run inline rather than through ParallelFor: wrapping the lambda in a
-      // std::function would heap-allocate every iteration, and the serial
-      // path is the service's allocation-free warm path.
-      for (std::size_t u = 0; u < num_units; ++u) solve_site(u);
-    } else {
-      exec::ParallelFor(options.pool, 0, num_units, solve_site);
-    }
-    for (std::size_t u = 0; u < num_units; ++u) {
-      if (!nets[u].mva_ok) {
-        out->error = "MVA failed: " + nets[u].mva_error;
-        out->ok = false;
-        out->sites.clear();
-        return;
-      }
-    }
-
-    // (4) Execution durations and locks held (Fig. 3 / Eq. 14).
-    StepDurations(input_, options, units, &st);
-
-    // (5) Blocking and deadlock quantities (Eqs. 15-20), damped.
-    StepLockModel(input_, damping, units, &st);
-
-    // (5b) Communication Network Model.
-    if (options.ethernet.has_value()) {
-      StepEthernet(input_, options, ar.part, ar.coupling, damping, st,
-                   &alpha);
-    }
-
-    // (6) Remote-wait and 2PC-wait coupling across sites.
-    StepCrossSiteCoupling(input_, ar.part, ar.coupling, alpha, damping, units,
-                          &st);
-
-    // (7) Convergence test on throughputs.
-    const double max_rel_delta = ThroughputDelta(st, units, &prev_x);
-    if (iteration > 2 && max_rel_delta < options.tolerance) {
-      converged = true;
-      break;
-    }
-  }
-
-  if (collapse) ExpandClassStates(ar.part, &st);
-  if (warm_out != nullptr) ExportWarm(st, alpha, warm_out);
-  AssembleSolution(input_, st, converged,
-                   std::min(iteration, options.max_iterations), alpha, out);
+  const ModelInput* input = &input_;
+  SolveBatchInto(&input, 1, options, arena, &warm, &out, &warm_out);
 }
 
 void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
                                 std::size_t lanes,
                                 const SolverOptions& options,
-                                BatchSolveArena* arena,
+                                SolveArena* arena,
                                 const WarmStart* const* seeds,
                                 ModelSolution* const* outs,
                                 WarmStart* const* warm_outs) {
   if (lanes == 0) return;
-  std::optional<BatchSolveArena> local_arena;
+  std::optional<SolveArena> local_arena;
   if (arena == nullptr) local_arena.emplace();
-  BatchSolveArena::Impl& ar =
+  SolveArena::Impl& ar =
       arena != nullptr ? *arena->impl_ : *local_arena->impl_;
 
   // ---- Per-lane validation and shape agreement. ----------------------------
@@ -1254,10 +1064,15 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
   // block; a lane that fails input validation, has a malformed class spec or
   // disagrees on shape is failed up front and parked on a zeroed network so
   // the lockstep blocks stay rectangular. (The serving layer groups queries
-  // by SolveShapeKey, so mismatches never occur there.)
+  // by SolveShapeKey, so mismatches never occur there.) The partition drives
+  // the class-aggregated coupling sums; with collapse_site_classes it also
+  // shrinks the solved set to one representative per class, expanded back
+  // after convergence.
   const std::size_t num_sites = inputs[0]->sites.size();
   std::string spec_error;
-  if (!EffectivePartition(*inputs[0], options, &ar.part, &spec_error)) {
+  const bool spec_ok =
+      EffectivePartition(*inputs[0], options, &ar.part, &spec_error);
+  if (!spec_ok) {
     // Lane 0's spec is malformed; the block still needs a well-defined
     // reference partition, so fall back to detection (lane 0 itself is
     // failed below like any other bad-spec lane).
@@ -1274,24 +1089,36 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
       outs[w]->sites.clear();
       continue;
     }
-    if (!EffectivePartition(*inputs[w], options, &ar.lane_part,
-                            &outs[w]->error)) {
-      outs[w]->sites.clear();
-      continue;
-    }
-    BuildShapeKey(*inputs[w], ar.lane_part, &ar.lane_scratch);
-    ar.lane_scratch.push_back(collapse ? '\1' : '\0');
-    if (ar.lane_scratch != ar.shape_scratch) {
-      outs[w]->error = "batch lanes differ in model shape";
-      outs[w]->sites.clear();
-      continue;
+    if (w == 0) {
+      // Lane 0 was partitioned above and defines the shape; not repeating
+      // the partition is measurable on short warm one-lane solves.
+      if (!spec_ok) {
+        outs[0]->error = spec_error;
+        outs[0]->sites.clear();
+        continue;
+      }
+    } else {
+      if (!EffectivePartition(*inputs[w], options, &ar.lane_part,
+                              &outs[w]->error)) {
+        outs[w]->sites.clear();
+        continue;
+      }
+      BuildShapeKey(*inputs[w], ar.lane_part, &ar.lane_scratch);
+      ar.lane_scratch.push_back(collapse ? '\1' : '\0');
+      if (ar.lane_scratch != ar.shape_scratch) {
+        outs[w]->error = "batch lanes differ in model shape";
+        outs[w]->sites.clear();
+        continue;
+      }
     }
     outs[w]->ok = true;
     if (reference == lanes) reference = w;
   }
   if (reference == lanes) return;  // every lane rejected
 
-  // ---- Solve units (see SolveInto). ----------------------------------------
+  // ---- Solve units. --------------------------------------------------------
+  // The sites the fixed point iterates: all of them flat, one representative
+  // per class when collapsing.
   std::vector<std::size_t>& units = ar.units;
   units.clear();
   units.reserve(collapse ? ar.part.num_classes() : num_sites);
@@ -1304,7 +1131,12 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
   }
   const std::size_t num_units = units.size();
 
-  // ---- Shape-keyed arena state (see SolveInto). ----------------------------
+  // ---- Shape-keyed arena state. --------------------------------------------
+  // The per-unit networks, the class coupling, the MVA workspaces and every
+  // other shape-sized buffer are rebuilt only when the block's shape
+  // signature (presence + partition + collapse mode) or its lane count
+  // differs from the arena's; same-shape re-solves just rewrite populations
+  // and demands in place and allocate nothing.
   if (ar.shape != ar.shape_scratch || ar.lanes.size() != lanes) {
     ar.shape = ar.shape_scratch;
     ar.lanes.resize(lanes);
@@ -1316,8 +1148,8 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
       BuildSiteNetworks(*inputs[reference], ref_st, units, &ar.lanes[w].nets);
     }
     BuildClassCoupling(*inputs[reference], ar.part, &ar.coupling);
-    // Fresh lockstep workspaces: the retained queue lengths of another shape
-    // must not leak into this one.
+    // Fresh workspaces: the retained queue lengths of another shape must
+    // not leak into this one.
     ar.site_ws.assign(num_units, qn::BatchMvaWorkspace{});
   }
   ar.net_ptrs.resize(num_units * lanes);
@@ -1330,9 +1162,17 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
   }
 
   // ---- Per-lane solve state, seeding and refresh. --------------------------
+  // Alpha is fixed input unless the Ethernet model is enabled, in which case
+  // it is re-derived from the model's own message rate each iteration (the
+  // two-level coupling of Section 3). A compatible seed initializes the
+  // lane's state variables (Pb, Pd, Pra, the synchronization delays, alpha
+  // under the Ethernet model and the retained per-site Schweitzer queue
+  // lengths) from a neighbor's converged values. A cold lane drops its
+  // retained queue lengths so its trajectory is bit-identical to a
+  // fresh-arena solve (the other lanes' columns keep theirs).
   std::size_t remaining = 0;
   for (std::size_t w = 0; w < lanes; ++w) {
-    BatchSolveArena::Impl::Lane& lane = ar.lanes[w];
+    SolveArena::Impl::Lane& lane = ar.lanes[w];
     lane.converged = false;
     lane.iterations = 0;
     lane.failed = !outs[w]->ok;
@@ -1357,26 +1197,27 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
       if (options.ethernet.has_value()) lane.alpha = seed->comm_delay_ms;
       SeedClassStates(*seed, units, &lane.st);
     } else {
-      // Cold lane: drop its retained Schweitzer queue lengths, exactly like
-      // the scalar arena's qkm.clear() (the other lanes' columns keep
-      // theirs).
       for (std::size_t u = 0; u < num_units; ++u)
         ar.site_ws[u].InvalidateWarm(w);
     }
   }
 
-  // ---- Lockstep fixed-point iteration. -------------------------------------
-  // Each active lane advances through exactly the scalar SolveInto step
-  // sequence; the per-site MVA solves run across lanes through the batch
-  // kernels. A lane that meets the tolerance freezes: its state stops
-  // changing (its MVA lanes keep riding with frozen demands, which is
-  // harmless — nothing reads them back), so its results are bit-identical
-  // to a scalar solve that stopped at the same iteration.
+  // ---- Lockstep fixed-point iteration (Section 6). -------------------------
+  // Each active lane advances through the same step sequence; the per-site
+  // MVA solves run across lanes through the batch kernels. A lane that
+  // meets the tolerance freezes: its state stops changing (its MVA lanes
+  // keep riding with frozen demands, which is harmless — nothing reads them
+  // back), so its results are bit-identical to a one-lane solve that stopped
+  // at the same iteration.
   for (int iteration = 1;
        iteration <= options.max_iterations && remaining > 0; ++iteration) {
+    // (1) Visit counts with the current Pb / Pd / Pra; (2) sigma, P_a, N_s.
     for (std::size_t w = 0; w < lanes; ++w) {
-      BatchSolveArena::Impl::Lane& lane = ar.lanes[w];
+      SolveArena::Impl::Lane& lane = ar.lanes[w];
       if (!lane.active) continue;
+      // High-contention inputs can make the plain damped iteration
+      // oscillate; shrinking the damping factor over time restores
+      // convergence.
       if (iteration % 100 == 0)
         lane.damping = std::max(lane.damping * 0.5, 0.02);
       if (!StepVisitCounts(*inputs[w], units, &lane.st)) {
@@ -1394,13 +1235,17 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     }
     if (remaining == 0) break;
 
-    // (3) Demands and lockstep per-site MVA. Unit u's batch touches only
-    // unit u's networks and workspace, so units still parallelize across
-    // the pool exactly like the scalar path.
+    // (3) Demands (Eqs. 5-10) and the per-site MVA solves. Unit u's solve
+    // touches only unit u's networks and workspace, so the units run
+    // concurrently on options.pool when provided (bit-identical to the
+    // serial order — no cross-site reads or writes). The kernels resume from
+    // the previous iteration's queue lengths: the fixed point moves the
+    // demands only slightly per iteration, so large-population Schweitzer
+    // sites converge in a few rounds.
     const auto solve_site = [&](std::size_t u) {
       const std::size_t i = units[u];
       for (std::size_t w = 0; w < lanes; ++w) {
-        BatchSolveArena::Impl::Lane& lane = ar.lanes[w];
+        SolveArena::Impl::Lane& lane = ar.lanes[w];
         if (!lane.active) continue;
         FillSiteDemands(inputs[w]->sites[i], &lane.st[i], &lane.nets[u]);
       }
@@ -1419,13 +1264,16 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
       ar.site_ok[u] = ok ? 1 : 0;
       if (!ok) return;
       for (std::size_t w = 0; w < lanes; ++w) {
-        BatchSolveArena::Impl::Lane& lane = ar.lanes[w];
+        SolveArena::Impl::Lane& lane = ar.lanes[w];
         if (!lane.active) continue;
         ReadSiteSolution(inputs[w]->sites[i], ws.solutions[w], lane.nets[u],
                          &lane.st[i]);
       }
     };
     if (options.pool == nullptr) {
+      // Run inline rather than through ParallelFor: wrapping the lambda in a
+      // std::function would heap-allocate every iteration, and the serial
+      // path is the service's allocation-free warm path.
       for (std::size_t u = 0; u < num_units; ++u) solve_site(u);
     } else {
       exec::ParallelFor(options.pool, 0, num_units, solve_site);
@@ -1437,7 +1285,7 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
       // inputs never produce invalid site networks, so this is unreachable
       // in practice.
       for (std::size_t w = 0; w < lanes; ++w) {
-        BatchSolveArena::Impl::Lane& lane = ar.lanes[w];
+        SolveArena::Impl::Lane& lane = ar.lanes[w];
         if (!lane.active) continue;
         outs[w]->error = "MVA failed: " + ar.site_error[u];
         outs[w]->ok = false;
@@ -1449,8 +1297,11 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     }
     if (remaining == 0) break;
 
+    // (4) Durations and locks held, (5) the CC submodel, (5b) the
+    // Communication Network Model, (6) cross-site coupling, (7) the
+    // convergence test on throughputs.
     for (std::size_t w = 0; w < lanes; ++w) {
-      BatchSolveArena::Impl::Lane& lane = ar.lanes[w];
+      SolveArena::Impl::Lane& lane = ar.lanes[w];
       if (!lane.active) continue;
       StepDurations(*inputs[w], options, units, &lane.st);
       StepLockModel(*inputs[w], lane.damping, units, &lane.st);
@@ -1473,7 +1324,7 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
 
   // ---- Export and assemble per lane. ---------------------------------------
   for (std::size_t w = 0; w < lanes; ++w) {
-    BatchSolveArena::Impl::Lane& lane = ar.lanes[w];
+    SolveArena::Impl::Lane& lane = ar.lanes[w];
     if (lane.failed) continue;
     if (collapse) ExpandClassStates(ar.part, &lane.st);
     if (warm_outs != nullptr && warm_outs[w] != nullptr) {

@@ -174,11 +174,12 @@ struct WarmStart {
   bool CompatibleWith(const ModelInput& input) const;
 };
 
-/// Reusable cross-solve state: the per-site MVA networks, workspaces and
-/// iteration buffers of CaratModel::SolveInto. Keyed to the input's *shape*
-/// (SolveShapeKey); consecutive solves of same-shape inputs through one
-/// arena perform zero heap allocations once warm. An arena must not be used
-/// by two solves concurrently.
+/// Reusable cross-solve state of CaratModel::SolveBatchInto (and so of
+/// SolveInto, its one-lane call): per-lane solve state plus the per-site MVA
+/// networks and workspaces. Keyed to the input's *shape* (SolveShapeKey) and
+/// the lane count; consecutive solves of same-shape inputs at the same lane
+/// count through one arena perform zero heap allocations once warm. An arena
+/// must not be used by two solves concurrently.
 class SolveArena {
  public:
   SolveArena();
@@ -192,6 +193,9 @@ class SolveArena {
   std::unique_ptr<Impl> impl_;
 };
 
+/// SolveArena under the name some batch callers use.
+using BatchSolveArena = SolveArena;
+
 /// Canonical key of the solve-relevant *shape* of an input: site count,
 /// per-site chain presence and log-disk layout, plus the detected site-class
 /// partition (byte-identical sites grouped by first occurrence), so a
@@ -200,23 +204,6 @@ class SolveArena {
 /// equal shape keys can share a SolveArena and are candidates for
 /// warm-start seeding.
 std::string SolveShapeKey(const ModelInput& input);
-
-/// Reusable cross-solve state of CaratModel::SolveBatchInto: one lane of
-/// SolveArena-equivalent state per scenario plus the shared per-site lockstep
-/// MVA workspaces (qn::BatchMvaWorkspace). Keyed to the batch's shape and
-/// lane count; an arena must not be used by two batch solves concurrently.
-class BatchSolveArena {
- public:
-  BatchSolveArena();
-  ~BatchSolveArena();
-  BatchSolveArena(BatchSolveArena&&) noexcept;
-  BatchSolveArena& operator=(BatchSolveArena&&) noexcept;
-
- private:
-  friend class CaratModel;
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 /// The model. Construct with a validated ModelInput and call Solve().
 class CaratModel {
@@ -238,17 +225,19 @@ class CaratModel {
   /// Allocation-free core: solves into caller-owned `out` reusing `arena`
   /// (nullptr uses a throwaway arena). With a warm arena of matching shape
   /// and a reused `out`, the whole solve performs zero heap allocations.
+  /// This is the one-lane call of SolveBatchInto.
   void SolveInto(const SolverOptions& options, SolveArena* arena,
                  const WarmStart* warm, ModelSolution* out,
                  WarmStart* warm_out = nullptr) const;
 
-  /// Lockstep batch solve: advances `lanes` same-shape scenarios through the
-  /// fixed point together, solving every site's MVA across all scenarios via
-  /// the SoA batch kernels (qn/mva_batch.h). Lane w's ModelSolution is
-  /// bit-identical to `CaratModel(*inputs[w]).SolveInto(...)` with the same
-  /// options and seed: each lane executes exactly the scalar step sequence
-  /// and the batch MVA kernels are bit-identical per lane by contract. A
-  /// lane that converges early freezes while the others continue. (The
+  /// The fixed-point driver. Advances `lanes` same-shape scenarios through
+  /// the fixed point together, solving every site's MVA across all scenarios
+  /// via the batch kernels (qn/mva_batch.h; one lane runs the scalar
+  /// kernels). Lane w's ModelSolution is bit-identical to
+  /// `CaratModel(*inputs[w]).SolveInto(...)` with the same options and seed:
+  /// each lane executes exactly the one-lane step sequence and the batch MVA
+  /// kernels are bit-identical per lane by contract. A lane that converges
+  /// early freezes while the others continue. (The
   /// identity assumes matching retained MVA warm state — e.g. both arenas
   /// fresh. After a batch solve, an early-frozen lane's retained Schweitzer
   /// state includes post-freeze refinement at frozen demands, so a later
@@ -261,7 +250,7 @@ class CaratModel {
   /// not disturb its neighbors. `arena` may be nullptr for a throwaway.
   static void SolveBatchInto(const ModelInput* const* inputs,
                              std::size_t lanes, const SolverOptions& options,
-                             BatchSolveArena* arena,
+                             SolveArena* arena,
                              const WarmStart* const* seeds,
                              ModelSolution* const* outs,
                              WarmStart* const* warm_outs = nullptr);

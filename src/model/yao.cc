@@ -45,11 +45,14 @@ double YaoExpectedBlocksReal(double total_records, double total_blocks,
   const double m = total_blocks;
   const double d = n / m;
   if (n - d - selected_records + 1.0 <= 0.0) return m;
-  // log C(n-d, k) - log C(n, k) via lgamma.
-  const double log_p = std::lgamma(n - d + 1.0) -
-                       std::lgamma(n - d - selected_records + 1.0) -
-                       std::lgamma(n + 1.0) +
-                       std::lgamma(n - selected_records + 1.0);
+  // log C(n-d, k) - log C(n, k) via lgamma. lgamma_r, not std::lgamma:
+  // std::lgamma writes glibc's global `signgam`, a data race when solves run
+  // concurrently. The values are the same bit for bit.
+  int sign = 0;
+  const double log_p = lgamma_r(n - d + 1.0, &sign) -
+                       lgamma_r(n - d - selected_records + 1.0, &sign) -
+                       lgamma_r(n + 1.0, &sign) +
+                       lgamma_r(n - selected_records + 1.0, &sign);
   return m * (1.0 - std::exp(log_p));
 }
 

@@ -193,6 +193,24 @@ void SchweitzerSweep(const SchweitzerArgs& a) {
   }
 }
 
+// Solves each lane with a scalar kernel on its own scalar_ws[w], copying the
+// result into the batch outputs. Bit-identical by construction; used for one
+// lane, where the scalar kernel beats the SoA sweep, and for mixed exact /
+// Schweitzer batches. `solve(net, sw)` runs the kernel.
+template <typename Solve>
+bool SolveLanesScalar(const ClosedNetwork* const* nets, std::size_t lanes,
+                      BatchMvaWorkspace* ws, Solve solve) {
+  if (ws->scalar_ws.size() < lanes) ws->scalar_ws.resize(lanes);
+  ws->solutions.resize(lanes);
+  ws->iterations.resize(lanes);
+  for (std::size_t w = 0; w < lanes; ++w) {
+    if (!solve(*nets[w], &ws->scalar_ws[w])) return false;
+    ws->solutions[w] = ws->scalar_ws[w].solution;
+    ws->iterations[w] = ws->scalar_ws[w].iterations;
+  }
+  return true;
+}
+
 template <std::size_t kW>
 void SchweitzerIterate(const SchweitzerArgs& a, double tolerance,
                        int max_iterations, unsigned char* active,
@@ -214,6 +232,26 @@ void SchweitzerIterate(const SchweitzerArgs& a, double tolerance,
       }
     }
   }
+}
+
+// True when every lane shares lane 0's joint population lattice and the SoA
+// lattice (`states * centers * lanes` doubles) stays under a cap; past it the
+// scalar walk per lane is the better trade and keeps the batch memory
+// footprint bounded.
+bool SharedLatticeFits(const ClosedNetwork* const* nets, std::size_t lanes,
+                       std::size_t exact_state_limit) {
+  for (std::size_t w = 1; w < lanes; ++w) {
+    if (nets[w]->chains.size() != nets[0]->chains.size()) return false;
+    for (std::size_t k = 0; k < nets[0]->chains.size(); ++k) {
+      if (nets[w]->chains[k].population != nets[0]->chains[k].population) {
+        return false;
+      }
+    }
+  }
+  constexpr std::size_t kExactBatchSoaDoubles = std::size_t{1} << 23;
+  std::size_t states = 0;
+  return JointLatticeStates(*nets[0], exact_state_limit, &states) &&
+         states * nets[0]->centers.size() <= kExactBatchSoaDoubles / lanes;
 }
 
 }  // namespace
@@ -249,6 +287,13 @@ bool SchweitzerMvaBatchInPlace(const ClosedNetwork* const* nets,
                                std::size_t lanes, BatchMvaWorkspace* ws,
                                double tolerance, int max_iterations,
                                bool warm_start, std::string* error) {
+  if (lanes == 1) {
+    return SolveLanesScalar(
+        nets, 1, ws, [&](const ClosedNetwork& net, MvaWorkspace* sw) {
+          return SchweitzerMvaInPlace(net, sw, tolerance, max_iterations,
+                                      warm_start, error);
+        });
+  }
   if (!CheckBatch(nets, lanes, error)) return false;
   const std::size_t num_chains = nets[0]->chains.size();
   const std::size_t num_centers = nets[0]->centers.size();
@@ -509,62 +554,34 @@ bool SolveMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
     SetError(error, "batch solve needs at least one lane");
     return false;
   }
-  // Per-lane exact/Schweitzer decision, identical to SolveMvaInPlace's rule
-  // so lane w's result matches a scalar solve of lane w's network bit for
-  // bit regardless of which implementation runs below.
-  bool all_exact = true, any_exact = false;
-  for (std::size_t w = 0; w < lanes; ++w) {
-    const bool exact = JointLatticeStates(*nets[w], exact_state_limit);
-    all_exact = all_exact && exact;
-    any_exact = any_exact || exact;
-  }
-  if (!any_exact) {
-    return SchweitzerMvaBatchInPlace(nets, lanes, ws, /*tolerance=*/1e-9,
-                                     /*max_iterations=*/10000, warm_start,
-                                     error);
-  }
-  if (all_exact) {
-    bool shared_lattice = true;
-    for (std::size_t w = 1; w < lanes && shared_lattice; ++w) {
-      if (nets[w]->chains.size() != nets[0]->chains.size()) {
-        shared_lattice = false;
-        break;
-      }
-      for (std::size_t k = 0; k < nets[0]->chains.size(); ++k) {
-        if (nets[w]->chains[k].population != nets[0]->chains[k].population) {
-          shared_lattice = false;
-          break;
-        }
-      }
+  // One lane runs the scalar kernel (see SolveLanesScalar). Otherwise the
+  // per-lane exact/Schweitzer decision is SolveMvaInPlace's rule, so lane w's
+  // result matches a scalar solve of lane w's network bit for bit whichever
+  // implementation runs below.
+  if (lanes > 1) {
+    bool all_exact = true, any_exact = false;
+    for (std::size_t w = 0; w < lanes; ++w) {
+      const bool exact = JointLatticeStates(*nets[w], exact_state_limit);
+      all_exact = all_exact && exact;
+      any_exact = any_exact || exact;
     }
-    // The SoA lattice costs `states * centers * lanes` doubles; past this
-    // cap the scalar walk per lane is the better trade (and keeps the batch
-    // memory footprint bounded).
-    constexpr std::size_t kExactBatchSoaDoubles = std::size_t{1} << 23;
-    std::size_t states = 0;
-    if (shared_lattice &&
-        JointLatticeStates(*nets[0], exact_state_limit, &states) &&
-        states * nets[0]->centers.size() <= kExactBatchSoaDoubles / lanes) {
+    if (!any_exact) {
+      return SchweitzerMvaBatchInPlace(nets, lanes, ws, /*tolerance=*/1e-9,
+                                       /*max_iterations=*/10000, warm_start,
+                                       error);
+    }
+    if (all_exact && SharedLatticeFits(nets, lanes, exact_state_limit)) {
       return ExactMvaBatchInPlace(nets, lanes, ws, exact_state_limit, error);
     }
   }
-  // Mixed batch (or exact lanes without a shared lattice): scalar kernels
-  // per lane. Bit-identity is free here; only the lockstep speedup is lost.
-  // Warm Schweitzer state for this path lives in scalar_ws[w].qkm (cleared
-  // by InvalidateWarm), matching the scalar solver's retained-workspace
-  // semantics.
-  if (ws->scalar_ws.size() < lanes) ws->scalar_ws.resize(lanes);
-  ws->solutions.resize(lanes);
-  ws->iterations.resize(lanes);
-  for (std::size_t w = 0; w < lanes; ++w) {
-    if (!SolveMvaInPlace(*nets[w], &ws->scalar_ws[w], exact_state_limit,
-                         warm_start, error)) {
-      return false;
-    }
-    ws->solutions[w] = ws->scalar_ws[w].solution;
-    ws->iterations[w] = ws->scalar_ws[w].iterations;
-  }
-  return true;
+  // One lane, a mixed batch, or exact lanes without a shared lattice: the
+  // scalar kernels per lane. Warm Schweitzer state for this path lives in
+  // scalar_ws[w].qkm (cleared by InvalidateWarm), matching the scalar
+  // solver's retained-workspace semantics.
+  return SolveLanesScalar(
+      nets, lanes, ws, [&](const ClosedNetwork& net, MvaWorkspace* sw) {
+        return SolveMvaInPlace(net, sw, exact_state_limit, warm_start, error);
+      });
 }
 
 }  // namespace carat::qn

@@ -120,9 +120,10 @@ struct BatchMvaWorkspace {
   std::vector<double> lane_x, lane_res;
   std::vector<unsigned char> active;
   std::vector<std::size_t> dims, strides, n;
-  /// Per-lane scalar workspaces for the mixed-path fallback of
+  /// Per-lane scalar workspaces for the lanes that run the scalar kernels:
+  /// every one-lane call (scalar_ws[0]), and the mixed-path fallback of
   /// SolveMvaBatchInPlace (lanes that must solve exact at different lattice
-  /// shapes run the scalar kernel, staying bit-identical by construction).
+  /// shapes). Bit-identical by construction.
   std::vector<MvaWorkspace> scalar_ws;
 };
 
@@ -135,6 +136,9 @@ bool SameMvaShape(const ClosedNetwork& a, const ClosedNetwork& b);
 /// whose fixed point converges retire behind the active-lane mask and keep
 /// their converged state bit-exactly while the rest continue. With
 /// `warm_start`, lanes whose retained `qkm` column is valid resume from it.
+/// A one-lane call runs SchweitzerMvaInPlace on `ws->scalar_ws[0]` instead
+/// (the SoA sweep costs more than it saves at width 1; DESIGN.md §11), so its
+/// retained queue lengths live in `scalar_ws[0].qkm`.
 /// Returns false (error set) on a shape mismatch between lanes or a
 /// validation failure of any lane's network.
 bool SchweitzerMvaBatchInPlace(const ClosedNetwork* const* nets,
@@ -158,9 +162,9 @@ bool ExactMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
 /// its own lattice fits in `exact_state_limit` (the same per-network rule as
 /// the scalar solver, so lane w's result is bit-identical to
 /// SolveMvaInPlace on lane w's network). All-Schweitzer batches and
-/// all-exact batches with a shared lattice run lockstep; mixed batches (or
-/// exact lanes with differing lattices) fall back to the scalar kernels per
-/// lane, preserving the results while losing only the speedup.
+/// all-exact batches with a shared lattice run lockstep; one-lane calls,
+/// mixed batches and exact lanes with differing lattices run the scalar
+/// kernels per lane, preserving the results while losing only the speedup.
 bool SolveMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
                           BatchMvaWorkspace* ws,
                           std::size_t exact_state_limit = 1u << 20,

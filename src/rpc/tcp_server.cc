@@ -255,7 +255,7 @@ std::string TcpServer::BuildStatsBody() const {
       "idle_disconnects=%llu cache_hits=%llu coalesced=%llu solved=%llu "
       "warm_started=%llu total_iterations=%llu cache_evictions=%llu "
       "cache_expirations=%llu batched=%llu batch_blocks=%llu "
-      "batch_lanes_filled=%llu batch_scalar_tail=%llu "
+      "batch_scalar_tail=%llu "
       "p50_ms=%.3f p99_ms=%.3f",
       static_cast<unsigned long long>(agg.connections_accepted),
       static_cast<unsigned long long>(agg.active_connections),
@@ -275,7 +275,6 @@ std::string TcpServer::BuildStatsBody() const {
       static_cast<unsigned long long>(service.cache_expirations),
       static_cast<unsigned long long>(service.batched),
       static_cast<unsigned long long>(service.batch_blocks),
-      static_cast<unsigned long long>(service.batch_lanes_filled),
       static_cast<unsigned long long>(service.batch_scalar_tail),
       merged.PercentileMs(50.0), merged.PercentileMs(99.0));
   std::string out = buf;

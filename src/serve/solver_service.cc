@@ -1,6 +1,7 @@
 #include "serve/solver_service.h"
 
 #include <exception>
+#include <iterator>
 #include <utility>
 
 #include "serve/key.h"
@@ -32,48 +33,35 @@ SolverService::~SolverService() {
 
 std::future<model::ModelSolution> SolverService::Submit(
     model::ModelInput input) {
-  return SubmitWith(std::move(input), options_.solver);
+  return Submit(std::move(input), options_.solver);
 }
 
 std::future<model::ModelSolution> SolverService::Submit(
     model::ModelInput input, const model::SolverOptions& solver) {
-  return SubmitWith(std::move(input), solver);
+  std::vector<model::ModelInput> one;
+  one.push_back(std::move(input));
+  return std::move(SubmitBatch(std::move(one), solver).front());
 }
 
-std::future<model::ModelSolution> SolverService::SubmitWith(
-    model::ModelInput input, const model::SolverOptions& solver) {
-  std::string key = CanonicalKey(input, solver);
-  std::promise<model::ModelSolution> promise;
-  std::future<model::ModelSolution> future = promise.get_future();
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.submitted;
-    if (const model::ModelSolution* hit = cache_.Get(key)) {
-      ++stats_.cache_hits;
-      promise.set_value(*hit);
-      return future;
-    }
-    const auto it = pending_.find(key);
-    if (it != pending_.end()) {
-      ++stats_.coalesced;
-      it->second.push_back(std::move(promise));
-      return future;
-    }
-    pending_[key].push_back(std::move(promise));
-    ++in_flight_;
+bool SolverService::AdmitLocked(const std::string& key,
+                                std::promise<model::ModelSolution>* promise) {
+  ++stats_.submitted;
+  if (const model::ModelSolution* hit = cache_.Get(key)) {
+    ++stats_.cache_hits;
+    promise->set_value(*hit);
+    return false;
   }
-
-  pool_->Submit([this, key = std::move(key), input = std::move(input),
-                 solver]() mutable {
-    try {
-      RunSolve(key, std::move(input), solver);
-    } catch (...) {
-      // Waiters (including the submitting promise) already received the
-      // exception inside RunSolve; nothing may escape into the bare pool.
-    }
-  });
-  return future;
+  const auto it = pending_.find(key);
+  if (it != pending_.end()) {
+    // Coalesces onto the in-flight solve — including onto an earlier
+    // identical query of the same batch.
+    ++stats_.coalesced;
+    it->second.push_back(std::move(*promise));
+    return false;
+  }
+  pending_[key].push_back(std::move(*promise));
+  ++in_flight_;
+  return true;
 }
 
 model::ModelSolution SolverService::SolveSync(
@@ -81,28 +69,22 @@ model::ModelSolution SolverService::SolveSync(
   const model::SolverOptions& effective =
       solver != nullptr ? *solver : options_.solver;
   std::string key = CanonicalKey(input, effective);
+  std::promise<model::ModelSolution> promise;
+  std::future<model::ModelSolution> future = promise.get_future();
+  bool fresh = false;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++stats_.submitted;
-    if (const model::ModelSolution* hit = cache_.Get(key)) {
-      ++stats_.cache_hits;
-      return *hit;
-    }
-    const auto it = pending_.find(key);
-    if (it != pending_.end()) {
-      // An identical query is already solving on some other thread: wait for
-      // its answer instead of solving twice.
-      ++stats_.coalesced;
-      std::promise<model::ModelSolution> promise;
-      std::future<model::ModelSolution> future = promise.get_future();
-      it->second.push_back(std::move(promise));
-      lock.unlock();
-      return future.get();
-    }
-    pending_[key];
-    ++in_flight_;
+    std::lock_guard<std::mutex> lock(mu_);
+    fresh = AdmitLocked(key, &promise);
   }
-  return RunSolve(key, std::move(input), effective);
+  if (fresh) {
+    const std::string shape = model::SolveShapeKey(input);
+    std::vector<Fresh> block;
+    block.push_back(Fresh{std::move(key), std::move(input)});
+    RunBlock(shape, std::move(block), effective);
+  }
+  // A cache hit is already set; a coalesced query waits for the solve
+  // running elsewhere.
+  return future.get();
 }
 
 std::vector<std::future<model::ModelSolution>> SolverService::SubmitBatch(
@@ -113,87 +95,45 @@ std::vector<std::future<model::ModelSolution>> SolverService::SubmitBatch(
 std::vector<std::future<model::ModelSolution>> SolverService::SubmitBatch(
     std::vector<model::ModelInput> inputs,
     const model::SolverOptions& solver) {
-  const std::size_t n = inputs.size();
   std::vector<std::future<model::ModelSolution>> futures;
-  futures.reserve(n);
+  futures.reserve(inputs.size());
+  const std::size_t width =
+      options_.batch_lane_width >= 2 ? options_.batch_lane_width : 1;
 
   // Fresh queries (cache miss, not coalesced) grouped by solve shape,
   // preserving submission order within each group.
-  struct Fresh {
-    std::string key;
-    model::ModelInput input;
-  };
   std::unordered_map<std::string, std::vector<Fresh>> groups;
   std::vector<const std::string*> group_order;
-
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (model::ModelInput& input : inputs) {
       std::string key = CanonicalKey(input, solver);
       std::promise<model::ModelSolution> promise;
       futures.push_back(promise.get_future());
-      ++stats_.submitted;
-      if (const model::ModelSolution* hit = cache_.Get(key)) {
-        ++stats_.cache_hits;
-        promise.set_value(*hit);
-        continue;
-      }
-      const auto it = pending_.find(key);
-      if (it != pending_.end()) {
-        // Coalesces onto the in-flight solve — including onto an earlier
-        // identical query of this very batch.
-        ++stats_.coalesced;
-        it->second.push_back(std::move(promise));
-        continue;
-      }
-      pending_[key].push_back(std::move(promise));
-      ++in_flight_;
+      if (!AdmitLocked(key, &promise)) continue;
       std::string shape = model::SolveShapeKey(input);
       std::vector<Fresh>& group = groups[shape];
       if (group.empty()) group_order.push_back(&groups.find(shape)->first);
       group.push_back(Fresh{std::move(key), std::move(input)});
     }
-
-    const std::size_t width = options_.batch_lane_width;
     for (const std::string* shape : group_order) {
-      const std::vector<Fresh>& group = groups[*shape];
-      if (width >= 2) {
-        const std::size_t blocks = group.size() / width;
-        stats_.batch_scalar_tail += group.size() - blocks * width;
-      }
+      stats_.batch_scalar_tail += groups[*shape].size() % width;
     }
   }
 
-  // Cut each shape group into full lane blocks; the ragged remainder takes
-  // the scalar path. Scheduling happens outside the lock.
-  const std::size_t width = options_.batch_lane_width;
+  // Cut each shape group into full lane blocks; the ragged remainder solves
+  // one lane per block. Scheduling happens outside the lock.
   for (const std::string* shape : group_order) {
     std::vector<Fresh>& group = groups[*shape];
-    std::size_t pos = 0;
-    if (width >= 2) {
-      while (group.size() - pos >= width) {
-        std::vector<std::string> keys;
-        std::vector<model::ModelInput> block;
-        keys.reserve(width);
-        block.reserve(width);
-        for (std::size_t w = 0; w < width; ++w, ++pos) {
-          keys.push_back(std::move(group[pos].key));
-          block.push_back(std::move(group[pos].input));
-        }
-        pool_->Submit([this, shape = *shape, keys = std::move(keys),
-                       block = std::move(block), solver]() mutable {
-          RunBatchSolve(shape, std::move(keys), std::move(block), solver);
-        });
-      }
-    }
-    for (; pos < group.size(); ++pos) {
-      pool_->Submit([this, key = std::move(group[pos].key),
-                     input = std::move(group[pos].input), solver]() mutable {
-        try {
-          RunSolve(key, std::move(input), solver);
-        } catch (...) {
-          // Waiters already received the exception inside RunSolve.
-        }
+    for (std::size_t pos = 0; pos < group.size();) {
+      const std::size_t lanes = group.size() - pos >= width ? width : 1;
+      std::vector<Fresh> block(
+          std::make_move_iterator(group.begin() + pos),
+          std::make_move_iterator(group.begin() + pos + lanes));
+      pos += lanes;
+      pool_->Submit([this, shape = *shape, block = std::move(block),
+                     solver]() mutable {
+        RunBlock(shape, std::move(block), solver);
       });
     }
   }
@@ -232,64 +172,52 @@ ServiceStats SolverService::stats() const {
 }
 
 std::unique_ptr<SolverService::Slot> SolverService::CheckOutSlot(
-    const std::string& shape) {
-  std::vector<std::unique_ptr<Slot>>& free = slots_[shape];
+    const std::string& pool_key) {
+  std::vector<std::unique_ptr<Slot>>& free = slots_[pool_key];
   if (free.empty()) return std::make_unique<Slot>();
   std::unique_ptr<Slot> slot = std::move(free.back());
   free.pop_back();
   return slot;
 }
 
-void SolverService::ReturnSlot(const std::string& shape,
+void SolverService::ReturnSlot(const std::string& pool_key,
                                std::unique_ptr<Slot> slot) {
-  slots_[shape].push_back(std::move(slot));
+  slots_[pool_key].push_back(std::move(slot));
 }
 
-std::unique_ptr<SolverService::BatchSlot> SolverService::CheckOutBatchSlot(
-    const std::string& shape) {
-  std::vector<std::unique_ptr<BatchSlot>>& free = batch_slots_[shape];
-  if (free.empty()) return std::make_unique<BatchSlot>();
-  std::unique_ptr<BatchSlot> slot = std::move(free.back());
-  free.pop_back();
-  return slot;
-}
-
-void SolverService::ReturnBatchSlot(const std::string& shape,
-                                    std::unique_ptr<BatchSlot> slot) {
-  batch_slots_[shape].push_back(std::move(slot));
-}
-
-void SolverService::RunBatchSolve(const std::string& shape,
-                                  std::vector<std::string> keys,
-                                  std::vector<model::ModelInput> inputs,
-                                  const model::SolverOptions& solver) {
-  const std::size_t lanes = keys.size();
+void SolverService::RunBlock(const std::string& shape,
+                             std::vector<Fresh> block,
+                             const model::SolverOptions& solver) {
+  const std::size_t lanes = block.size();
   std::vector<std::promise<model::ModelSolution>> waiters;
   try {
-    std::unique_ptr<BatchSlot> slot;
+    // Shape keys of different site counts differ in length, so appending a
+    // fixed-width lane count keeps pool keys unique.
+    std::string pool_key = shape;
+    pool_key.append(reinterpret_cast<const char*>(&lanes), sizeof(lanes));
+
+    std::unique_ptr<Slot> slot;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      slot = CheckOutBatchSlot(shape);
+      slot = CheckOutSlot(pool_key);
       slot->outs.resize(lanes);
       slot->seeds.resize(lanes);
       slot->warm_outs.resize(lanes);
       slot->features.resize(lanes);
-      slot->seeded.resize(lanes);
-      slot->in_ptrs.resize(lanes);
       slot->seed_ptrs.resize(lanes);
-      slot->out_ptrs.resize(lanes);
-      slot->warm_ptrs.resize(lanes);
       for (std::size_t w = 0; w < lanes; ++w) {
-        slot->features[w] = WarmFeature(inputs[w]);
-        slot->seeded[w] =
+        slot->features[w] = WarmFeature(block[w].input);
+        slot->seed_ptrs[w] =
             warm_index_.Nearest(shape, slot->features[w], &slot->seeds[w])
-                ? 1
-                : 0;
+                ? &slot->seeds[w]
+                : nullptr;
       }
     }
+    slot->in_ptrs.resize(lanes);
+    slot->out_ptrs.resize(lanes);
+    slot->warm_ptrs.resize(lanes);
     for (std::size_t w = 0; w < lanes; ++w) {
-      slot->in_ptrs[w] = &inputs[w];
-      slot->seed_ptrs[w] = slot->seeded[w] != 0 ? &slot->seeds[w] : nullptr;
+      slot->in_ptrs[w] = &block[w].input;
       slot->out_ptrs[w] = &slot->outs[w];
       slot->warm_ptrs[w] = &slot->warm_outs[w];
     }
@@ -300,13 +228,14 @@ void SolverService::RunBatchSolve(const std::string& shape,
                                       slot->warm_ptrs.data());
 
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.batch_blocks;
-    stats_.batched += lanes;
-    stats_.batch_lanes_filled += lanes;
+    if (lanes > 1) {
+      ++stats_.batch_blocks;
+      stats_.batched += lanes;
+    }
     for (std::size_t w = 0; w < lanes; ++w) {
       const model::ModelSolution& out = slot->outs[w];
       if (out.ok) {
-        cache_.Put(keys[w], out);
+        cache_.Put(block[w].key, out);
         if (out.converged) {
           warm_index_.Insert(shape, slot->features[w], slot->warm_outs[w]);
         }
@@ -315,7 +244,7 @@ void SolverService::RunBatchSolve(const std::string& shape,
       if (out.warm_started) ++stats_.warm_started;
       stats_.total_iterations += static_cast<std::uint64_t>(out.iterations);
 
-      const auto it = pending_.find(keys[w]);
+      const auto it = pending_.find(block[w].key);
       waiters = std::move(it->second);
       pending_.erase(it);
       for (std::promise<model::ModelSolution>& p : waiters) {
@@ -323,16 +252,16 @@ void SolverService::RunBatchSolve(const std::string& shape,
       }
       waiters.clear();
     }
-    ReturnBatchSlot(shape, std::move(slot));
-    // Last touch of shared state (see RunSolve): the destructor may run as
-    // soon as in_flight_ reaches zero.
+    ReturnSlot(pool_key, std::move(slot));
+    // Last touch of shared state: once in_flight_ hits zero the destructor
+    // may run, so nothing below this point may use `this`.
     in_flight_ -= lanes;
     if (in_flight_ == 0) idle_cv_.notify_all();
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
     std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& key : keys) {
-      const auto it = pending_.find(key);
+    for (const Fresh& fresh : block) {
+      const auto it = pending_.find(fresh.key);
       if (it == pending_.end()) continue;
       waiters = std::move(it->second);
       pending_.erase(it);
@@ -343,73 +272,6 @@ void SolverService::RunBatchSolve(const std::string& shape,
     }
     in_flight_ -= lanes;
     if (in_flight_ == 0) idle_cv_.notify_all();
-  }
-}
-
-model::ModelSolution SolverService::RunSolve(
-    const std::string& key, model::ModelInput input,
-    const model::SolverOptions& solver) {
-  std::vector<std::promise<model::ModelSolution>> waiters;
-  try {
-    const std::string shape = model::SolveShapeKey(input);
-    const double feature = WarmFeature(input);
-
-    std::unique_ptr<Slot> slot;
-    bool seeded = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      slot = CheckOutSlot(shape);
-      seeded = warm_index_.Nearest(shape, feature, &slot->seed);
-    }
-
-    const model::CaratModel model(std::move(input));
-    model.SolveInto(solver, &slot->arena, seeded ? &slot->seed : nullptr,
-                    &slot->out, &slot->warm_out);
-
-    model::ModelSolution result;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (slot->out.ok) {
-        cache_.Put(key, slot->out);
-        if (slot->out.converged) {
-          warm_index_.Insert(shape, feature, slot->warm_out);
-        }
-      }
-      ++stats_.solved;
-      if (slot->out.warm_started) ++stats_.warm_started;
-      stats_.total_iterations +=
-          static_cast<std::uint64_t>(slot->out.iterations);
-
-      const auto it = pending_.find(key);
-      waiters = std::move(it->second);
-      pending_.erase(it);
-      for (std::promise<model::ModelSolution>& w : waiters) {
-        w.set_value(slot->out);
-      }
-      result = slot->out;
-      ReturnSlot(shape, std::move(slot));
-      // Last touch of shared state: once in_flight_ hits zero the destructor
-      // may run, so nothing below this point may use `this`.
-      --in_flight_;
-      if (in_flight_ == 0) idle_cv_.notify_all();
-    }
-    return result;
-  } catch (...) {
-    const std::exception_ptr error = std::current_exception();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = pending_.find(key);
-      if (it != pending_.end()) {
-        waiters = std::move(it->second);
-        pending_.erase(it);
-      }
-      for (std::promise<model::ModelSolution>& w : waiters) {
-        w.set_exception(error);
-      }
-      --in_flight_;
-      if (in_flight_ == 0) idle_cv_.notify_all();
-    }
-    throw;
   }
 }
 

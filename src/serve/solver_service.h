@@ -7,13 +7,17 @@
 //   1. a keyed LRU solution cache (serve::CanonicalKey): repeated identical
 //      queries replay the stored solution without solving, and identical
 //      queries in flight at the same time are coalesced into one solve;
-//   2. per-shape SolveArena pools: repeated same-shape queries reuse the MVA
-//      networks/workspaces, so the warm steady state allocates nothing in
-//      the solver hot path;
+//   2. SolveArena pools keyed by shape and lane count: repeated same-shape
+//      queries reuse the MVA networks/workspaces, so the warm steady state
+//      allocates nothing in the solver hot path;
 //   3. a nearest-neighbor warm-start index (serve::WarmStartIndex): each new
 //      solve is seeded from the converged state of the cached neighbor with
 //      the closest parameters, cutting the fixed-point iteration count on
 //      sweep-shaped query streams.
+//
+// Every solve is a block of same-shape fresh queries, one lane each, solved
+// by CaratModel::SolveBatchInto: SubmitBatch cuts full lane blocks, and the
+// ragged remainder, Submit and SolveSync run one-lane blocks.
 //
 // Thread safety: every public method may be called concurrently. One mutex
 // guards the cache, warm index, arena pools, pending (coalescing) map and
@@ -52,14 +56,11 @@ struct ServiceStats {
   std::uint64_t total_iterations = 0;  ///< fixed-point iterations, summed
   std::uint64_t cache_evictions = 0;   ///< dropped for the entry/byte bound
   std::uint64_t cache_expirations = 0; ///< dropped past the cache ttl
-  std::uint64_t batched = 0;           ///< queries solved in lockstep blocks
-  std::uint64_t batch_blocks = 0;      ///< lockstep batch blocks executed
-  /// Lanes occupied across all blocks. Blocks are always cut at exactly
-  /// batch_lane_width, so this equals `batched` today; it is tracked
-  /// separately so a future ragged-block policy stays observable.
-  std::uint64_t batch_lanes_filled = 0;
-  /// Queries that missed the cache but fell to the scalar solve path because
-  /// their shape group's remainder was smaller than a full lane block.
+  std::uint64_t batched = 0;       ///< queries solved in multi-lane blocks
+  std::uint64_t batch_blocks = 0;  ///< multi-lane blocks executed
+  /// Submit/SubmitBatch queries that missed the cache but solved as one-lane
+  /// blocks because their shape group's remainder was smaller than a full
+  /// lane block (0 while batching is off).
   std::uint64_t batch_scalar_tail = 0;
 };
 
@@ -87,9 +88,9 @@ class SolverService {
     /// Lane width for lockstep batch solving (SubmitBatch/SolveBatch): fresh
     /// same-shape queries are grouped into blocks of exactly this many lanes
     /// and solved together through CaratModel::SolveBatchInto; the ragged
-    /// remainder of each shape group takes the scalar path. 0 or 1 disables
-    /// batching. Per-lane results are bit-identical either way, so this is
-    /// purely a throughput knob.
+    /// remainder of each shape group solves in one-lane blocks. 0 or 1
+    /// disables batching. Per-lane results are bit-identical either way, so
+    /// this is purely a throughput knob.
     std::size_t batch_lane_width = 4;
     /// Solver options applied to every query (also folded into cache keys).
     model::SolverOptions solver;
@@ -105,9 +106,10 @@ class SolverService {
   SolverService(const SolverService&) = delete;
   SolverService& operator=(const SolverService&) = delete;
 
-  /// Schedules one query. The future is fulfilled with the solution (cached,
-  /// coalesced or freshly solved); solver-level failures are reported inside
-  /// ModelSolution (ok = false), not as exceptions.
+  /// Schedules one query: a one-element SubmitBatch. The future is
+  /// fulfilled with the solution (cached, coalesced or freshly solved);
+  /// solver-level failures are reported inside ModelSolution (ok = false),
+  /// not as exceptions.
   std::future<model::ModelSolution> Submit(model::ModelInput input);
 
   /// Per-query override of Options::solver. The override is folded into the
@@ -116,12 +118,12 @@ class SolverService {
   std::future<model::ModelSolution> Submit(model::ModelInput input,
                                            const model::SolverOptions& solver);
 
-  /// Solves on the calling thread instead of the worker pool, with the same
-  /// cache / coalescing / warm-start treatment as Submit. Built for serving
-  /// front-ends whose own workers execute requests (src/rpc): the caller's
-  /// thread is the solver thread, so no pool hop and no future. A null
-  /// `solver` uses Options::solver. Blocks if an identical query is already
-  /// solving elsewhere (coalesces onto it).
+  /// Solves on the calling thread instead of the worker pool (a one-lane
+  /// block), with the same cache / coalescing / warm-start treatment as
+  /// Submit. Built for serving front-ends whose own workers execute requests
+  /// (src/rpc): the caller's thread is the solver thread, so no pool hop. A
+  /// null `solver` uses Options::solver. Blocks if an identical query is
+  /// already solving elsewhere (coalesces onto it).
   model::ModelSolution SolveSync(model::ModelInput input,
                                  const model::SolverOptions* solver = nullptr);
 
@@ -130,7 +132,7 @@ class SolverService {
   /// treatment; the fresh (cache-missing, non-coalesced) queries are grouped
   /// by solve shape and solved in lockstep blocks of
   /// Options::batch_lane_width lanes through the SoA batch kernels. Shapes
-  /// never mix within a block; ragged group remainders solve scalar.
+  /// never mix within a block; ragged group remainders solve one lane each.
   std::vector<std::future<model::ModelSolution>> SubmitBatch(
       std::vector<model::ModelInput> inputs);
   std::vector<std::future<model::ModelSolution>> SubmitBatch(
@@ -161,52 +163,44 @@ class SolverService {
   exec::ThreadPool* pool() { return pool_; }
 
  private:
-  /// An arena plus reusable output/seed buffers, checked out per solve so
-  /// the warm steady state allocates nothing. Pooled per shape key.
-  struct Slot {
-    model::SolveArena arena;
-    model::ModelSolution out;
-    model::WarmStart seed;
-    model::WarmStart warm_out;
+  /// A fresh query: its canonical key and input.
+  struct Fresh {
+    std::string key;
+    model::ModelInput input;
   };
 
-  /// A batch arena plus reusable per-lane buffers, checked out per lockstep
-  /// block. Pooled per shape key like Slot.
-  struct BatchSlot {
-    model::BatchSolveArena arena;
+  /// An arena plus reusable per-lane buffers, checked out per block so the
+  /// warm steady state allocates nothing in the solver. Pooled per (shape,
+  /// lane count), so one-lane solves never rebuild a full block's arena or
+  /// drop its warm state.
+  struct Slot {
+    model::SolveArena arena;
     std::vector<model::ModelSolution> outs;
     std::vector<model::WarmStart> seeds;
     std::vector<model::WarmStart> warm_outs;
     std::vector<double> features;
-    std::vector<unsigned char> seeded;
     std::vector<const model::ModelInput*> in_ptrs;
     std::vector<const model::WarmStart*> seed_ptrs;
     std::vector<model::ModelSolution*> out_ptrs;
     std::vector<model::WarmStart*> warm_ptrs;
   };
 
-  std::future<model::ModelSolution> SubmitWith(
-      model::ModelInput input, const model::SolverOptions& solver);
+  /// Admission, under mu_: counts the query, then answers `promise` from the
+  /// cache, or attaches it to the in-flight solve of `key`, or files it as
+  /// the first waiter of a new solve of `key`. Returns true only in the last
+  /// case: the caller must run that solve (RunBlock).
+  bool AdmitLocked(const std::string& key,
+                   std::promise<model::ModelSolution>* promise);
 
-  /// Solves `input` on the calling thread and fulfills every waiter filed
-  /// under `key` (including the submitting promise on the pool path).
-  /// Returns the solution for synchronous callers; rethrows after waiter
-  /// delivery if the solve itself threw.
-  model::ModelSolution RunSolve(const std::string& key,
-                                model::ModelInput input,
-                                const model::SolverOptions& solver);
+  /// Solves one block of same-shape fresh queries (one lane each) on the
+  /// calling thread, fills the cache and warm index, and fulfills every
+  /// waiter of every lane's key — with the exception if the solve throws.
+  /// Never throws itself.
+  void RunBlock(const std::string& shape, std::vector<Fresh> block,
+                const model::SolverOptions& solver);
 
-  /// Solves one lockstep block of same-shape fresh queries on the calling
-  /// thread and fulfills every waiter of every lane's key.
-  void RunBatchSolve(const std::string& shape, std::vector<std::string> keys,
-                     std::vector<model::ModelInput> inputs,
-                     const model::SolverOptions& solver);
-
-  std::unique_ptr<Slot> CheckOutSlot(const std::string& shape);
-  void ReturnSlot(const std::string& shape, std::unique_ptr<Slot> slot);
-  std::unique_ptr<BatchSlot> CheckOutBatchSlot(const std::string& shape);
-  void ReturnBatchSlot(const std::string& shape,
-                       std::unique_ptr<BatchSlot> slot);
+  std::unique_ptr<Slot> CheckOutSlot(const std::string& pool_key);
+  void ReturnSlot(const std::string& pool_key, std::unique_ptr<Slot> slot);
 
   Options options_;
   std::unique_ptr<exec::ThreadPool> owned_pool_;
@@ -217,11 +211,9 @@ class SolverService {
   std::size_t in_flight_ = 0;
   SolutionCache cache_;
   WarmStartIndex warm_index_;
-  /// Shape key -> free slots. Checked-out slots are owned by the running
-  /// task; a slot is never shared between concurrent solves.
+  /// Shape key + lane count -> free slots. Checked-out slots are owned by
+  /// the running task; a slot is never shared between concurrent solves.
   std::unordered_map<std::string, std::vector<std::unique_ptr<Slot>>> slots_;
-  std::unordered_map<std::string, std::vector<std::unique_ptr<BatchSlot>>>
-      batch_slots_;
   /// Canonical key -> waiters for the solve currently computing that key.
   std::unordered_map<std::string,
                      std::vector<std::promise<model::ModelSolution>>>

@@ -18,10 +18,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // and sequence counter, which is deterministic because setup runs in
 // program order before any shard thread exists).
 struct ExecContext {
-  const ShardedKernel* kernel = nullptr;
+  ShardedKernel* kernel = nullptr;
   int site = -1;
 };
 thread_local ExecContext tls_exec;
+
+// Kernels alive on this thread, in construction order. A Process spawned
+// outside event execution (setup code) belongs to the newest one.
+thread_local std::vector<ShardedKernel*> tls_live_kernels;
 
 }  // namespace
 
@@ -38,9 +42,58 @@ ShardedKernel::ShardedKernel(int num_sites, int num_shards, double lookahead_ms)
          "zero lookahead requires a single shard");
   per_site_ = std::make_unique<PerSite[]>(static_cast<std::size_t>(num_sites_));
   shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(num_shards_));
+  processes_.prev = processes_.next = &processes_;
+  tls_live_kernels.push_back(this);
 }
 
-ShardedKernel::~ShardedKernel() = default;
+ShardedKernel::~ShardedKernel() {
+  DestroyProcesses();
+  const auto it =
+      std::find(tls_live_kernels.begin(), tls_live_kernels.end(), this);
+  if (it != tls_live_kernels.end()) tls_live_kernels.erase(it);
+}
+
+void ShardedKernel::DestroyProcesses() {
+  for (;;) {
+    internal::ProcessLink* link = nullptr;
+    {
+      const std::scoped_lock lock(processes_mu_);
+      if (processes_.next == &processes_) return;
+      link = processes_.next;
+      link->prev->next = link->next;
+      link->next->prev = link->prev;
+      link->kernel = nullptr;  // the promise destructor must not unlink again
+    }
+    link->frame.destroy();
+  }
+}
+
+namespace internal {
+
+void AttachProcess(ProcessLink* link) {
+  ShardedKernel* kernel = tls_exec.kernel;
+  if (kernel == nullptr) {
+    if (tls_live_kernels.empty()) return;
+    kernel = tls_live_kernels.back();
+  }
+  const std::scoped_lock lock(kernel->processes_mu_);
+  link->kernel = kernel;
+  link->prev = &kernel->processes_;
+  link->next = kernel->processes_.next;
+  link->next->prev = link;
+  kernel->processes_.next = link;
+}
+
+void DetachProcess(ProcessLink* link) {
+  ShardedKernel* kernel = link->kernel;
+  if (kernel == nullptr) return;
+  const std::scoped_lock lock(kernel->processes_mu_);
+  link->prev->next = link->next;
+  link->next->prev = link->prev;
+  link->kernel = nullptr;
+}
+
+}  // namespace internal
 
 int ShardedKernel::current_site() const {
   return tls_exec.kernel == this ? tls_exec.site : -1;

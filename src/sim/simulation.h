@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "sim/event.h"
+#include "sim/process.h"
 
 namespace carat::sim {
 
@@ -79,7 +80,18 @@ class ShardedKernel {
   /// or -1 when called from outside event execution.
   int current_site() const;
 
+  /// Destroys the frame of every Process spawned on this kernel that has not
+  /// finished (sim/process.h), running its local destructors and those of
+  /// the Tasks it awaits. No event may run afterwards: pending events may
+  /// still name the destroyed frames. The destructor calls this; an owner
+  /// whose processes reference objects that die before the kernel calls it
+  /// first, while those objects are alive.
+  void DestroyProcesses();
+
  private:
+  friend void internal::AttachProcess(internal::ProcessLink* link);
+  friend void internal::DetachProcess(internal::ProcessLink* link);
+
   struct Event {
     double time;
     std::int32_t site;         // destination timeline
@@ -130,6 +142,10 @@ class ShardedKernel {
   // Round state, written only by the barrier completion step.
   double horizon_ = 0.0;
   bool done_ = false;
+  // Live Process frames: a circular list through the sentinel. Frames
+  // attach and detach from any shard thread, hence the mutex.
+  std::mutex processes_mu_;
+  internal::ProcessLink processes_;
 };
 
 /// Value handle onto one site's timeline: everything a site-local process or

@@ -587,7 +587,6 @@ TEST(SolverService, SubmitBatchSolvesLockstepBlocksBitIdentically) {
   EXPECT_EQ(stats.solved, 11u);
   EXPECT_EQ(stats.batch_blocks, 2u);
   EXPECT_EQ(stats.batched, 8u);
-  EXPECT_EQ(stats.batch_lanes_filled, 8u);
   EXPECT_EQ(stats.batch_scalar_tail, 3u);
 }
 

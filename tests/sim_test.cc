@@ -206,5 +206,45 @@ TEST(Gate, ZeroCountIsOpen) {
   EXPECT_TRUE(done);
 }
 
+// Sets *flag when destroyed: observes whether a coroutine frame's locals ran
+// their destructors.
+struct SetOnDestroy {
+  bool* flag;
+  ~SetOnDestroy() { *flag = true; }
+};
+
+Process ParkForever(Gate& gate, bool* destroyed) {
+  SetOnDestroy guard{destroyed};
+  co_await gate.Wait();
+}
+
+Process ParkBehindDelay(Simulation& sim, bool* destroyed) {
+  SetOnDestroy guard{destroyed};
+  co_await Delay{sim, 1e9};
+}
+
+TEST(Simulation, DestroysParkedProcessesAtTeardown) {
+  Gate gate(1);  // never signalled; outlives the kernel
+  bool parked_at_setup = false;
+  bool parked_in_event = false;
+  bool parked_on_delay = false;
+  std::vector<double> marks;
+  {
+    Simulation sim;
+    ParkForever(gate, &parked_at_setup);
+    sim.Schedule(1.0, [&] { ParkBehindDelay(sim, &parked_in_event); });
+    ParkBehindDelay(sim, &parked_on_delay);
+    DelayTwice(sim, 2.0, &marks);  // finishes: its frame is already gone
+    sim.RunUntil(10.0);
+    EXPECT_FALSE(parked_at_setup);
+    EXPECT_FALSE(parked_in_event);
+    EXPECT_FALSE(parked_on_delay);
+  }
+  EXPECT_EQ(marks, (std::vector<double>{2.0, 4.0}));
+  EXPECT_TRUE(parked_at_setup);
+  EXPECT_TRUE(parked_in_event);
+  EXPECT_TRUE(parked_on_delay);
+}
+
 }  // namespace
 }  // namespace carat::sim

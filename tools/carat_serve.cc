@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
         "submitted=%llu cache_hits=%llu coalesced=%llu solved=%llu "
         "warm_started=%llu total_iterations=%llu cache_evictions=%llu "
         "cache_expirations=%llu batched=%llu batch_blocks=%llu "
-        "batch_lanes_filled=%llu batch_scalar_tail=%llu\n",
+        "batch_scalar_tail=%llu\n",
         static_cast<unsigned long long>(stats.submitted),
         static_cast<unsigned long long>(stats.cache_hits),
         static_cast<unsigned long long>(stats.coalesced),
@@ -157,7 +157,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.cache_expirations),
         static_cast<unsigned long long>(stats.batched),
         static_cast<unsigned long long>(stats.batch_blocks),
-        static_cast<unsigned long long>(stats.batch_lanes_filled),
         static_cast<unsigned long long>(stats.batch_scalar_tail));
   }
   return input_error ? 1 : 0;

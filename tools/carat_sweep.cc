@@ -15,22 +15,17 @@
 // with source in {model, testbed}.
 //
 // The model side of the sweep runs as one batch through serve::SolverService
-// (arena reuse across the same-shape sweep points, duplicate sizes answered
-// from the solution cache); the testbed side fans out over the same worker
-// pool. --jobs N uses N workers (omitted: one per hardware thread; N must be
-// >= 1). Every point is independently seeded and rows are emitted in sweep
-// order, so the CSV is byte-identical for any N.
+// (same-shape sweep points solved in lockstep blocks at the service's default
+// lane width, bit-identical per point to one-at-a-time solves; arena reuse;
+// duplicate sizes answered from the solution cache); the testbed side fans
+// out over the same worker pool. --jobs N uses N workers (omitted: one per
+// hardware thread; N must be >= 1). Every point is independently seeded and
+// rows are emitted in sweep order, so the CSV is byte-identical for any N.
 //
 // --warm additionally seeds each model solve from the nearest already-solved
 // sweep point (serve warm-start index). That reduces fixed-point iterations
 // but makes the low-order bits of the model rows depend on solve completion
 // order, so it is off by default where reproducibility is the point.
-//
-// --batch solves the sweep's same-shape model points in lockstep SoA blocks
-// (serve batch lanes over the SIMD batch MVA kernels). Per-point results are
-// bit-identical to the scalar path, so this is purely a throughput knob; it
-// is opt-in here so the default tool behaviour stays byte-for-byte what it
-// was before batching existed.
 
 #include <cstdio>
 #include <cstdlib>
@@ -49,7 +44,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: carat_sweep [--workload lb8|mb4|mb8|ub6] "
                "[--sizes 4,8,...] [--seed N] [--measure-s S] [--jobs N] "
-               "[--warm] [--batch] [--nodes N] [--site-classes K] [--flat] "
+               "[--warm] [--nodes N] [--site-classes K] [--flat] "
                "[--cc 2pl|nowait|waitdie|queue]\n"
                "  --cc <backend>    concurrency-control backend for every "
                "sweep point (default 2pl);\n"
@@ -88,7 +83,6 @@ int main(int argc, char** argv) {
   double measure_s = 2000.0;
   int jobs = 0;  // 0: --jobs omitted, one worker per hardware thread
   bool warm = false;
-  bool batch = false;
   int nodes = 2;         // the paper's two-site testbed
   int site_classes = 2;  // distinct disk-speed classes among the nodes
   bool flat = false;     // --flat: disable hierarchical class collapse
@@ -119,8 +113,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--warm") {
       warm = true;
-    } else if (arg == "--batch") {
-      batch = true;
     } else if (arg == "--nodes" && i + 1 < argc) {
       nodes = std::atoi(argv[++i]);
       if (nodes < 1) {
@@ -189,7 +181,6 @@ int main(int argc, char** argv) {
   sopts.threads = static_cast<std::size_t>(jobs);  // 0 = hardware threads
   sopts.warm_start = warm;
   sopts.solver.collapse_site_classes = !flat;
-  if (!batch) sopts.batch_lane_width = 0;  // --batch opts into lockstep lanes
   serve::SolverService service(std::move(sopts));
 
   // Model side: one batch through the service (inputs are copied; the
