@@ -3,7 +3,8 @@
 //   1. an end-to-end model sweep (8 MPL points x 4 paper workloads) run
 //      serially vs. on the exec::ThreadPool, asserting the parallel run is
 //      numerically identical to the serial one, and
-//   2. the exact / Schweitzer MVA hot path with a reused MvaWorkspace,
+//   2. the exact / Schweitzer MVA hot path with a reused MvaWorkspace, and
+//      the 8-lane exact batch kernel with a reused BatchMvaWorkspace,
 //      counting heap allocations per call via a global operator-new hook
 //      (must be zero once the workspace is warm), and
 //   3. the lockstep SoA batch Schweitzer kernel against the scalar kernel on
@@ -342,6 +343,35 @@ int main(int argc, char** argv) {
       },
       2000);
 
+  // 8 lanes of the exact network with per-lane demand skews through the
+  // lockstep exact kernel; reported per lane solve, and each lane must match
+  // the scalar kernel bit for bit.
+  constexpr std::size_t kExactLanes = carat::qn::kMvaBatchLaneWidth;
+  std::vector<carat::qn::ClosedNetwork> exact_nets(kExactLanes, exact_net);
+  std::vector<const carat::qn::ClosedNetwork*> exact_ptrs;
+  for (std::size_t w = 0; w < kExactLanes; ++w) {
+    for (carat::qn::Chain& chain : exact_nets[w].chains) {
+      for (double& d : chain.demands) d *= 1.0 + 0.03 * w;
+    }
+    exact_ptrs.push_back(&exact_nets[w]);
+  }
+  carat::qn::BatchMvaWorkspace exact_batch_ws;
+  MvaBench exact_batch = BenchMva(
+      [&] {
+        carat::qn::ExactMvaBatchInPlace(exact_ptrs.data(), kExactLanes,
+                                        &exact_batch_ws);
+      },
+      500);
+  exact_batch.solves_per_s *= kExactLanes;
+  bool exact_batch_identical = true;
+  for (std::size_t w = 0; w < kExactLanes; ++w) {
+    carat::qn::MvaWorkspace lane_ws;
+    carat::qn::ExactMvaInPlace(exact_nets[w], &lane_ws);
+    exact_batch_identical =
+        exact_batch_identical &&
+        SameSolutionBits(lane_ws.solution, exact_batch_ws.solutions[w]);
+  }
+
   // ---- Lockstep batch vs scalar Schweitzer (gate armed on every host). -----
   const BatchBench batch = BenchBatchSchweitzer();
 
@@ -368,6 +398,12 @@ int main(int argc, char** argv) {
                "    \"solves_per_s\": %.1f,\n"
                "    \"allocs_per_call_warm\": %llu\n"
                "  },\n"
+               "  \"exact_mva_batch\": {\n"
+               "    \"lane_width\": %zu,\n"
+               "    \"solves_per_s_per_lane\": %.1f,\n"
+               "    \"bit_identical\": %s,\n"
+               "    \"allocs_per_call_warm\": %llu\n"
+               "  },\n"
                "  \"schweitzer_mva_workspace\": {\n"
                "    \"solves_per_s\": %.1f,\n"
                "    \"allocs_per_call_warm\": %llu\n"
@@ -387,6 +423,9 @@ int main(int argc, char** argv) {
                sweep_gate_armed ? "true" : "false",
                identical ? "true" : "false", exact.solves_per_s,
                static_cast<unsigned long long>(exact.allocs_per_call),
+               kExactLanes, exact_batch.solves_per_s,
+               exact_batch_identical ? "true" : "false",
+               static_cast<unsigned long long>(exact_batch.allocs_per_call),
                approx.solves_per_s,
                static_cast<unsigned long long>(approx.allocs_per_call),
                static_cast<std::size_t>(carat::qn::kMvaBatchLaneWidth),
@@ -405,6 +444,12 @@ int main(int argc, char** argv) {
               exact.solves_per_s,
               static_cast<unsigned long long>(exact.allocs_per_call));
   std::printf(
+      "exact MVA batch (%zu lanes, warm workspace): %.0f lane solves/s, "
+      "identical=%s, %llu allocs/call\n",
+      kExactLanes, exact_batch.solves_per_s,
+      exact_batch_identical ? "yes" : "NO",
+      static_cast<unsigned long long>(exact_batch.allocs_per_call));
+  std::printf(
       "schweitzer MVA (warm workspace): %.0f solves/s, %llu allocs/call\n",
       approx.solves_per_s,
       static_cast<unsigned long long>(approx.allocs_per_call));
@@ -418,7 +463,8 @@ int main(int argc, char** argv) {
       batch.bit_identical ? "yes" : "NO",
       static_cast<unsigned long long>(batch.batch_allocs_per_call));
   if (!identical) return 1;
-  if (exact.allocs_per_call != 0 || approx.allocs_per_call != 0) {
+  if (exact.allocs_per_call != 0 || approx.allocs_per_call != 0 ||
+      exact_batch.allocs_per_call != 0) {
     std::fprintf(stderr, "FAIL: warm-workspace MVA solve allocated\n");
     return 1;
   }
@@ -427,6 +473,11 @@ int main(int argc, char** argv) {
                  "FAIL: sweep speedup %.2fx < 1.5x with %u hardware "
                  "threads\n",
                  speedup, hw);
+    return 1;
+  }
+  if (!exact_batch_identical) {
+    std::fprintf(stderr,
+                 "FAIL: exact batch lanes not bit-identical to scalar\n");
     return 1;
   }
   if (!batch.bit_identical) {

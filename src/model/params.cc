@@ -1,5 +1,7 @@
 #include "model/params.h"
 
+#include <cmath>
+
 namespace carat::model {
 
 void ClassParams::DeriveDefaults(TxnType type) {
@@ -21,15 +23,21 @@ bool ModelInput::Validate(std::string* error) const {
     if (error != nullptr) *error = msg;
     return false;
   };
+  // NaN fails every comparison, so `< 0` alone would let it through.
+  auto bad_time = [](double v) { return !std::isfinite(v) || v < 0; };
   if (sites.empty()) return fail("no sites");
-  if (comm_delay_ms < 0) return fail("negative communication delay");
-  if (restart_backoff_ms < 0) return fail("negative restart backoff");
+  if (bad_time(comm_delay_ms))
+    return fail("negative or non-finite communication delay");
+  if (bad_time(restart_backoff_ms))
+    return fail("negative or non-finite restart backoff");
   for (const SiteParams& site : sites) {
     if (site.num_granules <= 0) return fail("num_granules must be positive");
     if (site.records_per_granule <= 0)
       return fail("records_per_granule must be positive");
-    if (site.block_io_ms < 0) return fail("negative block I/O time");
-    if (site.think_time_ms < 0) return fail("negative think time");
+    if (bad_time(site.block_io_ms))
+      return fail("negative or non-finite block I/O time");
+    if (bad_time(site.think_time_ms))
+      return fail("negative or non-finite think time");
     for (TxnType t : kAllTxnTypes) {
       const ClassParams& c = site.Class(t);
       if (c.population < 0) return fail("negative population");

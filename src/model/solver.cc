@@ -985,6 +985,9 @@ struct SolveArena::Impl {
   std::vector<const qn::ClosedNetwork*> net_ptrs;
   std::vector<unsigned char> site_ok;
   std::vector<std::string> site_error;
+  // [unit * lanes + lane]: the lane's network for the unit failed
+  // validation this iteration (a demand overflowed) and was parked.
+  std::vector<unsigned char> lane_parked;
 };
 
 SolveArena::SolveArena() : impl_(std::make_unique<Impl>()) {}
@@ -1242,12 +1245,26 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     // the previous iteration's queue lengths: the fixed point moves the
     // demands only slightly per iteration, so large-population Schweitzer
     // sites converge in a few rounds.
+    //
+    // Finite inputs can still overflow a demand to inf (or NaN) mid-solve,
+    // e.g. a communication delay near DBL_MAX. Such a network fails the
+    // kernels' validation, which would fail the whole lockstep block, so the
+    // lane's demands are parked at zero instead and the lane alone fails
+    // after the sweep.
+    ar.lane_parked.assign(num_units * lanes, 0);
     const auto solve_site = [&](std::size_t u) {
       const std::size_t i = units[u];
       for (std::size_t w = 0; w < lanes; ++w) {
         SolveArena::Impl::Lane& lane = ar.lanes[w];
         if (!lane.active) continue;
+        qn::ClosedNetwork& net = lane.nets[u].net;
         FillSiteDemands(inputs[w]->sites[i], &lane.st[i], &lane.nets[u]);
+        if (!net.Validate(&ar.site_error[u])) {
+          for (qn::Chain& chain : net.chains) {
+            std::fill(chain.demands.begin(), chain.demands.end(), 0.0);
+          }
+          ar.lane_parked[u * lanes + w] = 1;
+        }
       }
       const qn::ClosedNetwork* const* ptrs = ar.net_ptrs.data() + u * lanes;
       qn::BatchMvaWorkspace& ws = ar.site_ws[u];
@@ -1265,7 +1282,7 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
       if (!ok) return;
       for (std::size_t w = 0; w < lanes; ++w) {
         SolveArena::Impl::Lane& lane = ar.lanes[w];
-        if (!lane.active) continue;
+        if (!lane.active || ar.lane_parked[u * lanes + w] != 0) continue;
         ReadSiteSolution(inputs[w]->sites[i], ws.solutions[w], lane.nets[u],
                          &lane.st[i]);
       }
@@ -1278,12 +1295,31 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     } else {
       exec::ParallelFor(options.pool, 0, num_units, solve_site);
     }
+    for (std::size_t w = 0; w < lanes; ++w) {
+      SolveArena::Impl::Lane& lane = ar.lanes[w];
+      if (!lane.active) continue;
+      for (std::size_t u = 0; u < num_units; ++u) {
+        if (ar.lane_parked[u * lanes + w] == 0) continue;
+        outs[w]->error = "MVA failed at site " +
+                         inputs[w]->sites[units[u]].name + ": " +
+                         ar.site_error[u];
+        outs[w]->ok = false;
+        outs[w]->sites.clear();
+        lane.active = false;
+        lane.failed = true;
+        ZeroLaneNetworks(&lane.nets);
+        for (std::size_t v = 0; v < num_units; ++v)
+          ar.site_ws[v].InvalidateWarm(w);
+        --remaining;
+        break;
+      }
+    }
     for (std::size_t u = 0; u < num_units; ++u) {
       if (ar.site_ok[u] != 0) continue;
       // A lockstep MVA failure cannot be attributed to one lane, so it
-      // fails the remaining active lanes of the block. Validated model
-      // inputs never produce invalid site networks, so this is unreachable
-      // in practice.
+      // fails the remaining active lanes of the block. Lanes whose networks
+      // fail validation are parked above before the kernels run, so this
+      // is unreachable in practice.
       for (std::size_t w = 0; w < lanes; ++w) {
         SolveArena::Impl::Lane& lane = ar.lanes[w];
         if (!lane.active) continue;

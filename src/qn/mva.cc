@@ -1,5 +1,6 @@
 #include "qn/mva.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -44,6 +45,7 @@ void FinishSolution(const ClosedNetwork& net, const std::vector<double>& x,
 
 namespace {
 
+using internal::FillQueueingCenters;
 using internal::FillQueueingMask;
 using internal::FinishSolution;
 
@@ -85,20 +87,53 @@ bool ExactMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
       stride *= ws->dims[k];
     }
   }
-  FillQueueingMask(net, &ws->qmul);
-  const double* qmul = ws->qmul.data();
+  FillQueueingCenters(net, &ws->qcenters);
+  const std::size_t num_queueing = ws->qcenters.size();
+  const std::size_t* qc = ws->qcenters.data();
 
-  // q[state * num_centers + m] = mean queue length at center m for the
-  // population vector encoded by `state`. Lexicographic enumeration visits
-  // n - e_k before n, so one pass suffices.
-  ws->q.assign(num_states * num_centers, 0.0);
+  // q[state * num_queueing + j] = mean queue length at queueing center
+  // qc[j] for the population vector encoded by `state`. A delay center's
+  // residence is its demand whatever its queue length, so delay centers
+  // have no lattice column. Lexicographic enumeration visits n - e_k before
+  // n, so one pass suffices, and every row but state 0's is written before
+  // it is read.
+  ws->q.resize(num_states * num_queueing);
+  std::fill_n(ws->q.begin(), num_queueing, 0.0);
   ws->n.assign(num_chains, 0);
-  ws->x.assign(num_chains, 0.0);
-  ws->residence.assign(num_chains * num_centers, 0.0);
+  ws->x.resize(num_chains);
+  ws->residence.resize(num_chains * num_centers);
   double* q = ws->q.data();
   double* x = ws->x.data();
   double* residence = ws->residence.data();
   std::size_t* n = ws->n.data();
+
+  // Residence of chain k at every queueing center given the lattice row
+  // `qprev` of population n - e_k; returns the chain's throughput at
+  // population `pop`. The total is summed sequentially over all centers, so
+  // the accumulation order is pinned (lowest center first). The batch
+  // kernels (mva_batch.cc) replay the same order per lane, which is what
+  // makes batch solves bit-identical to this scalar path.
+  const auto chain_step = [&](std::size_t k, const double* qprev, double pop) {
+    const Chain& chain = net.chains[k];
+    const double* demands = chain.demands.data();
+    double* res = residence + k * num_centers;
+    for (std::size_t j = 0; j < num_queueing; ++j) {
+      res[qc[j]] = demands[qc[j]] * (1.0 + qprev[j]);
+    }
+    double total = 0.0;
+    for (std::size_t m = 0; m < num_centers; ++m) total += res[m];
+    const double denom = chain.think_time + total;
+    // Chains with zero total demand and zero think contribute nothing.
+    return denom > 0.0 ? pop / denom : 0.0;
+  };
+
+  // A delay center's residence is its demand at every population, so it is
+  // written once here; chain_step rewrites only the queueing centers'.
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    const double* demands = net.chains[k].demands.data();
+    for (std::size_t m = 0; m < num_centers; ++m)
+      residence[k * num_centers + m] = demands[m];
+  }
 
   for (std::size_t state = 1; state < num_states; ++state) {
     // Increment the mixed-radix counter.
@@ -107,41 +142,20 @@ bool ExactMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
       n[k] = 0;
     }
 
-    for (std::size_t k = 0; k < num_chains; ++k) x[k] = 0.0;
-
+    // Queue lengths accumulate chain by chain, k ascending from 0.0. Chain
+    // k reads only rows of smaller states, so each chain's term can be
+    // added as soon as its throughput is known.
+    double* qhere = q + state * num_queueing;
+    for (std::size_t j = 0; j < num_queueing; ++j) qhere[j] = 0.0;
     for (std::size_t k = 0; k < num_chains; ++k) {
       if (n[k] == 0) continue;
-      const Chain& chain = net.chains[k];
-      const double* demands = chain.demands.data();
-      const double* qprev = q + (state - ws->strides[k]) * num_centers;
-      double* res = residence + k * num_centers;
-      // The residence computation vectorizes; the total is summed in a
-      // separate *sequential* loop so the accumulation order is pinned
-      // (lowest center first). The batch kernels (mva_batch.cc) replay the
-      // same order per lane, which is what makes batch solves bit-identical
-      // to this scalar path.
-#pragma omp simd
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        res[m] = demands[m] * (1.0 + qmul[m] * qprev[m]);
-      }
-      double total = 0.0;
-      for (std::size_t m = 0; m < num_centers; ++m) total += res[m];
-      const double denom = chain.think_time + total;
-      // Chains with zero total demand and zero think contribute nothing.
-      x[k] = denom > 0.0 ? static_cast<double>(n[k]) / denom : 0.0;
-    }
-
-    // Accumulate chain by chain (unit-stride axpy) rather than center by
-    // center (strided gather) so the loop vectorizes.
-    double* qhere = q + state * num_centers;
-#pragma omp simd
-    for (std::size_t m = 0; m < num_centers; ++m) qhere[m] = 0.0;
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (n[k] == 0) continue;
-      const double xk = x[k];
+      const double xk =
+          chain_step(k, q + (state - ws->strides[k]) * num_queueing,
+                     static_cast<double>(n[k]));
       const double* res = residence + k * num_centers;
-#pragma omp simd
-      for (std::size_t m = 0; m < num_centers; ++m) qhere[m] += xk * res[m];
+      for (std::size_t j = 0; j < num_queueing; ++j) {
+        qhere[j] += xk * res[qc[j]];
+      }
     }
   }
 
@@ -155,25 +169,17 @@ bool ExactMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
         residence[k * num_centers + m] = 0.0;
     }
   } else {
+    const std::size_t full = num_states - 1;
     for (std::size_t k = 0; k < num_chains; ++k) {
       const Chain& chain = net.chains[k];
-      double* res = residence + k * num_centers;
       if (chain.population == 0) {
         x[k] = 0.0;
-        for (std::size_t m = 0; m < num_centers; ++m) res[m] = 0.0;
+        for (std::size_t m = 0; m < num_centers; ++m)
+          residence[k * num_centers + m] = 0.0;
         continue;
       }
-      const std::size_t full = num_states - 1;
-      const double* qprev = q + (full - ws->strides[k]) * num_centers;
-      const double* demands = chain.demands.data();
-#pragma omp simd
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        res[m] = demands[m] * (1.0 + qmul[m] * qprev[m]);
-      }
-      double total = 0.0;
-      for (std::size_t m = 0; m < num_centers; ++m) total += res[m];
-      const double denom = chain.think_time + total;
-      x[k] = denom > 0.0 ? chain.population / denom : 0.0;
+      x[k] = chain_step(k, q + (full - ws->strides[k]) * num_queueing,
+                        chain.population);
     }
   }
 

@@ -1,19 +1,24 @@
 // Mean Value Analysis solvers for closed multi-chain product-form networks.
 //
 // ExactMva implements the multi-chain exact MVA recursion over the full joint
-// population lattice (Reiser & Lavenberg). Its cost is
-// O(M * prod_k (N_k + 1)); the CARAT site models have at most six chains with
-// populations <= 4, so this is tiny. SchweitzerMva implements the
-// Schweitzer-Bard fixed-point approximation for larger populations; the model
-// solver falls back to it automatically above a state-count threshold.
+// population lattice (Reiser & Lavenberg). A delay center's residence is its
+// demand at every population, so the lattice keeps queue lengths only for
+// the Q queueing centers: it holds Q * prod_k (N_k + 1) doubles, and its
+// queue-length work is O(K * Q * prod_k (N_k + 1)) for K chains, plus the
+// per-chain residence sums over all M centers. The CARAT site models have
+// at most six chains with populations <= 4 and Q <= 3, so this is tiny.
+// SchweitzerMva implements the Schweitzer-Bard fixed-point approximation for
+// larger populations; the model solver falls back to it automatically above
+// a state-count threshold.
 //
 // Two call styles are provided:
 //  - the MvaResult-returning functions allocate a fresh Solution per call
 //    (convenient for one-shot use and tests);
 //  - the *InPlace functions write into a caller-owned MvaWorkspace and
 //    perform zero heap allocation once the workspace has warmed up to the
-//    network's shape. The model solver calls them ~500 times per fixed
-//    point, so the hot path reuses one workspace per site.
+//    network's shape. The model solver calls them once per site per
+//    fixed-point iteration (a cold solve takes about 37 iterations), so the
+//    hot path reuses one workspace per site.
 
 #ifndef CARAT_QN_MVA_H_
 #define CARAT_QN_MVA_H_
@@ -52,13 +57,15 @@ struct MvaWorkspace {
   /// instead of the even-spread initial guess.
   std::vector<double> qkm;
 
-  // Scratch: exact-MVA joint-population lattice, per-chain throughputs,
-  // flattened per-(chain, center) residence times, the per-center queueing
-  // multiplier mask (1.0 for queueing centers, 0.0 for delay centers, which
-  // hoists the CenterKind branch out of the inner loops), per-center queue
-  // totals, and the mixed-radix counters of the exact recursion.
+  // Scratch: exact-MVA joint-population lattice (queueing centers only),
+  // per-chain throughputs, flattened per-(chain, center) residence times, the
+  // per-center queueing multiplier mask of the Schweitzer sweep (1.0 for
+  // queueing centers, 0.0 for delay centers, which hoists the CenterKind
+  // branch out of the inner loops), per-center queue totals, the indices of
+  // the queueing centers (the exact lattice's columns), and the mixed-radix
+  // counters of the exact recursion.
   std::vector<double> q, x, residence, qmul, qsum;
-  std::vector<std::size_t> dims, strides, n;
+  std::vector<std::size_t> qcenters, dims, strides, n;
 };
 
 /// Number of points in the joint population lattice, prod_k (N_k + 1).
@@ -111,14 +118,25 @@ namespace internal {
 
 /// Precomputes the per-center queueing multiplier mask (1.0 at queueing
 /// centers, 0.0 at delay centers) so the inner loops stay branch-free.
-/// Shared by the scalar and batch (mva_batch.cc) kernels; templated on the
-/// vector type because the batch workspace stores it in a cache-line-aligned
-/// vector.
+/// Shared by the scalar and batch (mva_batch.cc) Schweitzer kernels;
+/// templated on the vector type because the batch workspace stores it in a
+/// cache-line-aligned vector.
 template <typename QmulVector>
 void FillQueueingMask(const ClosedNetwork& net, QmulVector* qmul) {
   qmul->resize(net.centers.size());
   for (std::size_t m = 0; m < net.centers.size(); ++m) {
     (*qmul)[m] = net.centers[m].kind == CenterKind::kQueueing ? 1.0 : 0.0;
+  }
+}
+
+/// Lists the queueing centers' indices in ascending order: the columns of
+/// the exact kernels' population lattice. Allocation-free once `qcenters`
+/// has grown to the network's center count.
+inline void FillQueueingCenters(const ClosedNetwork& net,
+                                std::vector<std::size_t>* qcenters) {
+  qcenters->clear();
+  for (std::size_t m = 0; m < net.centers.size(); ++m) {
+    if (net.centers[m].kind == CenterKind::kQueueing) qcenters->push_back(m);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "qn/mva_batch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -235,9 +236,9 @@ void SchweitzerIterate(const SchweitzerArgs& a, double tolerance,
 }
 
 // True when every lane shares lane 0's joint population lattice and the SoA
-// lattice (`states * centers * lanes` doubles) stays under a cap; past it the
-// scalar walk per lane is the better trade and keeps the batch memory
-// footprint bounded.
+// lattice (`states * queueing centers * lanes` doubles) stays under a cap;
+// past it the scalar walk per lane is the better trade and keeps the batch
+// memory footprint bounded.
 bool SharedLatticeFits(const ClosedNetwork* const* nets, std::size_t lanes,
                        std::size_t exact_state_limit) {
   for (std::size_t w = 1; w < lanes; ++w) {
@@ -249,9 +250,13 @@ bool SharedLatticeFits(const ClosedNetwork* const* nets, std::size_t lanes,
     }
   }
   constexpr std::size_t kExactBatchSoaDoubles = std::size_t{1} << 23;
+  std::size_t num_queueing = 0;
+  for (const Center& center : nets[0]->centers) {
+    if (center.kind == CenterKind::kQueueing) ++num_queueing;
+  }
   std::size_t states = 0;
   return JointLatticeStates(*nets[0], exact_state_limit, &states) &&
-         states * nets[0]->centers.size() <= kExactBatchSoaDoubles / lanes;
+         states * num_queueing <= kExactBatchSoaDoubles / lanes;
 }
 
 }  // namespace
@@ -416,14 +421,21 @@ bool ExactMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
       stride *= ws->dims[k];
     }
   }
-  internal::FillQueueingMask(*nets[0], &ws->qmul);
+  internal::FillQueueingCenters(*nets[0], &ws->qcenters);
   LoadChainSoA(nets, lanes, num_chains, num_centers, ws);
 
-  const std::size_t mw = num_centers * lanes;
-  ws->q.assign(num_states * mw, 0.0);
+  // The lattice holds the queueing centers' queue lengths only (see
+  // ExactMvaInPlace), (state, queueing center, lane)-major. Only state 0's
+  // row needs zeroing: every other row is written before it is read.
+  const std::size_t num_queueing = ws->qcenters.size();
+  const std::size_t qw = num_queueing * lanes;
+  ws->q.resize(num_states * qw);
+  std::fill_n(ws->q.begin(), qw, 0.0);
   ws->n.assign(num_chains, 0);
   ws->x.assign(num_chains * lanes, 0.0);
-  ws->residence.assign(num_chains * num_centers * lanes, 0.0);
+  // A delay center's residence is its demand at every population, so its
+  // rows are written once here; chain_step writes only the queueing rows.
+  ws->residence.assign(ws->demands.begin(), ws->demands.end());
   ws->total.resize(lanes);
 
   double* __restrict q = ws->q.data();
@@ -432,8 +444,45 @@ bool ExactMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
   double* __restrict total = ws->total.data();
   const double* __restrict dem = ws->demands.data();
   const double* __restrict think = ws->think.data();
-  const double* __restrict qmul = ws->qmul.data();
+  const std::size_t* __restrict qc = ws->qcenters.data();
   std::size_t* __restrict n = ws->n.data();
+
+  // Residences of chain k in every lane given the lattice row `qprev` of
+  // population n - e_k, then the lanes' throughputs at population `pop`.
+  // Centers ascending, accumulating each lane's total sequentially in the
+  // scalar kernel's order; a delay center's residence is its demand.
+  const auto chain_step = [&](std::size_t k, const double* __restrict qprev,
+                              double pop) {
+#pragma omp simd
+    for (std::size_t w = 0; w < lanes; ++w) total[w] = 0.0;
+    std::size_t j = 0;
+    for (std::size_t m = 0; m < num_centers; ++m) {
+      const std::size_t e = (k * num_centers + m) * lanes;
+      const double* __restrict drow = dem + e;
+      double* __restrict rrow = res + e;
+      if (j < num_queueing && qc[j] == m) {
+        const double* __restrict prow = qprev + j * lanes;
+        ++j;
+#pragma omp simd
+        for (std::size_t w = 0; w < lanes; ++w) {
+          const double r = drow[w] * (1.0 + prow[w]);
+          rrow[w] = r;
+          total[w] += r;
+        }
+      } else {
+#pragma omp simd
+        for (std::size_t w = 0; w < lanes; ++w) total[w] += drow[w];
+      }
+    }
+    const double* __restrict zrow = think + k * lanes;
+    double* __restrict xrow = x + k * lanes;
+#pragma omp simd
+    for (std::size_t w = 0; w < lanes; ++w) {
+      const double denom = zrow[w] + total[w];
+      // Chains with zero total demand and zero think contribute nothing.
+      xrow[w] = denom > 0.0 ? pop / denom : 0.0;
+    }
+  };
 
   for (std::size_t state = 1; state < num_states; ++state) {
     // Increment the mixed-radix counter.
@@ -442,51 +491,23 @@ bool ExactMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
       n[k] = 0;
     }
 
-#pragma omp simd
-    for (std::size_t c = 0; c < num_chains * lanes; ++c) x[c] = 0.0;
-
     for (std::size_t k = 0; k < num_chains; ++k) {
       if (n[k] == 0) continue;
-      const double* __restrict qprev = q + (state - ws->strides[k]) * mw;
-      const double* __restrict zrow = think + k * lanes;
-      const double pop = static_cast<double>(n[k]);
-#pragma omp simd
-      for (std::size_t w = 0; w < lanes; ++w) total[w] = 0.0;
-      // Centers ascending, accumulating each lane's total sequentially in
-      // the scalar kernel's order.
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        const std::size_t e = (k * num_centers + m) * lanes;
-        const double* __restrict drow = dem + e;
-        const double* __restrict prow = qprev + m * lanes;
-        double* __restrict rrow = res + e;
-        const double qm = qmul[m];
-#pragma omp simd
-        for (std::size_t w = 0; w < lanes; ++w) {
-          const double r = drow[w] * (1.0 + qm * prow[w]);
-          rrow[w] = r;
-          total[w] += r;
-        }
-      }
-      double* __restrict xrow = x + k * lanes;
-#pragma omp simd
-      for (std::size_t w = 0; w < lanes; ++w) {
-        const double denom = zrow[w] + total[w];
-        // Chains with zero total demand and zero think contribute nothing.
-        xrow[w] = denom > 0.0 ? pop / denom : 0.0;
-      }
+      chain_step(k, q + (state - ws->strides[k]) * qw,
+                 static_cast<double>(n[k]));
     }
 
     // Accumulate chain by chain (unit-stride over lanes) exactly like the
-    // scalar kernel's chain-by-chain axpy.
-    double* __restrict qhere = q + state * mw;
+    // scalar kernel's chain-by-chain accumulation.
+    double* __restrict qhere = q + state * qw;
 #pragma omp simd
-    for (std::size_t s = 0; s < mw; ++s) qhere[s] = 0.0;
+    for (std::size_t s = 0; s < qw; ++s) qhere[s] = 0.0;
     for (std::size_t k = 0; k < num_chains; ++k) {
       if (n[k] == 0) continue;
       const double* __restrict xrow = x + k * lanes;
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        const double* __restrict rrow = res + (k * num_centers + m) * lanes;
-        double* __restrict hrow = qhere + m * lanes;
+      for (std::size_t j = 0; j < num_queueing; ++j) {
+        const double* __restrict rrow = res + (k * num_centers + qc[j]) * lanes;
+        double* __restrict hrow = qhere + j * lanes;
 #pragma omp simd
         for (std::size_t w = 0; w < lanes; ++w) hrow[w] += xrow[w] * rrow[w];
       }
@@ -503,8 +524,8 @@ bool ExactMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
     const std::size_t full = num_states - 1;
     for (std::size_t k = 0; k < num_chains; ++k) {
       const int population = nets[0]->chains[k].population;
-      double* __restrict xrow = x + k * lanes;
       if (population == 0) {
+        double* __restrict xrow = x + k * lanes;
         for (std::size_t w = 0; w < lanes; ++w) xrow[w] = 0.0;
         for (std::size_t m = 0; m < num_centers; ++m) {
           double* __restrict rrow = res + (k * num_centers + m) * lanes;
@@ -512,29 +533,7 @@ bool ExactMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
         }
         continue;
       }
-      const double* __restrict qprev = q + (full - ws->strides[k]) * mw;
-      const double* __restrict zrow = think + k * lanes;
-      const double pop = population;
-#pragma omp simd
-      for (std::size_t w = 0; w < lanes; ++w) total[w] = 0.0;
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        const std::size_t e = (k * num_centers + m) * lanes;
-        const double* __restrict drow = dem + e;
-        const double* __restrict prow = qprev + m * lanes;
-        double* __restrict rrow = res + e;
-        const double qm = qmul[m];
-#pragma omp simd
-        for (std::size_t w = 0; w < lanes; ++w) {
-          const double r = drow[w] * (1.0 + qm * prow[w]);
-          rrow[w] = r;
-          total[w] += r;
-        }
-      }
-#pragma omp simd
-      for (std::size_t w = 0; w < lanes; ++w) {
-        const double denom = zrow[w] + total[w];
-        xrow[w] = denom > 0.0 ? pop / denom : 0.0;
-      }
+      chain_step(k, q + (full - ws->strides[k]) * qw, population);
     }
   }
 

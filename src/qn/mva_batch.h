@@ -112,14 +112,15 @@ struct BatchMvaWorkspace {
   // Scratch (all structure-of-arrays over lanes): demands/residence are
   // (chain, center)-major, x/think/nk/invn are chain-major, qsum is
   // center-major; total/delta/active are per-lane; q is the shared exact-MVA
-  // joint-population lattice (state, center)-major; lane_x/lane_res are the
-  // per-lane gather buffers handed to internal::FinishSolution (plain
-  // vectors — they are touched once per solve, not per sweep).
+  // joint-population lattice (state, queueing center)-major, with qcenters
+  // listing its columns' center indices; lane_x/lane_res are the per-lane
+  // gather buffers handed to internal::FinishSolution (plain vectors — they
+  // are touched once per solve, not per sweep).
   LaneVector demands, residence, x, think, nk, invn, qsum;
   LaneVector total, delta, qmul, q;
   std::vector<double> lane_x, lane_res;
   std::vector<unsigned char> active;
-  std::vector<std::size_t> dims, strides, n;
+  std::vector<std::size_t> qcenters, dims, strides, n;
   /// Per-lane scalar workspaces for the lanes that run the scalar kernels:
   /// every one-lane call (scalar_ws[0]), and the mixed-path fallback of
   /// SolveMvaBatchInPlace (lanes that must solve exact at different lattice

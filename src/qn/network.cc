@@ -1,5 +1,7 @@
 #include "qn/network.h"
 
+#include <cmath>
+
 namespace carat::qn {
 
 std::size_t ClosedNetwork::AddCenter(std::string name, CenterKind kind) {
@@ -26,11 +28,13 @@ bool ClosedNetwork::Validate(std::string* error) const {
   };
   for (const Chain& chain : chains) {
     if (chain.population < 0) return fail("negative population");
-    if (chain.think_time < 0) return fail("negative think time");
+    if (!std::isfinite(chain.think_time) || chain.think_time < 0)
+      return fail("negative or non-finite think time");
     if (chain.demands.size() != centers.size())
       return fail("demand vector size mismatch");
     for (double d : chain.demands)
-      if (d < 0) return fail("negative demand");
+      if (!std::isfinite(d) || d < 0)
+        return fail("negative or non-finite demand");
   }
   return true;
 }

@@ -50,8 +50,10 @@ struct ClosedNetwork {
   /// Adds a chain with all-zero demands, returning its index.
   std::size_t AddChain(std::string name, int population, double think_time = 0.0);
 
-  /// Validates shape: every chain has one demand per center, demands are
-  /// non-negative, populations are non-negative.
+  /// Validates shape: every chain has one demand per center, demands and
+  /// think times are finite and non-negative, populations are non-negative.
+  /// The exact kernels rely on finite demands (a delay center's residence
+  /// is its demand; see mva.h).
   bool Validate(std::string* error = nullptr) const;
 };
 

@@ -1,6 +1,7 @@
 #include "serve/query.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -67,7 +68,8 @@ bool ParseQuery(const std::string& line, Query* query,
     }
     char* end = nullptr;
     const double numeric = std::strtod(value.c_str(), &end);
-    if (value.empty() || *end != '\0' || numeric < 0) {
+    if (value.empty() || *end != '\0' || !std::isfinite(numeric) ||
+        numeric < 0) {
       *error = "bad value in '" + kv + "'";
       return false;
     }

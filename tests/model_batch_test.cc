@@ -233,6 +233,44 @@ TEST(ModelBatch, MixedShapeLaneFailsWithoutDisturbingNeighbors) {
   }
 }
 
+TEST(ModelBatch, OverflowingLaneFailsAloneNamingTheSite) {
+  // A finite but huge communication delay overflows the RW demand to inf
+  // mid-solve. That lane must fail on its own, naming the site, while the
+  // other seven lanes of the block match their one-lane solves bit for bit,
+  // on both the exact (shared lattice) and the Schweitzer lockstep paths.
+  std::vector<ModelInput> inputs;
+  for (int w = 0; w < 8; ++w) {
+    inputs.push_back(workload::MakeMB8(4).ToModelInput());
+    for (SiteParams& site : inputs.back().sites)
+      site.think_time_ms = 150.0 * w;
+  }
+  constexpr std::size_t kBad = 3;
+  inputs[kBad].comm_delay_ms = 1e308;
+  ASSERT_TRUE(inputs[kBad].Validate());
+  for (const bool exact : {true, false}) {
+    SolverOptions options;
+    options.use_exact_mva = exact;
+    const BatchRun batch = RunBatch(inputs, options);
+    const std::string tag = exact ? "exact" : "approx";
+    EXPECT_FALSE(batch.outs[kBad].ok) << tag;
+    EXPECT_NE(batch.outs[kBad].error.find(
+                  "site " + inputs[kBad].sites[0].name + ":"),
+              std::string::npos)
+        << tag << ": " << batch.outs[kBad].error;
+    EXPECT_TRUE(batch.outs[kBad].sites.empty());
+    const ModelSolution alone = RunScalar(inputs[kBad], options);
+    EXPECT_FALSE(alone.ok);
+    EXPECT_EQ(alone.error, batch.outs[kBad].error);
+    for (std::size_t w = 0; w < inputs.size(); ++w) {
+      if (w == kBad) continue;
+      const ModelSolution scalar = RunScalar(inputs[w], options);
+      EXPECT_TRUE(scalar.ok && scalar.converged) << scalar.error;
+      ExpectBitIdentical(batch.outs[w], scalar,
+                         tag + " neighbor lane " + std::to_string(w));
+    }
+  }
+}
+
 TEST(ModelBatch, ReusedArenaSolvesColdBlocksBitIdentically) {
   // Back-to-back unseeded blocks through one arena must each match fresh
   // scalar solves: cold lanes invalidate their retained Schweitzer columns

@@ -246,6 +246,29 @@ TEST(Solver, RejectsEmptyInput) {
   EXPECT_FALSE(sol.error.empty());
 }
 
+TEST(Solver, RejectsNonFiniteTimes) {
+  // NaN compares false against 0, so a bare `< 0` check would pass it.
+  using Setter = void (*)(ModelInput*, double);
+  const Setter setters[] = {
+      [](ModelInput* in, double v) { in->comm_delay_ms = v; },
+      [](ModelInput* in, double v) { in->restart_backoff_ms = v; },
+      [](ModelInput* in, double v) { in->sites[1].block_io_ms = v; },
+      [](ModelInput* in, double v) { in->sites[0].think_time_ms = v; },
+  };
+  for (const Setter set : setters) {
+    for (const double v : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      ModelInput input = workload::MakeMB4(8).ToModelInput();
+      set(&input, v);
+      std::string error;
+      EXPECT_FALSE(input.Validate(&error)) << v;
+      EXPECT_NE(error.find("non-finite"), std::string::npos) << error;
+      const ModelSolution sol = CaratModel(input).Solve();
+      EXPECT_FALSE(sol.ok);
+      EXPECT_EQ(sol.error, error);
+    }
+  }
+}
+
 TEST(Solver, Mb4ConvergesWithSaneOutputs) {
   const workload::WorkloadSpec wl = workload::MakeMB4(8);
   CaratModel model(wl.ToModelInput());

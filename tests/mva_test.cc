@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "qn/bounds.h"
 #include "qn/ethernet.h"
 #include "qn/mva.h"
+#include "qn/mva_batch.h"
 #include "qn/network.h"
 #include "util/random.h"
 
@@ -312,6 +318,257 @@ TEST_P(MvaPropertyTest, InvariantsOnRandomNetworks) {
 
 INSTANTIATE_TEST_SUITE_P(RandomNetworks, MvaPropertyTest,
                          ::testing::Range(1, 33));
+
+// ---- Reference: the full-lattice exact recursion. ---------------------------
+// The exact kernels keep queue lengths for queueing centers only. This is the
+// recursion they replaced, kept test-local as the bit-level reference: the
+// lattice holds every center's queue length and each residence is
+// d * (1 + qmul * q) with qmul = 1 at queueing and 0 at delay centers. For
+// finite queue lengths both give the same bits (1.0 * q == q, and
+// d * (1.0 + 0.0 * q) == d), so the kernels must match it exactly. The test
+// target is built with -ffp-contract=off like carat_qn, so no FMA
+// contraction can differ between the two translation units.
+Solution ReferenceExactMva(const ClosedNetwork& net) {
+  const std::size_t num_chains = net.chains.size();
+  const std::size_t num_centers = net.centers.size();
+  std::vector<std::size_t> dims(num_chains), strides(num_chains);
+  std::size_t num_states = 1;
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    dims[k] = static_cast<std::size_t>(net.chains[k].population) + 1;
+    strides[k] = num_states;
+    num_states *= dims[k];
+  }
+  std::vector<double> qmul(num_centers);
+  for (std::size_t m = 0; m < num_centers; ++m)
+    qmul[m] = net.centers[m].kind == CenterKind::kQueueing ? 1.0 : 0.0;
+  std::vector<double> q(num_states * num_centers, 0.0);
+  std::vector<double> x(num_chains, 0.0);
+  std::vector<double> residence(num_chains * num_centers, 0.0);
+  std::vector<std::size_t> n(num_chains, 0);
+
+  const auto chain_step = [&](std::size_t k, std::size_t prev, double pop) {
+    const Chain& chain = net.chains[k];
+    double total = 0.0;
+    for (std::size_t m = 0; m < num_centers; ++m) {
+      const double r =
+          chain.demands[m] * (1.0 + qmul[m] * q[prev * num_centers + m]);
+      residence[k * num_centers + m] = r;
+      total += r;
+    }
+    const double denom = chain.think_time + total;
+    x[k] = denom > 0.0 ? pop / denom : 0.0;
+  };
+  for (std::size_t state = 1; state < num_states; ++state) {
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (++n[k] < dims[k]) break;
+      n[k] = 0;
+    }
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (n[k] != 0) chain_step(k, state - strides[k], static_cast<double>(n[k]));
+    }
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (n[k] == 0) continue;
+      for (std::size_t m = 0; m < num_centers; ++m)
+        q[state * num_centers + m] += x[k] * residence[k * num_centers + m];
+    }
+  }
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    const int pop = net.chains[k].population;
+    if (num_states == 1 || pop == 0) {
+      x[k] = 0.0;
+      for (std::size_t m = 0; m < num_centers; ++m)
+        residence[k * num_centers + m] = 0.0;
+    } else {
+      chain_step(k, num_states - 1 - strides[k], pop);
+    }
+  }
+  Solution sol;
+  internal::FinishSolution(net, x, residence, &sol);
+  return sol;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!SameBits(a[i], b[i])) return false;
+  return true;
+}
+
+::testing::AssertionResult SameSolutionBits(const Solution& got,
+                                            const Solution& want) {
+  if (!SameBits(got.throughput, want.throughput))
+    return ::testing::AssertionFailure() << "throughput differs";
+  if (!SameBits(got.response_time, want.response_time))
+    return ::testing::AssertionFailure() << "response_time differs";
+  if (!SameBits(got.queue_length, want.queue_length))
+    return ::testing::AssertionFailure() << "queue_length differs";
+  if (!SameBits(got.utilization, want.utilization))
+    return ::testing::AssertionFailure() << "utilization differs";
+  if (got.residence.size() != want.residence.size())
+    return ::testing::AssertionFailure() << "residence size differs";
+  for (std::size_t k = 0; k < want.residence.size(); ++k) {
+    if (!SameBits(got.residence[k], want.residence[k]))
+      return ::testing::AssertionFailure() << "residence[" << k << "] differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// How a random network lays out its center kinds.
+enum class KindLayout { kInterleaved, kDelayFirst, kDelayOnly };
+
+struct RandomShape {
+  std::vector<CenterKind> kinds;
+  std::vector<int> populations;
+};
+
+RandomShape MakeRandomShape(util::Rng* rng, KindLayout layout,
+                            std::size_t max_states) {
+  RandomShape shape;
+  const std::size_t num_centers = 1 + rng->NextBounded(7);
+  const std::size_t num_delay =
+      layout == KindLayout::kDelayOnly ? num_centers
+                                       : rng->NextBounded(num_centers + 1);
+  for (std::size_t m = 0; m < num_centers; ++m) {
+    bool delay = false;
+    switch (layout) {
+      case KindLayout::kInterleaved:
+        delay = rng->NextDouble() < 0.5;
+        break;
+      case KindLayout::kDelayFirst:
+        delay = m < num_delay;
+        break;
+      case KindLayout::kDelayOnly:
+        delay = true;
+        break;
+    }
+    shape.kinds.push_back(delay ? CenterKind::kDelay : CenterKind::kQueueing);
+  }
+  const std::size_t num_chains = 1 + rng->NextBounded(6);
+  std::size_t states = 1;
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    // Some chains are empty; the rest grow the lattice up to max_states.
+    int pop = rng->NextDouble() < 0.15 ? 0
+                                       : static_cast<int>(rng->NextBounded(10));
+    while (states * static_cast<std::size_t>(pop + 1) > max_states) --pop;
+    states *= static_cast<std::size_t>(pop + 1);
+    shape.populations.push_back(pop);
+  }
+  return shape;
+}
+
+// A network of `shape` with random demands (some exactly zero) and think
+// times (some exactly zero).
+ClosedNetwork MakeRandomNetwork(const RandomShape& shape, util::Rng* rng) {
+  ClosedNetwork net;
+  for (std::size_t m = 0; m < shape.kinds.size(); ++m)
+    net.AddCenter("c" + std::to_string(m), shape.kinds[m]);
+  for (std::size_t k = 0; k < shape.populations.size(); ++k) {
+    const double think = rng->NextDouble() < 0.3 ? 0.0 : rng->NextDouble() * 50;
+    const std::size_t c =
+        net.AddChain("k" + std::to_string(k), shape.populations[k], think);
+    for (double& d : net.chains[c].demands)
+      d = rng->NextDouble() < 0.2 ? 0.0 : rng->NextLogUniform(0.01, 100.0);
+  }
+  return net;
+}
+
+constexpr KindLayout kLayouts[] = {KindLayout::kInterleaved,
+                                   KindLayout::kDelayFirst,
+                                   KindLayout::kDelayOnly};
+
+TEST(ExactMvaReference, ScalarKernelMatchesFullLatticeBitForBit) {
+  util::Rng rng(20240601);
+  // One workspace across every shape: a reused, larger lattice buffer holds
+  // stale rows, which the kernel must never read.
+  MvaWorkspace ws;
+  std::size_t largest = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const KindLayout layout = kLayouts[trial % 3];
+    const std::size_t max_states = trial % 40 == 0 ? 10000 : 600;
+    const RandomShape shape = MakeRandomShape(&rng, layout, max_states);
+    const ClosedNetwork net = MakeRandomNetwork(shape, &rng);
+    std::size_t states = 0;
+    ASSERT_TRUE(JointLatticeStates(net, 1u << 22, &states));
+    largest = std::max(largest, states);
+    std::string err;
+    ASSERT_TRUE(ExactMvaInPlace(net, &ws, 1u << 22, &err)) << err;
+    EXPECT_TRUE(SameSolutionBits(ws.solution, ReferenceExactMva(net)))
+        << "trial " << trial << " (" << states << " states)";
+  }
+  EXPECT_GE(largest, 5000u);
+}
+
+TEST(ExactMvaReference, BatchKernelMatchesFullLatticeBitForBit) {
+  util::Rng rng(20240602);
+  for (std::size_t lanes : {1u, 3u, 8u}) {
+    BatchMvaWorkspace bw;
+    for (int trial = 0; trial < 60; ++trial) {
+      const KindLayout layout = kLayouts[trial % 3];
+      const std::size_t max_states = trial % 20 == 0 ? 10000 : 600;
+      // Lanes share the shape (kinds and populations, hence the lattice);
+      // demands and think times differ per lane.
+      const RandomShape shape = MakeRandomShape(&rng, layout, max_states);
+      std::vector<ClosedNetwork> nets;
+      std::vector<const ClosedNetwork*> ptrs;
+      for (std::size_t w = 0; w < lanes; ++w)
+        nets.push_back(MakeRandomNetwork(shape, &rng));
+      for (const ClosedNetwork& net : nets) ptrs.push_back(&net);
+      std::string err;
+      ASSERT_TRUE(ExactMvaBatchInPlace(ptrs.data(), lanes, &bw, 1u << 22, &err))
+          << err;
+      for (std::size_t w = 0; w < lanes; ++w) {
+        EXPECT_TRUE(SameSolutionBits(bw.solutions[w],
+                                     ReferenceExactMva(nets[w])))
+            << "width " << lanes << " trial " << trial << " lane " << w;
+      }
+    }
+  }
+}
+
+TEST(ExactMvaReference, ZeroPopulationNetworkMatches) {
+  // Every chain empty: the one-state lattice path.
+  ClosedNetwork net;
+  net.AddCenter("d", CenterKind::kDelay);
+  net.AddCenter("q", CenterKind::kQueueing);
+  const std::size_t k = net.AddChain("k", 0, 0.0);
+  net.chains[k].demands = {3.0, 4.0};
+  MvaWorkspace ws;
+  ASSERT_TRUE(ExactMvaInPlace(net, &ws));
+  EXPECT_TRUE(SameSolutionBits(ws.solution, ReferenceExactMva(net)));
+  BatchMvaWorkspace bw;
+  const ClosedNetwork* ptrs[] = {&net, &net, &net};
+  ASSERT_TRUE(ExactMvaBatchInPlace(ptrs, 3, &bw));
+  for (std::size_t w = 0; w < 3; ++w)
+    EXPECT_TRUE(SameSolutionBits(bw.solutions[w], ReferenceExactMva(net)));
+}
+
+TEST(ClosedNetwork, RejectsNonFiniteDemandsAndThinkTimes) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (double v : bad) {
+    ClosedNetwork net;
+    const std::size_t c = net.AddCenter("cpu", CenterKind::kQueueing);
+    const std::size_t d = net.AddCenter("lw", CenterKind::kDelay);
+    const std::size_t k = net.AddChain("k", 2, 1.0);
+    net.chains[k].demands[c] = 1.0;
+    ASSERT_TRUE(net.Validate());
+    net.chains[k].demands[d] = v;
+    std::string err;
+    EXPECT_FALSE(net.Validate(&err)) << v;
+    EXPECT_NE(err.find("demand"), std::string::npos) << err;
+    EXPECT_FALSE(ExactMva(net).ok);
+    EXPECT_FALSE(SchweitzerMva(net).ok);
+    net.chains[k].demands[d] = 0.0;
+    net.chains[k].think_time = v;
+    EXPECT_FALSE(net.Validate(&err)) << v;
+    EXPECT_NE(err.find("think"), std::string::npos) << err;
+  }
+}
 
 TEST(Bounds, SingleChainValues) {
   ClosedNetwork net;

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "fuzz/generator.h"
 #include "model/solver.h"
 #include "serve/key.h"
+#include "serve/query.h"
 #include "serve/solution_cache.h"
 #include "serve/solver_service.h"
 #include "serve/warm_index.h"
@@ -416,6 +418,50 @@ TEST(SolverService, InvalidInputReportsErrorThroughTheFuture) {
   service.Submit(model::ModelInput{}).get();
   EXPECT_EQ(service.stats().solved, 2u);
   EXPECT_EQ(service.stats().cache_hits, 0u);
+}
+
+TEST(ParseQuery, RejectsNonFiniteValues) {
+  for (const char* line :
+       {"mb8 4 think=nan", "mb8 4 think=inf", "mb8 4 comm=inf",
+        "mb8 4 comm=NaN", "mb8 4 comm=infinity", "mb8 4 think=-inf"}) {
+    serve::Query query;
+    model::ModelInput input;
+    std::string error;
+    EXPECT_FALSE(serve::ParseQuery(line, &query, &input, &error)) << line;
+    EXPECT_NE(error.find("bad value"), std::string::npos) << error;
+  }
+  serve::Query query;
+  model::ModelInput input;
+  std::string error;
+  ASSERT_TRUE(serve::ParseQuery("mb8 4 think=1e3 comm=1e308", &query, &input,
+                                &error))
+      << error;
+  EXPECT_EQ(input.comm_delay_ms, 1e308);
+}
+
+TEST(SolverService, OverflowingQueryFailsWithoutSeedingItsNeighbors) {
+  // comm=1e308 is finite and valid, but overflows a site demand mid-solve:
+  // the query fails naming the site, and the failed solve does not
+  // warm-start the next query of its shape.
+  serve::SolverService service;
+  serve::Query query;
+  model::ModelInput overflow;
+  std::string error;
+  ASSERT_TRUE(
+      serve::ParseQuery("mb8 4 comm=1e308", &query, &overflow, &error));
+  const model::ModelSolution bad = service.SolveSync(overflow);
+  EXPECT_FALSE(bad.ok);
+  EXPECT_NE(bad.error.find("MVA failed at site"), std::string::npos)
+      << bad.error;
+  EXPECT_EQ(serve::FormatResult(query, bad),
+            "mb8,4,error,,,,," + bad.error);
+
+  const model::ModelInput plain = workload::MakeMB8(4).ToModelInput();
+  const model::ModelSolution after = service.SolveSync(plain);
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_FALSE(after.warm_started);
+  ExpectIdentical(after, model::CaratModel(plain).Solve());
+  EXPECT_GT(after.TotalTxnPerSec(), 0.0);
 }
 
 TEST(SolverService, DestructorWaitsForInFlightSolves) {
