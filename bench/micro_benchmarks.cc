@@ -61,21 +61,32 @@ void BM_ModelSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelSolve)->Arg(4)->Arg(12)->Arg(20);
 
+// Arg 0: a coordinator chain with every path live, which runs the compiled
+// elimination schedule end to end. Arg 1: the abort path unreachable
+// (pd = 0, pra = 0), where partial pivoting swaps rows and the schedule
+// hands over to the dense loop at the lost pivot.
 void BM_VisitCounts(benchmark::State& state) {
   model::TransitionInputs in;
-  in.local_requests = 10;
-  in.remote_requests = 5;
-  in.io_per_request = 4.0;
-  in.pb = 0.05;
-  in.pd = 0.01;
-  in.pra = 0.01;
-  const model::TransitionMatrix p = model::BuildLocalOrCoordinatorMatrix(in);
+  if (state.range(0) == 0) {
+    in.local_requests = 10;
+    in.remote_requests = 5;
+    in.io_per_request = 4.0;
+    in.pb = 0.05;
+    in.pd = 0.01;
+    in.pra = 0.01;
+  } else {
+    in.local_requests = 4;
+    in.io_per_request = 2.96472;
+    in.pb = 0.39027354242965029;
+  }
   model::VisitCounts v;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model::SolveVisitCounts(p, &v));
+    benchmark::DoNotOptimize(in);
+    benchmark::DoNotOptimize(
+        model::SolveVisitCounts(model::TxnType::kDUC, in, &v));
   }
 }
-BENCHMARK(BM_VisitCounts);
+BENCHMARK(BM_VisitCounts)->Arg(0)->Arg(1);
 
 void BM_Yao(benchmark::State& state) {
   for (auto _ : state) {

@@ -534,8 +534,7 @@ bool StepVisitCounts(const ModelInput& input,
       in.pb = cs.pb * cs.lock_ratio;
       in.pd = cs.pd;
       in.pra = cs.pra;
-      const TransitionMatrix p = BuildTransitionMatrix(t, in);
-      if (!SolveVisitCounts(p, &cs.visits)) return false;
+      if (!SolveVisitCounts(t, in, &cs.visits)) return false;
     }
   }
   return true;

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "model/demands.h"
 #include "model/lock_model.h"
@@ -10,6 +14,7 @@
 #include "model/transition.h"
 #include "model/yao.h"
 #include "util/approx.h"
+#include "util/random.h"
 #include "workload/spec.h"
 
 namespace carat::model {
@@ -22,9 +27,8 @@ TEST(VisitCounts, LocalTransactionNoContention) {
   TransitionInputs in;
   in.local_requests = 4;
   in.io_per_request = 4.0;
-  const TransitionMatrix p = BuildLocalOrCoordinatorMatrix(in);
   VisitCounts v;
-  ASSERT_TRUE(SolveVisitCounts(p, &v));
+  ASSERT_TRUE(SolveVisitCounts(TxnType::kLU, in, &v));
   EXPECT_NEAR(v[Index(Phase::kUT)], 1.0, 1e-10);
   EXPECT_NEAR(v[Index(Phase::kINIT)], 1.0, 1e-10);
   EXPECT_NEAR(v[Index(Phase::kU)], 5.0, 1e-10);      // n + 1
@@ -45,9 +49,8 @@ TEST(VisitCounts, CoordinatorSplitsLocalAndRemote) {
   in.local_requests = 3;
   in.remote_requests = 2;
   in.io_per_request = 4.0;
-  const TransitionMatrix p = BuildLocalOrCoordinatorMatrix(in);
   VisitCounts v;
-  ASSERT_TRUE(SolveVisitCounts(p, &v));
+  ASSERT_TRUE(SolveVisitCounts(TxnType::kDUC, in, &v));
   EXPECT_NEAR(v[Index(Phase::kTM)], 11.0, 1e-10);  // 2 * 5 + 1
   EXPECT_NEAR(v[Index(Phase::kDM)], 3.0 * 5.0, 1e-10);
   EXPECT_NEAR(v[Index(Phase::kRW)], 2.0, 1e-10);
@@ -58,9 +61,8 @@ TEST(VisitCounts, SlaveChainShape) {
   TransitionInputs in;
   in.local_requests = 2;
   in.io_per_request = 4.0;
-  const TransitionMatrix p = BuildSlaveMatrix(in);
   VisitCounts v;
-  ASSERT_TRUE(SolveVisitCounts(p, &v));
+  ASSERT_TRUE(SolveVisitCounts(TxnType::kDUS, in, &v));
   EXPECT_NEAR(v[Index(Phase::kTM)], 5.0, 1e-10);  // 2 l + 1
   EXPECT_NEAR(v[Index(Phase::kDM)], 10.0, 1e-10);
   EXPECT_NEAR(v[Index(Phase::kRW)], 2.0, 1e-10);
@@ -75,9 +77,8 @@ TEST(VisitCounts, DeadlocksReduceCommitVisits) {
   in.io_per_request = 4.0;
   in.pb = 0.1;
   in.pd = 0.05;
-  const TransitionMatrix p = BuildLocalOrCoordinatorMatrix(in);
   VisitCounts v;
-  ASSERT_TRUE(SolveVisitCounts(p, &v));
+  ASSERT_TRUE(SolveVisitCounts(TxnType::kLU, in, &v));
   // Per execution, commit + abort probabilities sum to one.
   EXPECT_NEAR(v[Index(Phase::kTCIO)] + v[Index(Phase::kTAIO)], 1.0, 1e-10);
   EXPECT_GT(v[Index(Phase::kTAIO)], 0.0);
@@ -104,6 +105,196 @@ TEST(VisitCounts, RowsOfTransitionMatrixAreStochastic) {
       // every reachable phase must have a stochastic row.
       if (row != 0.0) EXPECT_NEAR(row, 1.0, 1e-12) << "row " << from;
     }
+  }
+}
+
+// ---- Reference: the dense elimination. --------------------------------------
+// SolveVisitCounts runs an elimination schedule compiled from the Table 1
+// structure. This is the dense loop whose results it must reproduce, kept
+// test-local as the bit-level reference: a 15x15 Gaussian elimination with
+// partial pivoting over (I - P^T) V = P_UT. It counts its row swaps so the
+// tests can prove they reach both the compiled path and the lost-pivot
+// fallback. The test target is built with -ffp-contract=off like
+// carat_model, so no FMA contraction can differ between the two
+// translation units.
+bool ReferenceVisitCounts(const TransitionMatrix& p, VisitCounts* v,
+                          int* swaps) {
+  constexpr int kUt = Index(Phase::kUT);
+  constexpr std::size_t n = kNumPhases - 1;
+  auto unknown = [](int phase) { return phase < kUt ? phase : phase - 1; };
+
+  std::array<double, n * n> a{};
+  std::array<double, n> b{};
+  for (int c = 0; c < kNumPhases; ++c) {
+    if (c == kUt) continue;
+    const std::size_t row = unknown(c);
+    a[row * n + unknown(c)] += 1.0;
+    for (int e = 0; e < kNumPhases; ++e) {
+      if (e == kUt) {
+        b[row] += p[e][c];
+      } else {
+        a[row * n + unknown(e)] -= p[e][c];
+      }
+    }
+  }
+
+  *swaps = 0;
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t pivot = col;
+    double best = std::fabs(a[col * n + col]);
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double value = std::fabs(a[r * n + col]);
+      if (value > best) {
+        best = value;
+        pivot = r;
+      }
+    }
+    if (best < 1e-14) return false;
+    if (pivot != col) {
+      ++*swaps;
+      for (std::size_t c = col; c < n; ++c)
+        std::swap(a[col * n + c], a[pivot * n + c]);
+      std::swap(b[col], b[pivot]);
+    }
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double factor = a[r * n + col] / a[col * n + col];
+      if (factor == 0.0) continue;
+      for (std::size_t c = col; c < n; ++c) a[r * n + c] -= factor * a[col * n + c];
+      b[r] -= factor * b[col];
+    }
+  }
+
+  std::array<double, n> x{};
+  for (std::size_t i = n; i-- > 0;) {
+    double acc = b[i];
+    for (std::size_t c = i + 1; c < n; ++c) acc -= a[i * n + c] * x[c];
+    x[i] = acc / a[i * n + i];
+  }
+  (*v)[kUt] = 1.0;
+  for (int c = 0; c < kNumPhases; ++c) {
+    if (c != kUt) (*v)[c] = x[unknown(c)];
+  }
+  return true;
+}
+
+// Runs both solvers on (type, in) and reports a bit-level difference.
+// Adds the reference's swap count to *swaps.
+::testing::AssertionResult MatchesReference(TxnType type,
+                                            const TransitionInputs& in,
+                                            int* swaps) {
+  VisitCounts want{}, got{};
+  int n = 0;
+  const bool want_ok =
+      ReferenceVisitCounts(BuildTransitionMatrix(type, in), &want, &n);
+  const bool got_ok = SolveVisitCounts(type, in, &got);
+  *swaps += n;
+  auto describe = [&] {
+    return ::testing::Message()
+           << " for type " << Index(type) << " l=" << in.local_requests
+           << " r=" << in.remote_requests << " q=" << in.io_per_request
+           << " pb=" << in.pb << " pd=" << in.pd << " pra=" << in.pra;
+  };
+  if (want_ok != got_ok) {
+    return ::testing::AssertionFailure()
+           << "solvable " << got_ok << ", reference " << want_ok << describe();
+  }
+  if (!want_ok) return ::testing::AssertionSuccess();
+  for (int c = 0; c < kNumPhases; ++c) {
+    if (std::bit_cast<std::uint64_t>(got[c]) !=
+        std::bit_cast<std::uint64_t>(want[c])) {
+      return ::testing::AssertionFailure()
+             << "V_" << Name(kAllPhases[c]) << " = " << got[c]
+             << ", reference " << want[c] << describe();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// A probability: a special value a quarter of the time, else uniform on
+// [0, 1).
+double DrawProbability(util::Rng* rng) {
+  constexpr double kSpecial[] = {0.0, 1e-300, 1.0 - 1e-12, 1.0};
+  if (rng->NextDouble() < 0.25) return kSpecial[(*rng)() % 4];
+  return rng->NextDouble();
+}
+
+TEST(VisitCountsReference, SeededInputsMatchDenseEliminationBitForBit) {
+  util::Rng rng(20261017);
+  int swapping = 0, plain = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    const TxnType type = kAllTxnTypes[trial % kNumTxnTypes];
+    TransitionInputs in;
+    const double shape = rng.NextDouble();
+    in.local_requests = shape < 0.1    ? 0
+                        : shape < 0.15 ? static_cast<int>(rng() % 100000)
+                                       : static_cast<int>(rng() % 21);
+    in.remote_requests = IsCoordinator(type) ? static_cast<int>(rng() % 9) : 0;
+    const double qshape = rng.NextDouble();
+    in.io_per_request = qshape < 0.1    ? 0.0
+                        : qshape < 0.15 ? rng.NextDouble() * 1e6
+                                        : 0.5 + 8.0 * rng.NextDouble();
+    in.pb = DrawProbability(&rng);
+    in.pd = DrawProbability(&rng);
+    in.pra = DrawProbability(&rng);
+    int swaps = 0;
+    ASSERT_TRUE(MatchesReference(type, in, &swaps)) << "trial " << trial;
+    (swaps > 0 ? swapping : plain) += 1;
+  }
+  // Both paths ran: the compiled schedule end to end, and the dense loop
+  // resumed at a lost pivot.
+  EXPECT_GT(swapping, 100);
+  EXPECT_GT(plain, 100);
+}
+
+TEST(VisitCountsReference, EdgeInputsMatchDenseEliminationBitForBit) {
+  constexpr double kProbabilities[] = {0.0, 1e-300, 1.0 - 1e-12, 1.0, 0.3};
+  constexpr int kLocal[] = {0, 1, 4, 20, 399};
+  constexpr int kRemote[] = {0, 3};
+  // q = 1e16 nearly closes the DM/LR/DMIO loop: the system is singular.
+  constexpr double kIo[] = {0.0, 2.96472, 1e6, 1e16};
+  int swapping = 0, singular = 0, cases = 0;
+  for (TxnType type : kAllTxnTypes) {
+    for (int l : kLocal) {
+      for (int r : kRemote) {
+        for (double q : kIo) {
+          for (double pb : kProbabilities) {
+            for (double pd : kProbabilities) {
+              for (double pra : kProbabilities) {
+                const TransitionInputs in{l, r, q, pb, pd, pra};
+                int swaps = 0;
+                ASSERT_TRUE(MatchesReference(type, in, &swaps));
+                VisitCounts unused;
+                singular += !SolveVisitCounts(type, in, &unused);
+                swapping += swaps > 0;
+                ++cases;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(swapping, 0);
+  EXPECT_LT(swapping, cases);
+  EXPECT_GT(singular, 0);
+  EXPECT_LT(singular, cases);
+}
+
+TEST(VisitCountsReference, PinnedLostPivotCase) {
+  // The abort path is unreachable (pd = 0, no remote requests), and the
+  // dense loop swaps rows three times: the compiled schedule loses a pivot
+  // and must hand over to the dense loop mid-elimination.
+  const TransitionInputs in{4, 0, 2.96472, 0.39027354242965029, 0.0,
+                            0.074558949948433428};
+  VisitCounts want{};
+  int swaps = 0;
+  ASSERT_TRUE(
+      ReferenceVisitCounts(BuildLocalOrCoordinatorMatrix(in), &want, &swaps));
+  EXPECT_EQ(swaps, 3);
+  for (TxnType type : {TxnType::kLRO, TxnType::kLU}) {
+    int n = 0;
+    EXPECT_TRUE(MatchesReference(type, in, &n));
+    EXPECT_EQ(n, 3);
   }
 }
 
@@ -440,7 +631,7 @@ TEST(Demands, NoContentionLocalReadOnly) {
   in.local_requests = 4;
   in.io_per_request = 4.0;
   VisitCounts v;
-  ASSERT_TRUE(SolveVisitCounts(BuildLocalOrCoordinatorMatrix(in), &v));
+  ASSERT_TRUE(SolveVisitCounts(TxnType::kLRO, in, &v));
 
   const ClassDemands d = ComputeDemands(site, TxnType::kLRO, v, /*ns=*/1.0,
                                         /*sigma=*/1.0, /*nlk=*/16.0,
@@ -468,7 +659,7 @@ TEST(Demands, RetriesScaleDemandsByNs) {
   in.local_requests = 4;
   in.io_per_request = 4.0;
   VisitCounts v;
-  ASSERT_TRUE(SolveVisitCounts(BuildLocalOrCoordinatorMatrix(in), &v));
+  ASSERT_TRUE(SolveVisitCounts(TxnType::kLU, in, &v));
   const ClassDemands once = ComputeDemands(site, TxnType::kLU, v, 1.0, 1.0,
                                            16.0, PhaseDelays{});
   const ClassDemands twice = ComputeDemands(site, TxnType::kLU, v, 2.0, 1.0,
@@ -486,7 +677,7 @@ TEST(Demands, SeparateLogDiskSplitsCommitIo) {
   in.local_requests = 4;
   in.io_per_request = 4.0;
   VisitCounts v;
-  ASSERT_TRUE(SolveVisitCounts(BuildLocalOrCoordinatorMatrix(in), &v));
+  ASSERT_TRUE(SolveVisitCounts(TxnType::kLU, in, &v));
   const ClassDemands d = ComputeDemands(site, TxnType::kLRO, v, 1.0, 1.0,
                                         16.0, PhaseDelays{});
   EXPECT_NEAR(d.db_disk_ms, 16 * 28.0, 1e-9);   // data reads stay
@@ -501,7 +692,7 @@ TEST(Demands, LockWaitDelayEntersLwDemand) {
   in.io_per_request = 4.0;
   in.pb = 0.1;
   VisitCounts v;
-  ASSERT_TRUE(SolveVisitCounts(BuildLocalOrCoordinatorMatrix(in), &v));
+  ASSERT_TRUE(SolveVisitCounts(TxnType::kLU, in, &v));
   PhaseDelays delays;
   delays.r_lw_ms = 100.0;
   const ClassDemands d = ComputeDemands(input.sites[0], TxnType::kLU, v, 1.0,

@@ -6,7 +6,6 @@
 
 #include "util/approx.h"
 #include "util/cli.h"
-#include "util/linear.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -63,56 +62,6 @@ TEST(TimeWeightedStat, PiecewiseConstantSignal) {
 TEST(TimeWeightedStat, BeforeFirstUpdateIsZero) {
   TimeWeightedStat tw;
   EXPECT_DOUBLE_EQ(tw.MeanAt(5.0), 0.0);
-}
-
-TEST(LinearSolve, Identity) {
-  Matrix a(3, 3);
-  for (int i = 0; i < 3; ++i) a(i, i) = 1.0;
-  std::vector<double> x;
-  ASSERT_TRUE(SolveLinearSystem(a, {1.0, 2.0, 3.0}, &x));
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
-  EXPECT_NEAR(x[2], 3.0, 1e-12);
-}
-
-TEST(LinearSolve, RequiresPivoting) {
-  // First pivot is zero; solvable only with row exchange.
-  Matrix a(2, 2);
-  a(0, 0) = 0.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 1.0;
-  std::vector<double> x;
-  ASSERT_TRUE(SolveLinearSystem(a, {3.0, 5.0}, &x));
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(LinearSolve, SingularFails) {
-  Matrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 4.0;
-  std::vector<double> x;
-  EXPECT_FALSE(SolveLinearSystem(a, {1.0, 2.0}, &x));
-}
-
-TEST(LinearSolve, RandomSystemRoundTrips) {
-  Rng rng(7);
-  const std::size_t n = 12;
-  Matrix a(n, n);
-  std::vector<double> truth(n), b(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    truth[i] = rng.NextDouble() * 10 - 5;
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.NextDouble() * 2 - 1;
-    a(i, i) += 5.0;  // diagonally dominant => well conditioned
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) b[i] += a(i, j) * truth[j];
-  std::vector<double> x;
-  ASSERT_TRUE(SolveLinearSystem(a, b, &x));
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], truth[i], 1e-9);
 }
 
 TEST(Rng, DeterministicPerSeed) {
