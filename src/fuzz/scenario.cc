@@ -339,6 +339,8 @@ std::string ModelSolutionFingerprint(const model::ModelSolution& s) {
   out += '\n';
   out += s.converged ? "converged " : "UNCONVERGED ";
   AppendHexU64(&out, static_cast<std::uint64_t>(s.iterations));
+  AppendHexU64(&out, static_cast<std::uint64_t>(s.accelerated_steps));
+  AppendHexU64(&out, static_cast<std::uint64_t>(s.fallback_steps));
   out += s.warm_started ? "warm " : "cold ";
   AppendBitsF64(&out, s.comm_delay_ms);
   out += '\n';

@@ -303,10 +303,6 @@ double SlaveCountFor(const ModelInput& input, const ClassCoupling& coupling,
          (input.sites[i].Class(SlaveOf(t)).population > 0 ? 1.0 : 0.0);
 }
 
-double Damp(double old_value, double new_value, double damping) {
-  return (1.0 - damping) * old_value + damping * new_value;
-}
-
 AccessSkew SkewOf(const SiteParams& site) {
   if (site.hot_data_fraction > 0.0 && site.hot_data_fraction < 1.0 &&
       site.hot_access_fraction > 0.0) {
@@ -663,10 +659,10 @@ void StepDurations(const ModelInput& input, const SolverOptions& options,
 }
 
 // (5) CC submodel: conflict / restart quantities for the configured backend
-// (Eqs. 15-20 for 2PL; model/cc_submodel.h for the others), damped. The
-// submodel computes undamped values from the current state; damping stays
-// here so every backend shares the solver's convergence behaviour.
-void StepLockModel(const ModelInput& input, double damping,
+// (Eqs. 15-20 for 2PL; model/cc_submodel.h for the others). The step writes
+// the undamped new values; the per-lane mixing step that follows the pass
+// (MixStep) is shared by every backend, so they all converge alike.
+void StepLockModel(const ModelInput& input,
                    const std::vector<std::size_t>& units,
                    std::vector<SiteState>* st) {
   for (std::size_t i : units) {
@@ -687,11 +683,10 @@ void StepLockModel(const ModelInput& input, double damping,
     for (TxnType t : kAllTxnTypes) {
       ClassState& cs = (*st)[i].cls[Index(t)];
       if (!cs.present) continue;
-      cs.pb = Damp(cs.pb, cc_out.pb[Index(t)], damping);
-      cs.pd = Damp(cs.pd, cc_out.pd[Index(t)], damping);
+      cs.pb = cc_out.pb[Index(t)];
+      cs.pd = cc_out.pd[Index(t)];
       cs.plw = cc_out.plw[Index(t)];
-      cs.delays.r_lw_ms =
-          Damp(cs.delays.r_lw_ms, cc_out.r_lw[Index(t)], damping);
+      cs.delays.r_lw_ms = cc_out.r_lw[Index(t)];
     }
   }
 }
@@ -701,8 +696,7 @@ void StepLockModel(const ModelInput& input, double damping,
 // (PREPARE/vote, COMMIT/ack) per slave site.
 void StepEthernet(const ModelInput& input, const SolverOptions& options,
                   const ClassPartition& part, const ClassCoupling& coupling,
-                  double damping, const std::vector<SiteState>& st,
-                  double* alpha) {
+                  const std::vector<SiteState>& st, double* alpha) {
   // Class-major with the chain types inner: for pairwise-distinct sites
   // (class k = site k) this is the flat site-major summation order exactly.
   double messages_per_ms = 0.0;
@@ -717,9 +711,8 @@ void StepEthernet(const ModelInput& input, const SolverOptions& options,
       messages_per_ms += part.class_count[cls] * (cs.x * per_commit);
     }
   }
-  const double alpha_new = qn::EthernetMeanDelayMs(
-      *options.ethernet, options.message_bits, messages_per_ms);
-  *alpha = Damp(*alpha, alpha_new, damping);
+  *alpha = qn::EthernetMeanDelayMs(*options.ethernet, options.message_bits,
+                                   messages_per_ms);
 }
 
 // (6) Remote-wait and 2PC-wait coupling across sites (Eqs. 21-24, §5.7).
@@ -729,7 +722,6 @@ void StepEthernet(const ModelInput& input, const SolverOptions& options,
 // bitwise — 1.0 * v == v and the addition order is the old site order.
 void StepCrossSiteCoupling(const ModelInput& input, const ClassPartition& part,
                            const ClassCoupling& coupling, double alpha,
-                           double damping,
                            const std::vector<std::size_t>& units,
                            std::vector<SiteState>* st) {
   for (std::size_t i : units) {
@@ -767,19 +759,14 @@ void StepCrossSiteCoupling(const ModelInput& input, const ClassPartition& part,
             cwa_max, AbortProcessingMs(input.sites[j], s, ss.sigma, ss.nlk,
                                        (*st)[j].cpu_q, (*st)[j].db_q));
       }
-      const double rrw_new =
-          num_slaves <= 0.0 || r <= 0
-              ? 0.0
-              : 2.0 * alpha + slave_busy_sum / (cs.ns * r);
-      const double pra_new = num_slaves <= 0.0 ? 0.0 : pra_sum / num_slaves;
+      cs.delays.r_rw_ms = num_slaves <= 0.0 || r <= 0
+                              ? 0.0
+                              : 2.0 * alpha + slave_busy_sum / (cs.ns * r);
+      cs.pra = num_slaves <= 0.0 ? 0.0 : pra_sum / num_slaves;
       // Two round trips for PREPARE/COMMIT plus the slowest slave's commit
       // processing; one round trip plus rollback on the abort path.
-      const double cwc_new = 4.0 * alpha + cwc_max;
-      const double cwa_new = 2.0 * alpha + cwa_max;
-      cs.delays.r_rw_ms = Damp(cs.delays.r_rw_ms, rrw_new, damping);
-      cs.pra = Damp(cs.pra, pra_new, damping);
-      cs.delays.r_cwc_ms = Damp(cs.delays.r_cwc_ms, cwc_new, damping);
-      cs.delays.r_cwa_ms = Damp(cs.delays.r_cwa_ms, cwa_new, damping);
+      cs.delays.r_cwc_ms = 4.0 * alpha + cwc_max;
+      cs.delays.r_cwa_ms = 2.0 * alpha + cwa_max;
     }
     // Slaves.
     for (TxnType s : {TxnType::kDROS, TxnType::kDUS}) {
@@ -814,17 +801,12 @@ void StepCrossSiteCoupling(const ModelInput& input, const ClassPartition& part,
                                            (*st)[ci].cpu_q, (*st)[ci].log_q);
         weight += mw;
       }
-      const double rrw_new = weight > 0.0 ? rrw_sum / weight : 0.0;
-      const double pra_new = weight > 0.0 ? pra_sum / weight : 0.0;
+      cs.delays.r_rw_ms = weight > 0.0 ? rrw_sum / weight : 0.0;
+      cs.pra = weight > 0.0 ? pra_sum / weight : 0.0;
       // Slave CWC: waiting for the coordinator's commit decision (one
       // round trip plus the coordinator's commit force-write).
-      const double cwc_new =
-          weight > 0.0 ? 2.0 * alpha + cwc_sum / weight : 0.0;
-      cs.delays.r_rw_ms = Damp(cs.delays.r_rw_ms, rrw_new, damping);
-      cs.pra = Damp(cs.pra, pra_new, damping);
-      cs.delays.r_cwc_ms = Damp(cs.delays.r_cwc_ms, cwc_new, damping);
-      cs.delays.r_cwa_ms = Damp(cs.delays.r_cwa_ms, 2.0 * alpha,
-                                damping);
+      cs.delays.r_cwc_ms = weight > 0.0 ? 2.0 * alpha + cwc_sum / weight : 0.0;
+      cs.delays.r_cwa_ms = 2.0 * alpha;
     }
   }
 }
@@ -847,6 +829,314 @@ double ThroughputDelta(const std::vector<SiteState>& st,
   }
   return max_rel_delta;
 }
+
+// ---- Mixing: the accelerated fixed point (DESIGN.md §16). ------------------
+// The fixed point's state x holds, per present class of each solve unit,
+// the quantities a warm start seeds — Pb, Pd, Pra and the four
+// synchronization delays — plus alpha under the Ethernet model. Steps
+// (1)-(6) read x and write T(x), undamped, into the same SiteState fields;
+// every other field is recomputed from x each pass. The mixing step then
+// picks the next iterate from x, T(x) and the stored history and writes it
+// back.
+
+// A class's fixed-point variables, in state-vector order.
+enum StateField : std::size_t {
+  kPb, kPd, kPra, kRlw, kRrw, kRcwc, kRcwa, kNumStateFields
+};
+
+constexpr int kAndersonDepth = 3;      // stored differences
+constexpr int kResetBudget = 3;        // safeguard resets per budget
+constexpr double kRearmFactor = 1e-2;  // residual drop that earns a new one
+
+// The units in state-vector order: the class representatives in class order,
+// then every other unit. Only the representatives' prefix enters the least
+// squares and the residual norm, so a flat solve computes exactly the
+// collapsed solve's coefficients and its members replay them on their own
+// (identical) entries.
+void BuildStateOrder(const ClassPartition& part,
+                     const std::vector<std::size_t>& units,
+                     std::vector<std::size_t>* order) {
+  order->clear();
+  for (std::size_t cls = 0; cls < part.num_classes(); ++cls) {
+    order->push_back(part.rep_site[cls]);
+  }
+  for (std::size_t i : units) {
+    if (part.rep_site[part.class_of_site[i]] != i) order->push_back(i);
+  }
+}
+
+// Reads x out of `st` (alpha first when non-null). clear() keeps capacity.
+void GatherState(const std::vector<SiteState>& st,
+                 const std::vector<std::size_t>& order, const double* alpha,
+                 std::vector<double>* x) {
+  x->clear();
+  if (alpha != nullptr) x->push_back(*alpha);
+  for (std::size_t i : order) {
+    for (const ClassState& cs : st[i].cls) {
+      if (!cs.present) continue;
+      x->insert(x->end(), {cs.pb, cs.pd, cs.pra, cs.delays.r_lw_ms,
+                           cs.delays.r_rw_ms, cs.delays.r_cwc_ms,
+                           cs.delays.r_cwa_ms});
+    }
+  }
+}
+
+// Writes x back into `st` (and alpha), the inverse of GatherState.
+void ScatterState(const std::vector<double>& x,
+                  const std::vector<std::size_t>& order, double* alpha,
+                  std::vector<SiteState>* st) {
+  const double* v = x.data();
+  if (alpha != nullptr) *alpha = *v++;
+  for (std::size_t i : order) {
+    for (ClassState& cs : (*st)[i].cls) {
+      if (!cs.present) continue;
+      cs.pb = v[kPb];
+      cs.pd = v[kPd];
+      cs.pra = v[kPra];
+      cs.delays.r_lw_ms = v[kRlw];
+      cs.delays.r_rw_ms = v[kRrw];
+      cs.delays.r_cwc_ms = v[kRcwc];
+      cs.delays.r_cwa_ms = v[kRcwa];
+      v += kNumStateFields;
+    }
+  }
+}
+
+// Solves the m x m (m <= kAndersonDepth) symmetric positive definite system
+// a * gamma = b by Cholesky; only the lower triangle of `a` is read. Returns
+// false when `a` is not numerically positive definite.
+bool SolveSmallSpd(int m, double (*a)[kAndersonDepth], const double* b,
+                   double* gamma) {
+  double l[kAndersonDepth][kAndersonDepth] = {};
+  for (int p = 0; p < m; ++p) {
+    for (int q = 0; q <= p; ++q) {
+      double sum = a[p][q];
+      for (int k = 0; k < q; ++k) sum -= l[p][k] * l[q][k];
+      if (q < p) {
+        l[p][q] = sum / l[q][q];
+      } else {
+        if (!(sum > 0.0)) return false;
+        l[p][p] = std::sqrt(sum);
+      }
+    }
+  }
+  double y[kAndersonDepth];
+  for (int p = 0; p < m; ++p) {
+    double sum = b[p];
+    for (int k = 0; k < p; ++k) sum -= l[p][k] * y[k];
+    y[p] = sum / l[p][p];
+  }
+  for (int p = m - 1; p >= 0; --p) {
+    double sum = y[p];
+    for (int k = p + 1; k < m; ++k) sum -= l[k][p] * gamma[k];
+    gamma[p] = sum / l[p][p];
+  }
+  for (int p = 0; p < m; ++p) {
+    if (!std::isfinite(gamma[p])) return false;
+  }
+  return true;
+}
+
+// One lane's safeguarded depth-3 type-II Anderson iteration with beta = 1
+// (Walker & Ni, "Anderson Acceleration for Fixed-Point Iterations", SIAM J.
+// Numer. Anal. 49(4), 2011):
+//
+//   gamma   = argmin || W (f_k - dF gamma) ||_2,   f = T(x) - x,
+//   x_{k+1} = T(x_k) - dG gamma,
+//
+// over the last kAndersonDepth differences dF / dG of consecutive residuals
+// and map values. When the weighted max-norm residual rises, the safeguard
+// clears the history and takes the damped step x + damping * f instead.
+// After kResetBudget such resets the lane keeps the damped step until its
+// residual has fallen kRearmFactor below the one at which the budget ran
+// out; then it gets a new budget. Every buffer keeps its capacity across
+// solves, so a warm arena allocates nothing.
+//
+// The weights W keep the step as invariant as the model (DESIGN.md §16):
+// Pb and Pra weigh 1; Pd and R_LW act only through Pb, so they weigh Pb and
+// Pb / T; the other times weigh 1 / T, where T is the largest time entry.
+// Only the first `weighted` entries (alpha and the class representatives)
+// enter the least squares and the norm.
+struct Accelerator {
+  std::size_t weighted = 0;
+  bool with_alpha = false;  // entry 0 is alpha
+  double damping = 0.0;
+  std::vector<double> x;       // current iterate
+  std::vector<double> g;       // T(x)
+  std::vector<double> w;       // weights, weighted prefix
+  std::vector<double> f;       // residual, weighted prefix
+  std::vector<double> f_prev;  // previous residual, weighted prefix
+  std::vector<double> g_prev;  // previous T(x)
+  // kAndersonDepth ring slots of dF (weighted prefix) and dG (full length).
+  std::vector<double> df, dg;
+  int columns = 0;  // stored differences
+  int oldest = 0;   // slot overwritten next once all are stored
+  bool has_prev = false;
+  double prev_norm = 0.0;
+  int resets = 0;
+  double exhausted_norm = 0.0;  // residual when the budget last ran out
+  int accelerated = 0;
+  int fallback = 0;
+
+  // Starts a solve from the iterate already gathered into x.
+  void Start(std::size_t weighted_entries, bool alpha_entry,
+             double damping0) {
+    weighted = weighted_entries;
+    with_alpha = alpha_entry;
+    damping = damping0;
+    const std::size_t n = x.size();
+    g.assign(n, 0.0);
+    w.assign(weighted, 0.0);
+    f.assign(weighted, 0.0);
+    f_prev.assign(weighted, 0.0);
+    g_prev.assign(n, 0.0);
+    df.assign(kAndersonDepth * weighted, 0.0);
+    dg.assign(kAndersonDepth * n, 0.0);
+    columns = 0;
+    oldest = 0;
+    has_prev = false;
+    prev_norm = 0.0;
+    resets = 0;
+    exhausted_norm = 0.0;
+    accelerated = 0;
+    fallback = 0;
+  }
+
+  // W at (x, T(x)): see the struct comment. T is the largest time entry of
+  // x and T(x); R_LW counts only where Pb > 0, because at Pb = 0 it is
+  // unreachable and the CC backends legitimately disagree on it.
+  void ComputeWeights() {
+    const std::size_t first = with_alpha ? 1 : 0;
+    double t_max = with_alpha ? std::max(x[0], g[0]) : 0.0;
+    for (std::size_t b = first; b < weighted; b += kNumStateFields) {
+      for (std::size_t p : {kRrw, kRcwc, kRcwa}) {
+        t_max = std::max({t_max, x[b + p], g[b + p]});
+      }
+      if (g[b + kPb] > 0.0) {
+        t_max = std::max({t_max, x[b + kRlw], g[b + kRlw]});
+      }
+    }
+    const double inv_t = t_max > 0.0 ? 1.0 / t_max : 1.0;
+    if (with_alpha) w[0] = inv_t;
+    for (std::size_t b = first; b < weighted; b += kNumStateFields) {
+      const double pb = g[b + kPb];
+      w[b + kPb] = 1.0;
+      w[b + kPd] = pb;
+      w[b + kPra] = 1.0;
+      w[b + kRlw] = pb * inv_t;
+      w[b + kRrw] = inv_t;
+      w[b + kRcwc] = inv_t;
+      w[b + kRcwa] = inv_t;
+    }
+  }
+
+  // x <- x + damping * (g - x).
+  void DampedStep() {
+    for (std::size_t j = 0; j < x.size(); ++j) x[j] += damping * (g[j] - x[j]);
+    ++fallback;
+  }
+
+  // x <- g - dG gamma with gamma from the weighted normal equations plus a
+  // 1e-12 * trace ridge; gamma = 0 (the plain step) when they degenerate.
+  void AndersonStep() {
+    const int m = columns;
+    double gamma[kAndersonDepth] = {};
+    if (m > 0) {
+      double a[kAndersonDepth][kAndersonDepth] = {};
+      double rhs[kAndersonDepth] = {};
+      for (int p = 0; p < m; ++p) {
+        const double* dp = df.data() + p * weighted;
+        for (int q = 0; q <= p; ++q) {
+          const double* dq = df.data() + q * weighted;
+          double sum = 0.0;
+          for (std::size_t j = 0; j < weighted; ++j) {
+            sum += (w[j] * dp[j]) * (w[j] * dq[j]);
+          }
+          a[p][q] = sum;
+        }
+        double sum = 0.0;
+        for (std::size_t j = 0; j < weighted; ++j) {
+          sum += (w[j] * dp[j]) * (w[j] * f[j]);
+        }
+        rhs[p] = sum;
+      }
+      double trace = 0.0;
+      for (int p = 0; p < m; ++p) trace += a[p][p];
+      for (int p = 0; p < m; ++p) a[p][p] += 1e-12 * trace;
+      if (!SolveSmallSpd(m, a, rhs, gamma)) {
+        std::fill(gamma, gamma + m, 0.0);
+      }
+      ++accelerated;
+    }
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      double v = g[j];
+      for (int p = 0; p < m; ++p) v -= gamma[p] * dg[p * x.size() + j];
+      x[j] = v;
+    }
+  }
+
+  // Probabilities into [0, 1], times to >= 0.
+  void Clamp() {
+    const std::size_t first = with_alpha ? 1 : 0;
+    if (with_alpha) x[0] = std::max(x[0], 0.0);
+    for (std::size_t b = first; b < x.size(); b += kNumStateFields) {
+      for (std::size_t p : {kPb, kPd, kPra}) {
+        x[b + p] = std::clamp(x[b + p], 0.0, 1.0);
+      }
+      for (std::size_t p : {kRlw, kRrw, kRcwc, kRcwa}) {
+        x[b + p] = std::max(x[b + p], 0.0);
+      }
+    }
+  }
+
+  // Appends the newest differences f - f_prev and g - g_prev, overwriting
+  // the oldest once kAndersonDepth are stored.
+  void PushDifference() {
+    int slot = oldest;
+    if (columns < kAndersonDepth) {
+      slot = columns++;
+    } else {
+      oldest = (oldest + 1) % kAndersonDepth;
+    }
+    double* dfs = df.data() + slot * weighted;
+    for (std::size_t j = 0; j < weighted; ++j) dfs[j] = f[j] - f_prev[j];
+    double* dgs = dg.data() + slot * x.size();
+    for (std::size_t j = 0; j < x.size(); ++j) dgs[j] = g[j] - g_prev[j];
+  }
+
+  // Takes one step from x, given g = T(x).
+  void Step() {
+    ComputeWeights();
+    double norm = 0.0;
+    for (std::size_t j = 0; j < weighted; ++j) {
+      f[j] = g[j] - x[j];
+      norm = std::max(norm, std::fabs(w[j] * f[j]));
+    }
+    bool damped = resets >= kResetBudget;
+    if (damped && norm < kRearmFactor * exhausted_norm) {
+      resets = 0;
+      damped = false;
+    }
+    if (!damped && has_prev && norm > prev_norm) {
+      if (++resets == kResetBudget) exhausted_norm = norm;
+      columns = 0;
+      oldest = 0;
+      damped = true;
+    } else if (!damped && has_prev) {
+      PushDifference();
+    }
+    if (damped) {
+      DampedStep();
+    } else {
+      AndersonStep();
+    }
+    Clamp();
+    f_prev.swap(f);
+    g_prev = g;
+    prev_norm = norm;
+    has_prev = true;
+  }
+};
 
 // Expands a collapsed solve: copies each class representative's converged
 // state onto the member sites. SiteState is trivially copyable, so the
@@ -943,6 +1233,8 @@ void ResetSolution(ModelSolution* out) {
   out->ok = false;
   out->converged = false;
   out->iterations = 0;
+  out->accelerated_steps = 0;
+  out->fallback_steps = 0;
   out->warm_started = false;
   out->error.clear();
   out->comm_delay_ms = 0.0;
@@ -966,8 +1258,8 @@ struct SolveArena::Impl {
     std::vector<SiteState> st;
     std::vector<SiteNetwork> nets;
     std::vector<double> prev_x;
+    Accelerator acc;
     double alpha = 0.0;
-    double damping = 0.0;
     bool active = false;     // still iterating
     bool failed = false;     // input rejected or a solve step failed
     bool converged = false;
@@ -977,6 +1269,7 @@ struct SolveArena::Impl {
   ClassPartition part;
   ClassPartition lane_part;
   std::vector<std::size_t> units;
+  std::vector<std::size_t> state_order;  // units in state-vector order
   ClassCoupling coupling;
   std::vector<qn::BatchMvaWorkspace> site_ws;
   // [unit * lanes + lane] network pointers handed to the batch kernels, and
@@ -1132,6 +1425,7 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     for (std::size_t i = 0; i < num_sites; ++i) units.push_back(i);
   }
   const std::size_t num_units = units.size();
+  BuildStateOrder(ar.part, units, &ar.state_order);
 
   // ---- Shape-keyed arena state. --------------------------------------------
   // The per-unit networks, the class coupling, the MVA workspaces and every
@@ -1171,7 +1465,12 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
   // under the Ethernet model and the retained per-site Schweitzer queue
   // lengths) from a neighbor's converged values. A cold lane drops its
   // retained queue lengths so its trajectory is bit-identical to a
-  // fresh-arena solve (the other lanes' columns keep theirs).
+  // fresh-arena solve (the other lanes' columns keep theirs). Each lane's
+  // accelerator then starts from the seeded (or zero) state; alpha is part
+  // of that state only under the Ethernet model.
+  const auto alpha_ptr = [&](SolveArena::Impl::Lane& lane) {
+    return options.ethernet.has_value() ? &lane.alpha : nullptr;
+  };
   std::size_t remaining = 0;
   for (std::size_t w = 0; w < lanes; ++w) {
     SolveArena::Impl::Lane& lane = ar.lanes[w];
@@ -1190,7 +1489,6 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     InitWorkloadInvariants(*inputs[w], units, &lane.st);
     RefreshSolveState(*inputs[w], units, &lane.nets);
     lane.alpha = inputs[w]->comm_delay_ms;
-    lane.damping = options.damping;
     lane.prev_x.assign(num_units * kNumTxnTypes, 0.0);
     const WarmStart* seed = seeds != nullptr ? seeds[w] : nullptr;
     const bool seeded = seed != nullptr && seed->CompatibleWith(*inputs[w]);
@@ -1202,6 +1500,15 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
       for (std::size_t u = 0; u < num_units; ++u)
         ar.site_ws[u].InvalidateWarm(w);
     }
+    // The weighted prefix: alpha and the class representatives' entries.
+    std::size_t weighted = alpha_ptr(lane) != nullptr ? 1 : 0;
+    for (std::size_t k = 0; k < ar.part.num_classes(); ++k) {
+      for (const ClassState& cs : lane.st[ar.state_order[k]].cls) {
+        if (cs.present) weighted += kNumStateFields;
+      }
+    }
+    GatherState(lane.st, ar.state_order, alpha_ptr(lane), &lane.acc.x);
+    lane.acc.Start(weighted, alpha_ptr(lane) != nullptr, options.damping);
   }
 
   // ---- Lockstep fixed-point iteration (Section 6). -------------------------
@@ -1217,11 +1524,11 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     for (std::size_t w = 0; w < lanes; ++w) {
       SolveArena::Impl::Lane& lane = ar.lanes[w];
       if (!lane.active) continue;
-      // High-contention inputs can make the plain damped iteration
-      // oscillate; shrinking the damping factor over time restores
+      // High-contention inputs can make even the damped fallback step
+      // oscillate; shrinking its damping factor over time restores
       // convergence.
       if (iteration % 100 == 0)
-        lane.damping = std::max(lane.damping * 0.5, 0.02);
+        lane.acc.damping = std::max(lane.acc.damping * 0.5, 0.02);
       if (!StepVisitCounts(*inputs[w], units, &lane.st)) {
         outs[w]->error = "visit-count system singular";
         outs[w]->ok = false;
@@ -1333,19 +1640,22 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     if (remaining == 0) break;
 
     // (4) Durations and locks held, (5) the CC submodel, (5b) the
-    // Communication Network Model, (6) cross-site coupling, (7) the
-    // convergence test on throughputs.
+    // Communication Network Model, (6) cross-site coupling — together T(x)
+    // — then the mixing step and (7) the convergence test on throughputs.
     for (std::size_t w = 0; w < lanes; ++w) {
       SolveArena::Impl::Lane& lane = ar.lanes[w];
       if (!lane.active) continue;
       StepDurations(*inputs[w], options, units, &lane.st);
-      StepLockModel(*inputs[w], lane.damping, units, &lane.st);
+      StepLockModel(*inputs[w], units, &lane.st);
       if (options.ethernet.has_value()) {
-        StepEthernet(*inputs[w], options, ar.part, ar.coupling, lane.damping,
-                     lane.st, &lane.alpha);
+        StepEthernet(*inputs[w], options, ar.part, ar.coupling, lane.st,
+                     &lane.alpha);
       }
       StepCrossSiteCoupling(*inputs[w], ar.part, ar.coupling, lane.alpha,
-                            lane.damping, units, &lane.st);
+                            units, &lane.st);
+      GatherState(lane.st, ar.state_order, alpha_ptr(lane), &lane.acc.g);
+      lane.acc.Step();
+      ScatterState(lane.acc.x, ar.state_order, alpha_ptr(lane), &lane.st);
       const double max_rel_delta =
           ThroughputDelta(lane.st, units, &lane.prev_x);
       lane.iterations = iteration;
@@ -1369,6 +1679,8 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
                      lane.converged ? lane.iterations
                                     : options.max_iterations,
                      lane.alpha, outs[w]);
+    outs[w]->accelerated_steps = lane.acc.accelerated;
+    outs[w]->fallback_steps = lane.acc.fallback;
   }
 }
 

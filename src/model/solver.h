@@ -5,7 +5,8 @@
 // wait CW) and the deadlock probabilities depend on the networks' own
 // performance measures, so the solver iterates: solve each Site Processing
 // Model by MVA, recompute the lock/remote/commit submodel quantities from
-// the solutions, damp, and repeat to a fixed point.
+// the solutions, and mix the new estimates with the old ones by a
+// safeguarded Anderson step until they reach a fixed point (DESIGN.md §16).
 
 #ifndef CARAT_MODEL_SOLVER_H_
 #define CARAT_MODEL_SOLVER_H_
@@ -70,6 +71,11 @@ struct ModelSolution {
   /// True when this solve was seeded from a compatible WarmStart (the seed
   /// shifts the fixed-point trajectory, not the fixed point itself).
   bool warm_started = false;
+  /// How the iterations stepped: Anderson steps extrapolated from stored
+  /// history, and damped fallback steps taken by the safeguard. The first
+  /// iteration, which has no history, is neither.
+  int accelerated_steps = 0;
+  int fallback_steps = 0;
   std::string error;
   std::vector<SiteSolution> sites;
 
@@ -100,7 +106,10 @@ struct SiteClassSpec {
 struct SolverOptions {
   int max_iterations = 500;
   double tolerance = 1e-9;   ///< relative change threshold on throughputs
-  double damping = 0.5;      ///< weight of the newly computed estimates
+  /// Weight of the newly computed estimates in the damped fallback step
+  /// x + damping * (T(x) - x), taken when the accelerated iteration's
+  /// residual rises (halved every 100 iterations, floored at 0.02).
+  double damping = 0.5;
   double max_abort_prob = 0.95;  ///< clamp on P_a to keep N_s finite
   bool use_exact_mva = true; ///< false forces Schweitzer-Bard at every site
 

@@ -2,8 +2,8 @@
 // produce per-lane ModelSolutions bit-identical to scalar SolveInto runs of
 // the same inputs. The qn-layer tests (mva_batch_test) prove the kernels'
 // lane identity; these tests prove the fixed-point driver preserves it —
-// per-lane damping decay, per-lane freezing, warm seeding and the Ethernet
-// coupling all included.
+// per-lane acceleration history and damping decay, per-lane freezing, warm
+// seeding and the Ethernet coupling all included.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +29,8 @@ void ExpectBitIdentical(const ModelSolution& got, const ModelSolution& want,
   ASSERT_EQ(got.ok, want.ok);
   EXPECT_EQ(got.converged, want.converged);
   EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.accelerated_steps, want.accelerated_steps);
+  EXPECT_EQ(got.fallback_steps, want.fallback_steps);
   EXPECT_EQ(got.warm_started, want.warm_started);
   EXPECT_EQ(got.error, want.error);
   EXPECT_TRUE(SameBits(got.comm_delay_ms, want.comm_delay_ms));
