@@ -6,6 +6,7 @@
 
 #include "carat/testbed.h"
 #include "lock/lock_manager.h"
+#include "mb8_site_network.h"
 #include "model/solver.h"
 #include "model/transition.h"
 #include "model/yao.h"
@@ -42,6 +43,19 @@ void BM_ExactMva(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactMva)->Arg(2)->Arg(4)->Arg(6);
+
+// The exact kernel on the site network's shape, 6 centers with 2 queueing
+// and 6 chains x population 2 (729 lattice states), with a warm workspace.
+// It runs the compiled sweep; BM_ExactMva's 3-center networks take the
+// runtime-sized one.
+void BM_ExactMvaSiteShape(benchmark::State& state) {
+  const qn::ClosedNetwork net = bench::MakeMb8SiteNetwork();
+  qn::MvaWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qn::ExactMvaInPlace(net, &ws));
+  }
+}
+BENCHMARK(BM_ExactMvaSiteShape);
 
 void BM_SchweitzerMva(benchmark::State& state) {
   const qn::ClosedNetwork net =

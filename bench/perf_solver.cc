@@ -13,14 +13,21 @@
 //      per-lane demand skews, measured as interleaved medians to shrug off
 //      shared-host noise. The batch must be bit-identical per lane AND at
 //      least 2x the scalar solve rate — this gate is armed on every host
-//      (single-core included: the win is SIMD lanes, not threads).
+//      (single-core included: the win is SIMD lanes, not threads), and
+//   4. the exact kernel's compiled lattice sweep against its runtime-sized
+//      one, single-threaded: the mb8 site network (6 centers, 2 queueing)
+//      as it is, and with one zero-demand delay center appended, which
+//      sends it down the runtime-sized sweep without changing a bit. The
+//      throughputs must be identical and the compiled sweep at least 1.5x
+//      the runtime one; this gate too is armed on every host.
 //
 // Results land in BENCH_solver.json (cwd) so successive PRs can track the
 // numbers. Usage: perf_solver [--jobs N] [--out FILE]
 //
 // Note: the thread-sweep speedup is bounded by the host's core count; its
 // gate (>= 1.5x) arms only when the host has >= 4 hardware threads. The
-// batch-vs-scalar gate is thread-independent and always armed.
+// batch-vs-scalar and compiled-sweep gates are thread-independent and
+// always armed.
 
 #include <atomic>
 #include <chrono>
@@ -35,6 +42,7 @@
 #include <algorithm>
 
 #include "exec/thread_pool.h"
+#include "mb8_site_network.h"
 #include "model/solver.h"
 #include "qn/mva.h"
 #include "qn/mva_batch.h"
@@ -259,6 +267,80 @@ BatchBench BenchBatchSchweitzer() {
   return out;
 }
 
+// ---- Compiled exact sweep vs the runtime-sized sweep. ----------------------
+
+struct SweepBench {
+  double compiled_us = 0.0;
+  double runtime_us = 0.0;
+  double speedup = 0.0;
+  bool took_both_paths = false;
+  bool identical = false;
+  std::uint64_t allocs_per_call = 0;
+};
+
+// The mb8 site network takes the compiled (6, 2) sweep. Appending a delay
+// center with zero demand everywhere makes it (7, 2), a runtime-sized
+// network, without changing any value: each chain's total gains a final
+// + 0.0, and x + 0.0 == x for the residences, which are >= 0. Interleaved
+// reps with a median pick, as in the batch bench.
+SweepBench BenchCompiledSweep() {
+  using namespace carat::qn;
+  const ClosedNetwork compiled_net = carat::bench::MakeMb8SiteNetwork();
+  ClosedNetwork runtime_net = compiled_net;
+  runtime_net.AddCenter("ZERO", CenterKind::kDelay);
+  MvaWorkspace compiled_ws, runtime_ws;
+
+  SweepBench out;
+  ExactMvaInPlace(compiled_net, &compiled_ws);
+  ExactMvaInPlace(runtime_net, &runtime_ws);
+  out.took_both_paths = compiled_ws.exact_sweep == ExactSweep::kCompiled6x2 &&
+                        runtime_ws.exact_sweep == ExactSweep::kRuntime;
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  out.identical = same(compiled_ws.solution.throughput,
+                       runtime_ws.solution.throughput) &&
+                  same(compiled_ws.solution.response_time,
+                       runtime_ws.solution.response_time);
+
+  constexpr int kReps = 9;
+  constexpr int kCallsPerRep = 200;
+  std::vector<double> compiled_us, runtime_us, ratios;
+  compiled_us.reserve(kReps);
+  runtime_us.reserve(kReps);
+  ratios.reserve(kReps);
+  const std::uint64_t allocs_before =
+      g_allocations.load(std::memory_order_relaxed);
+  for (int rep = 0; rep < kReps; ++rep) {
+    Clock::time_point start = Clock::now();
+    for (int i = 0; i < kCallsPerRep; ++i)
+      ExactMvaInPlace(compiled_net, &compiled_ws);
+    const double compiled_ms = ElapsedMs(start);
+    start = Clock::now();
+    for (int i = 0; i < kCallsPerRep; ++i)
+      ExactMvaInPlace(runtime_net, &runtime_ws);
+    const double runtime_ms = ElapsedMs(start);
+    compiled_us.push_back(compiled_ms * 1000.0 / kCallsPerRep);
+    runtime_us.push_back(runtime_ms * 1000.0 / kCallsPerRep);
+    ratios.push_back(compiled_ms > 0.0 ? runtime_ms / compiled_ms : 0.0);
+  }
+  // Rounded up, so that any allocation in the timed calls fails the gate.
+  constexpr std::uint64_t kCalls = 2 * kReps * kCallsPerRep;
+  out.allocs_per_call = (g_allocations.load(std::memory_order_relaxed) -
+                         allocs_before + kCalls - 1) /
+                        kCalls;
+  const auto median = [](std::vector<double>* v) {
+    std::sort(v->begin(), v->end());
+    return (*v)[v->size() / 2];
+  };
+  out.compiled_us = median(&compiled_us);
+  out.runtime_us = median(&runtime_us);
+  out.speedup = median(&ratios);
+  return out;
+}
+
 template <typename Solve>
 MvaBench BenchMva(const Solve& solve, int iterations) {
   MvaBench out;
@@ -399,6 +481,9 @@ int main(int argc, char** argv) {
   // ---- Lockstep batch vs scalar Schweitzer (gate armed on every host). -----
   const BatchBench batch = BenchBatchSchweitzer();
 
+  // ---- Compiled vs runtime-sized exact sweep (gate armed on every host). ---
+  const SweepBench sweep = BenchCompiledSweep();
+
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -442,6 +527,16 @@ int main(int argc, char** argv) {
                "    \"speedup_gate_armed\": true,\n"
                "    \"bit_identical\": %s,\n"
                "    \"allocs_per_call_warm\": %llu\n"
+               "  },\n"
+               "  \"exact_mva_compiled_sweep\": {\n"
+               "    \"network\": \"mb8 site, 6 chains x population 2\",\n"
+               "    \"compiled_us\": %.2f,\n"
+               "    \"runtime_us\": %.2f,\n"
+               "    \"speedup\": %.3f,\n"
+               "    \"speedup_gate_armed\": true,\n"
+               "    \"took_both_paths\": %s,\n"
+               "    \"identical_throughput\": %s,\n"
+               "    \"allocs_per_call_warm\": %llu\n"
                "  }\n"
                "}\n",
                hw, jobs, kSweepReps, serial_ms, parallel_ms, speedup,
@@ -457,7 +552,11 @@ int main(int argc, char** argv) {
                carat::qn::MvaCompiledSimdDoubleLanes(),
                batch.scalar_solves_per_s, batch.batch_solves_per_s,
                batch.speedup, batch.bit_identical ? "true" : "false",
-               static_cast<unsigned long long>(batch.batch_allocs_per_call));
+               static_cast<unsigned long long>(batch.batch_allocs_per_call),
+               sweep.compiled_us, sweep.runtime_us, sweep.speedup,
+               sweep.took_both_paths ? "true" : "false",
+               sweep.identical ? "true" : "false",
+               static_cast<unsigned long long>(sweep.allocs_per_call));
   std::fclose(f);
 
   std::printf(
@@ -487,6 +586,13 @@ int main(int argc, char** argv) {
       batch.batch_solves_per_s, batch.speedup,
       batch.bit_identical ? "yes" : "NO",
       static_cast<unsigned long long>(batch.batch_allocs_per_call));
+  std::printf(
+      "exact MVA sweep (mb8 site network, 1 thread): compiled %.2f us, "
+      "runtime-sized %.2f us, speedup %.2fx, both paths=%s, identical=%s, "
+      "%llu allocs/call\n",
+      sweep.compiled_us, sweep.runtime_us, sweep.speedup,
+      sweep.took_both_paths ? "yes" : "NO", sweep.identical ? "yes" : "NO",
+      static_cast<unsigned long long>(sweep.allocs_per_call));
   if (!identical) return 1;
   if (exact.allocs_per_call != 0 || approx.allocs_per_call != 0 ||
       exact_batch.allocs_per_call != 0) {
@@ -511,6 +617,23 @@ int main(int argc, char** argv) {
   }
   if (batch.batch_allocs_per_call != 0) {
     std::fprintf(stderr, "FAIL: warm-workspace batch solve allocated\n");
+    return 1;
+  }
+  if (!sweep.took_both_paths || !sweep.identical) {
+    std::fprintf(stderr,
+                 "FAIL: compiled and runtime-sized exact sweeps did not both "
+                 "run with identical throughputs\n");
+    return 1;
+  }
+  if (sweep.allocs_per_call != 0) {
+    std::fprintf(stderr, "FAIL: warm-workspace exact sweep allocated\n");
+    return 1;
+  }
+  if (sweep.speedup < 1.5) {
+    std::fprintf(stderr,
+                 "FAIL: compiled exact sweep speedup %.2fx < 1.5x over the "
+                 "runtime-sized sweep\n",
+                 sweep.speedup);
     return 1;
   }
   if (batch.speedup < 2.0) {

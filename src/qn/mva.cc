@@ -63,6 +63,103 @@ bool JointLatticeStates(const ClosedNetwork& net, std::size_t limit,
   return true;
 }
 
+namespace {
+
+// ExactMvaInPlace's sweep over lattice states 1 .. num_states - 1, which
+// leaves the throughputs and residences at the full population in ws->x and
+// ws->residence. kM and kQ are the network's center and queueing-center
+// counts when fixed at compile time, or 0 when sized at run time: site
+// networks, whose shape model::BuildSiteNetworks fixes at 6 centers with 2
+// queueing (CPU, DISK), run <6, 2>, and every other network runs <0, 0>.
+// Fixed bounds let the compiler unroll the center loops and keep a state's
+// queue lengths in registers; the operations and their order are the same
+// in both, so both give the same bits. Chain k's residence at queueing
+// center qc[j] is its demand times (1 + the queue length at population
+// n - e_k); its total is summed from 0.0 over all centers in index order,
+// so the accumulation order is pinned (the batch kernels in mva_batch.cc
+// replay it per lane). A state's queue lengths are summed from 0.0 chain by
+// chain, k ascending; chain k reads only rows of smaller states, so its
+// term is added as soon as its throughput is known.
+//
+// Once per solve, each chain's residence row (a delay center's residence is
+// its demand at every population, so only the queueing entries change),
+// queueing demands and think time are copied into one contiguous block of
+// ws->chain_block. Expects ws->q's row 0 zeroed, ws->n zero and
+// ws->qcenters, dims and strides filled.
+template <std::size_t kM, std::size_t kQ>
+void SweepLattice(const ClosedNetwork& net, std::size_t num_states,
+                  MvaWorkspace* ws) {
+  const std::size_t num_centers = kM != 0 ? kM : net.centers.size();
+  const std::size_t num_queueing = kQ != 0 ? kQ : ws->qcenters.size();
+  const std::size_t think = num_centers + num_queueing;
+  const std::size_t width = think + 1;
+  const std::size_t num_chains = net.chains.size();
+  const std::size_t* qc = ws->qcenters.data();
+  ws->chain_block.resize(num_chains * width);
+  double* blocks = ws->chain_block.data();
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    const Chain& chain = net.chains[k];
+    double* b = blocks + k * width;
+    for (std::size_t m = 0; m < num_centers; ++m) b[m] = chain.demands[m];
+    for (std::size_t j = 0; j < num_queueing; ++j)
+      b[num_centers + j] = chain.demands[qc[j]];
+    b[think] = chain.think_time;
+  }
+
+  // The last state is the full population; a chain with population 0
+  // never steps, so its throughput stays 0.
+  ws->x.assign(num_chains, 0.0);
+  double* x = ws->x.data();
+  double* q = ws->q.data();
+  const std::size_t* dims = ws->dims.data();
+  const std::size_t* strides = ws->strides.data();
+  std::size_t* n = ws->n.data();
+  for (std::size_t state = 1; state < num_states; ++state) {
+    // Increment the mixed-radix counter.
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (++n[k] < dims[k]) break;
+      n[k] = 0;
+    }
+
+    // A fixed Q accumulates in registers, a run-time Q in the lattice row.
+    double* qhere = q + state * num_queueing;
+    double acc[kQ != 0 ? kQ : 1];
+    double* sum = kQ != 0 ? acc : qhere;
+    for (std::size_t j = 0; j < num_queueing; ++j) sum[j] = 0.0;
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (n[k] == 0) continue;
+      double* b = blocks + k * width;
+      const double* qprev = q + (state - strides[k]) * num_queueing;
+      for (std::size_t j = 0; j < num_queueing; ++j)
+        b[qc[j]] = b[num_centers + j] * (1.0 + qprev[j]);
+      double total = 0.0;
+      for (std::size_t m = 0; m < num_centers; ++m) total += b[m];
+      const double denom = b[think] + total;
+      // Chains with zero total demand and zero think contribute nothing.
+      const double xk = denom > 0.0 ? static_cast<double>(n[k]) / denom : 0.0;
+      for (std::size_t j = 0; j < num_queueing; ++j) sum[j] += xk * b[qc[j]];
+      if (state == num_states - 1) x[k] = xk;
+    }
+    if constexpr (kQ != 0) {
+      for (std::size_t j = 0; j < num_queueing; ++j) qhere[j] = acc[j];
+    }
+  }
+
+  // Every chain with a nonzero population stepped at the last state, so its
+  // block holds its residences at the full population.
+  ws->residence.resize(num_chains * num_centers);
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    double* res = ws->residence.data() + k * num_centers;
+    if (net.chains[k].population == 0) {
+      std::fill_n(res, num_centers, 0.0);
+    } else {
+      std::copy_n(blocks + k * width, num_centers, res);
+    }
+  }
+}
+
+}  // namespace
+
 bool ExactMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
                      std::size_t max_states, std::string* error) {
   if (!net.Validate(error)) return false;
@@ -89,7 +186,6 @@ bool ExactMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
   }
   FillQueueingCenters(net, &ws->qcenters);
   const std::size_t num_queueing = ws->qcenters.size();
-  const std::size_t* qc = ws->qcenters.data();
 
   // q[state * num_queueing + j] = mean queue length at queueing center
   // qc[j] for the population vector encoded by `state`. A delay center's
@@ -100,87 +196,14 @@ bool ExactMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
   ws->q.resize(num_states * num_queueing);
   std::fill_n(ws->q.begin(), num_queueing, 0.0);
   ws->n.assign(num_chains, 0);
-  ws->x.resize(num_chains);
-  ws->residence.resize(num_chains * num_centers);
-  double* q = ws->q.data();
-  double* x = ws->x.data();
-  double* residence = ws->residence.data();
-  std::size_t* n = ws->n.data();
 
-  // Residence of chain k at every queueing center given the lattice row
-  // `qprev` of population n - e_k; returns the chain's throughput at
-  // population `pop`. The total is summed sequentially over all centers, so
-  // the accumulation order is pinned (lowest center first). The batch
-  // kernels (mva_batch.cc) replay the same order per lane, which is what
-  // makes batch solves bit-identical to this scalar path.
-  const auto chain_step = [&](std::size_t k, const double* qprev, double pop) {
-    const Chain& chain = net.chains[k];
-    const double* demands = chain.demands.data();
-    double* res = residence + k * num_centers;
-    for (std::size_t j = 0; j < num_queueing; ++j) {
-      res[qc[j]] = demands[qc[j]] * (1.0 + qprev[j]);
-    }
-    double total = 0.0;
-    for (std::size_t m = 0; m < num_centers; ++m) total += res[m];
-    const double denom = chain.think_time + total;
-    // Chains with zero total demand and zero think contribute nothing.
-    return denom > 0.0 ? pop / denom : 0.0;
-  };
-
-  // A delay center's residence is its demand at every population, so it is
-  // written once here; chain_step rewrites only the queueing centers'.
-  for (std::size_t k = 0; k < num_chains; ++k) {
-    const double* demands = net.chains[k].demands.data();
-    for (std::size_t m = 0; m < num_centers; ++m)
-      residence[k * num_centers + m] = demands[m];
-  }
-
-  for (std::size_t state = 1; state < num_states; ++state) {
-    // Increment the mixed-radix counter.
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (++n[k] < ws->dims[k]) break;
-      n[k] = 0;
-    }
-
-    // Queue lengths accumulate chain by chain, k ascending from 0.0. Chain
-    // k reads only rows of smaller states, so each chain's term can be
-    // added as soon as its throughput is known.
-    double* qhere = q + state * num_queueing;
-    for (std::size_t j = 0; j < num_queueing; ++j) qhere[j] = 0.0;
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (n[k] == 0) continue;
-      const double xk =
-          chain_step(k, q + (state - ws->strides[k]) * num_queueing,
-                     static_cast<double>(n[k]));
-      const double* res = residence + k * num_centers;
-      for (std::size_t j = 0; j < num_queueing; ++j) {
-        qhere[j] += xk * res[qc[j]];
-      }
-    }
-  }
-
-  // Recompute residence at the full population (the loop leaves residence[k]
-  // from the last state visited, which is the full population when
-  // num_states > 1; handle the trivial empty network explicitly).
-  if (num_states == 1) {
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      x[k] = 0.0;
-      for (std::size_t m = 0; m < num_centers; ++m)
-        residence[k * num_centers + m] = 0.0;
-    }
+  // The shape picks the instantiation (see SweepLattice).
+  if (num_centers == 6 && num_queueing == 2) {
+    SweepLattice<6, 2>(net, num_states, ws);
+    ws->exact_sweep = ExactSweep::kCompiled6x2;
   } else {
-    const std::size_t full = num_states - 1;
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      const Chain& chain = net.chains[k];
-      if (chain.population == 0) {
-        x[k] = 0.0;
-        for (std::size_t m = 0; m < num_centers; ++m)
-          residence[k * num_centers + m] = 0.0;
-        continue;
-      }
-      x[k] = chain_step(k, q + (full - ws->strides[k]) * num_queueing,
-                        chain.population);
-    }
+    SweepLattice<0, 0>(net, num_states, ws);
+    ws->exact_sweep = ExactSweep::kRuntime;
   }
 
   FinishSolution(net, ws->x, ws->residence, &ws->solution);

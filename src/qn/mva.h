@@ -7,6 +7,11 @@
 // queue-length work is O(K * Q * prod_k (N_k + 1)) for K chains, plus the
 // per-chain residence sums over all M centers. The CARAT site models have
 // at most six chains with populations <= 4 and Q <= 3, so this is tiny.
+// The lattice sweep is compiled for the shape model::BuildSiteNetworks
+// builds, M = 6 centers with Q = 2 queueing (CPU, DISK), wherever the
+// queueing centers sit. Every other network, a site with a separate log
+// disk included, runs the same sweep sized at run time. Only the loop
+// bounds differ and no sum is reordered, so both paths give the same bits.
 // SchweitzerMva implements the Schweitzer-Bard fixed-point approximation for
 // larger populations; the model solver falls back to it automatically above
 // a state-count threshold.
@@ -17,7 +22,7 @@
 //  - the *InPlace functions write into a caller-owned MvaWorkspace and
 //    perform zero heap allocation once the workspace has warmed up to the
 //    network's shape. The model solver calls them once per site per
-//    fixed-point iteration (a cold solve takes about 37 iterations), so the
+//    fixed-point iteration (a cold solve takes about 14 iterations), so the
 //    hot path reuses one workspace per site.
 
 #ifndef CARAT_QN_MVA_H_
@@ -40,6 +45,13 @@ struct MvaResult {
   int iterations = 0;
 };
 
+/// The lattice sweep an exact solve ran (see the file comment).
+enum class ExactSweep {
+  kNone,         ///< no exact solve yet
+  kRuntime,      ///< sized at run time: any network
+  kCompiled6x2,  ///< compiled: 6 centers, 2 of them queueing
+};
+
 /// Reusable buffers for the in-place solvers. All vectors grow to the
 /// largest network shape seen and are then reused; repeated solves of
 /// same-shaped (or smaller) networks allocate nothing.
@@ -51,6 +63,10 @@ struct MvaWorkspace {
   /// an exact solve).
   int iterations = 0;
 
+  /// The lattice sweep of the most recent exact solve; Schweitzer solves
+  /// leave it alone. Lets tests and benchmarks check a network's path.
+  ExactSweep exact_sweep = ExactSweep::kNone;
+
   /// Per-(chain, center) mean queue lengths from the last Schweitzer solve,
   /// flattened as `chain * num_centers + center`. Retained across calls so
   /// `warm_start = true` resumes the fixed point from the previous solution
@@ -61,10 +77,11 @@ struct MvaWorkspace {
   // per-chain throughputs, flattened per-(chain, center) residence times, the
   // per-center queueing multiplier mask of the Schweitzer sweep (1.0 for
   // queueing centers, 0.0 for delay centers, which hoists the CenterKind
-  // branch out of the inner loops), per-center queue totals, the indices of
-  // the queueing centers (the exact lattice's columns), and the mixed-radix
-  // counters of the exact recursion.
-  std::vector<double> q, x, residence, qmul, qsum;
+  // branch out of the inner loops), per-center queue totals, the exact
+  // sweep's per-chain blocks (residence row, queueing demands, think time),
+  // the indices of the queueing centers (the exact lattice's
+  // columns), and the mixed-radix counters of the exact recursion.
+  std::vector<double> q, x, residence, qmul, qsum, chain_block;
   std::vector<std::size_t> qcenters, dims, strides, n;
 };
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -500,6 +501,93 @@ TEST(ExactMvaReference, ScalarKernelMatchesFullLatticeBitForBit) {
         << "trial " << trial << " (" << states << " states)";
   }
   EXPECT_GE(largest, 5000u);
+}
+
+// Where a network puts its queueing centers.
+enum class QueueingPlace { kFirst, kLast, kAlternating, kRandom };
+
+// `num_centers` centers, `num_queueing` of them queueing, placed by `place`.
+std::vector<CenterKind> MakeKinds(std::size_t num_centers,
+                                  std::size_t num_queueing, QueueingPlace place,
+                                  util::Rng* rng) {
+  std::vector<CenterKind> kinds(num_centers, CenterKind::kDelay);
+  std::vector<std::size_t> slots;
+  switch (place) {
+    case QueueingPlace::kFirst:
+      for (std::size_t j = 0; j < num_queueing; ++j) slots.push_back(j);
+      break;
+    case QueueingPlace::kLast:
+      for (std::size_t j = 0; j < num_queueing; ++j)
+        slots.push_back(num_centers - 1 - j);
+      break;
+    case QueueingPlace::kAlternating:
+      for (std::size_t j = 0; j < num_queueing; ++j) slots.push_back(2 * j + 1);
+      break;
+    case QueueingPlace::kRandom:
+      while (slots.size() < num_queueing) {
+        const std::size_t m = rng->NextBounded(num_centers);
+        if (std::find(slots.begin(), slots.end(), m) == slots.end())
+          slots.push_back(m);
+      }
+      break;
+  }
+  for (std::size_t m : slots) kinds[m] = CenterKind::kQueueing;
+  return kinds;
+}
+
+TEST(ExactMvaReference, CompiledSweepMatchesFullLatticeBitForBit) {
+  struct Shape {
+    std::size_t centers, queueing;
+    ExactSweep sweep;
+  };
+  // The compiled site shape, and same-size shapes that must take the
+  // runtime-sized sweep: (7, 3) is a site with a separate log disk.
+  const Shape shapes[] = {{6, 2, ExactSweep::kCompiled6x2},
+                          {6, 3, ExactSweep::kRuntime},
+                          {7, 2, ExactSweep::kRuntime},
+                          {7, 3, ExactSweep::kRuntime}};
+  constexpr QueueingPlace kPlaces[] = {
+      QueueingPlace::kFirst, QueueingPlace::kLast, QueueingPlace::kAlternating,
+      QueueingPlace::kRandom};
+  util::Rng rng(20261017);
+  // One workspace across every network: blocks and lattice rows left by a
+  // larger or differently shaped solve must never be read.
+  MvaWorkspace ws;
+  int runs[3] = {0, 0, 0};  // indexed by ExactSweep
+  for (const Shape& shape : shapes) {
+    for (QueueingPlace place : kPlaces) {
+      for (std::size_t chains = 1; chains <= 6; ++chains) {
+        for (int rep = 0; rep < 3; ++rep) {
+          RandomShape rs;
+          rs.kinds = MakeKinds(shape.centers, shape.queueing, place, &rng);
+          // Populations 0..4 at random; rep 1 gives every chain
+          // chains % 5, so 5 chains are all empty (a one-state lattice).
+          for (std::size_t k = 0; k < chains; ++k) {
+            rs.populations.push_back(
+                rep == 1 ? static_cast<int>(chains % 5)
+                         : static_cast<int>(rng.NextBounded(5)));
+          }
+          ClosedNetwork net = MakeRandomNetwork(rs, &rng);
+          // A chain with zero demand everywhere and zero think time.
+          if (rep == 2) {
+            Chain& idle = net.chains[rng.NextBounded(chains)];
+            idle.think_time = 0.0;
+            std::fill(idle.demands.begin(), idle.demands.end(), 0.0);
+          }
+          std::string err;
+          ASSERT_TRUE(ExactMvaInPlace(net, &ws, 1u << 22, &err)) << err;
+          EXPECT_EQ(ws.exact_sweep, shape.sweep);
+          ++runs[static_cast<int>(ws.exact_sweep)];
+          EXPECT_TRUE(SameSolutionBits(ws.solution, ReferenceExactMva(net)))
+              << shape.centers << " centers, " << shape.queueing
+              << " queueing, " << chains << " chains, rep " << rep;
+        }
+      }
+    }
+  }
+  // Both paths ran: 4 placements x 6 chain counts x 3 reps per shape.
+  EXPECT_EQ(runs[static_cast<int>(ExactSweep::kCompiled6x2)], 72);
+  EXPECT_EQ(runs[static_cast<int>(ExactSweep::kRuntime)], 216);
 }
 
 TEST(ExactMvaReference, BatchKernelMatchesFullLatticeBitForBit) {
