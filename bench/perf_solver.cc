@@ -4,17 +4,10 @@
 //      serially vs. on the exec::ThreadPool, as medians of 5 interleaved
 //      pairs, asserting every run is numerically identical to the first
 //      serial one, and
-//   2. the exact / Schweitzer MVA hot path with a reused MvaWorkspace, and
-//      the 8-lane exact batch kernel with a reused BatchMvaWorkspace,
+//   2. the exact / Schweitzer MVA hot path with a reused MvaWorkspace,
 //      counting heap allocations per call via a global operator-new hook
 //      (must be zero once the workspace is warm), and
-//   3. the lockstep SoA batch Schweitzer kernel against the scalar kernel on
-//      the same scenarios: 8 lanes of a representative site network with
-//      per-lane demand skews, measured as interleaved medians to shrug off
-//      shared-host noise. The batch must be bit-identical per lane AND at
-//      least 2x the scalar solve rate — this gate is armed on every host
-//      (single-core included: the win is SIMD lanes, not threads), and
-//   4. the exact kernel's compiled lattice sweep against its runtime-sized
+//   3. the exact kernel's compiled lattice sweep against its runtime-sized
 //      one, single-threaded: the mb8 site network (6 centers, 2 queueing)
 //      as it is, and with one zero-demand delay center appended, which
 //      sends it down the runtime-sized sweep without changing a bit. The
@@ -26,8 +19,7 @@
 //
 // Note: the thread-sweep speedup is bounded by the host's core count; its
 // gate (>= 1.5x) arms only when the host has >= 4 hardware threads. The
-// batch-vs-scalar and compiled-sweep gates are thread-independent and
-// always armed.
+// compiled-sweep gate is thread-independent and always armed.
 
 #include <atomic>
 #include <chrono>
@@ -45,7 +37,6 @@
 #include "mb8_site_network.h"
 #include "model/solver.h"
 #include "qn/mva.h"
-#include "qn/mva_batch.h"
 #include "workload/spec.h"
 
 // ---- Global allocation counter ---------------------------------------------
@@ -158,115 +149,6 @@ struct MvaBench {
   std::uint64_t allocs_per_call = 0;
 };
 
-// ---- Lockstep batch vs scalar Schweitzer. ----------------------------------
-
-struct BatchBench {
-  double scalar_solves_per_s = 0.0;
-  double batch_solves_per_s = 0.0;
-  double speedup = 0.0;
-  bool bit_identical = false;
-  std::uint64_t batch_allocs_per_call = 0;
-};
-
-bool SameSolutionBits(const carat::qn::Solution& a,
-                      const carat::qn::Solution& b) {
-  auto same = [](const std::vector<double>& x, const std::vector<double>& y) {
-    return x.size() == y.size() &&
-           (x.empty() ||
-            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
-  };
-  if (!(same(a.throughput, b.throughput) &&
-        same(a.response_time, b.response_time) &&
-        same(a.queue_length, b.queue_length) &&
-        same(a.utilization, b.utilization))) {
-    return false;
-  }
-  if (a.residence.size() != b.residence.size()) return false;
-  for (std::size_t k = 0; k < a.residence.size(); ++k) {
-    if (!same(a.residence[k], b.residence[k])) return false;
-  }
-  return true;
-}
-
-// W lanes of the representative site network with per-lane demand skews
-// (the serving layer's sweep pattern: same shape, different parameters).
-// Cold Schweitzer solves on both paths; interleaved reps with a median pick
-// so a noisy neighbor on a shared host cannot flip the comparison.
-BatchBench BenchBatchSchweitzer() {
-  using namespace carat::qn;
-  constexpr std::size_t kLanes = kMvaBatchLaneWidth;
-  std::vector<ClosedNetwork> nets;
-  std::vector<const ClosedNetwork*> ptrs;
-  for (std::size_t w = 0; w < kLanes; ++w) {
-    nets.push_back(MakeSiteNetwork(/*population=*/64));
-    for (Chain& chain : nets.back().chains) {
-      for (double& d : chain.demands) d *= 1.0 + 0.03 * w;
-    }
-  }
-  for (const ClosedNetwork& net : nets) ptrs.push_back(&net);
-
-  std::vector<MvaWorkspace> scalar_ws(kLanes);
-  BatchMvaWorkspace batch_ws;
-
-  const auto scalar_pass = [&] {
-    for (std::size_t w = 0; w < kLanes; ++w) {
-      SchweitzerMvaInPlace(nets[w], &scalar_ws[w], /*tolerance=*/1e-9,
-                           /*max_iterations=*/10000, /*warm_start=*/false);
-    }
-  };
-  const auto batch_pass = [&] {
-    SchweitzerMvaBatchInPlace(ptrs.data(), kLanes, &batch_ws,
-                              /*tolerance=*/1e-9, /*max_iterations=*/10000,
-                              /*warm_start=*/false);
-  };
-
-  BatchBench out;
-  // Warm the workspaces, then verify per-lane bit-identity (all Solution
-  // fields and iteration counts) before timing anything.
-  scalar_pass();
-  batch_pass();
-  out.bit_identical = true;
-  for (std::size_t w = 0; w < kLanes; ++w) {
-    out.bit_identical =
-        out.bit_identical &&
-        SameSolutionBits(scalar_ws[w].solution, batch_ws.solutions[w]) &&
-        scalar_ws[w].iterations == batch_ws.iterations[w];
-  }
-
-  const std::uint64_t allocs_before =
-      g_allocations.load(std::memory_order_relaxed);
-  batch_pass();
-  out.batch_allocs_per_call =
-      g_allocations.load(std::memory_order_relaxed) - allocs_before;
-
-  constexpr int kReps = 9;
-  constexpr int kCallsPerRep = 300;
-  std::vector<double> scalar_rates, batch_rates, ratios;
-  for (int rep = 0; rep < kReps; ++rep) {
-    Clock::time_point start = Clock::now();
-    for (int i = 0; i < kCallsPerRep; ++i) scalar_pass();
-    const double scalar_ms = ElapsedMs(start);
-    start = Clock::now();
-    for (int i = 0; i < kCallsPerRep; ++i) batch_pass();
-    const double batch_ms = ElapsedMs(start);
-    const double solves = static_cast<double>(kCallsPerRep) * kLanes;
-    scalar_rates.push_back(scalar_ms > 0.0 ? solves / scalar_ms * 1000.0
-                                           : 0.0);
-    batch_rates.push_back(batch_ms > 0.0 ? solves / batch_ms * 1000.0 : 0.0);
-    ratios.push_back(scalar_ms > 0.0 && batch_ms > 0.0
-                         ? scalar_ms / batch_ms
-                         : 0.0);
-  }
-  const auto median = [](std::vector<double>* v) {
-    std::sort(v->begin(), v->end());
-    return (*v)[v->size() / 2];
-  };
-  out.scalar_solves_per_s = median(&scalar_rates);
-  out.batch_solves_per_s = median(&batch_rates);
-  out.speedup = median(&ratios);
-  return out;
-}
-
 // ---- Compiled exact sweep vs the runtime-sized sweep. ----------------------
 
 struct SweepBench {
@@ -282,7 +164,8 @@ struct SweepBench {
 // center with zero demand everywhere makes it (7, 2), a runtime-sized
 // network, without changing any value: each chain's total gains a final
 // + 0.0, and x + 0.0 == x for the residences, which are >= 0. Interleaved
-// reps with a median pick, as in the batch bench.
+// reps with a median pick, so a noisy neighbor on a shared host cannot flip
+// the comparison.
 SweepBench BenchCompiledSweep() {
   using namespace carat::qn;
   const ClosedNetwork compiled_net = carat::bench::MakeMb8SiteNetwork();
@@ -392,7 +275,7 @@ int main(int argc, char** argv) {
   // ---- End-to-end sweep, serial vs. parallel. ------------------------------
   // One sweep takes only tens of milliseconds, so a single noisy sample can
   // flip the gate: interleave kSweepReps serial/parallel pairs and take
-  // medians, like the batch gate below. Every repetition must reproduce the
+  // medians, like the compiled-sweep gate below. Every repetition must reproduce the
   // first serial sweep bit for bit.
   constexpr int kSweepReps = 5;
   std::vector<double> serial_times, parallel_times, sweep_ratios;
@@ -449,38 +332,6 @@ int main(int argc, char** argv) {
       },
       2000);
 
-  // 8 lanes of the exact network with per-lane demand skews through the
-  // lockstep exact kernel; reported per lane solve, and each lane must match
-  // the scalar kernel bit for bit.
-  constexpr std::size_t kExactLanes = carat::qn::kMvaBatchLaneWidth;
-  std::vector<carat::qn::ClosedNetwork> exact_nets(kExactLanes, exact_net);
-  std::vector<const carat::qn::ClosedNetwork*> exact_ptrs;
-  for (std::size_t w = 0; w < kExactLanes; ++w) {
-    for (carat::qn::Chain& chain : exact_nets[w].chains) {
-      for (double& d : chain.demands) d *= 1.0 + 0.03 * w;
-    }
-    exact_ptrs.push_back(&exact_nets[w]);
-  }
-  carat::qn::BatchMvaWorkspace exact_batch_ws;
-  MvaBench exact_batch = BenchMva(
-      [&] {
-        carat::qn::ExactMvaBatchInPlace(exact_ptrs.data(), kExactLanes,
-                                        &exact_batch_ws);
-      },
-      500);
-  exact_batch.solves_per_s *= kExactLanes;
-  bool exact_batch_identical = true;
-  for (std::size_t w = 0; w < kExactLanes; ++w) {
-    carat::qn::MvaWorkspace lane_ws;
-    carat::qn::ExactMvaInPlace(exact_nets[w], &lane_ws);
-    exact_batch_identical =
-        exact_batch_identical &&
-        SameSolutionBits(lane_ws.solution, exact_batch_ws.solutions[w]);
-  }
-
-  // ---- Lockstep batch vs scalar Schweitzer (gate armed on every host). -----
-  const BatchBench batch = BenchBatchSchweitzer();
-
   // ---- Compiled vs runtime-sized exact sweep (gate armed on every host). ---
   const SweepBench sweep = BenchCompiledSweep();
 
@@ -508,24 +359,8 @@ int main(int argc, char** argv) {
                "    \"solves_per_s\": %.1f,\n"
                "    \"allocs_per_call_warm\": %llu\n"
                "  },\n"
-               "  \"exact_mva_batch\": {\n"
-               "    \"lane_width\": %zu,\n"
-               "    \"solves_per_s_per_lane\": %.1f,\n"
-               "    \"bit_identical\": %s,\n"
-               "    \"allocs_per_call_warm\": %llu\n"
-               "  },\n"
                "  \"schweitzer_mva_workspace\": {\n"
                "    \"solves_per_s\": %.1f,\n"
-               "    \"allocs_per_call_warm\": %llu\n"
-               "  },\n"
-               "  \"batch_schweitzer\": {\n"
-               "    \"lane_width\": %zu,\n"
-               "    \"simd_double_lanes\": %zu,\n"
-               "    \"scalar_solves_per_s\": %.1f,\n"
-               "    \"batch_solves_per_s\": %.1f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"speedup_gate_armed\": true,\n"
-               "    \"bit_identical\": %s,\n"
                "    \"allocs_per_call_warm\": %llu\n"
                "  },\n"
                "  \"exact_mva_compiled_sweep\": {\n"
@@ -543,16 +378,8 @@ int main(int argc, char** argv) {
                sweep_gate_armed ? "true" : "false",
                identical ? "true" : "false", exact.solves_per_s,
                static_cast<unsigned long long>(exact.allocs_per_call),
-               kExactLanes, exact_batch.solves_per_s,
-               exact_batch_identical ? "true" : "false",
-               static_cast<unsigned long long>(exact_batch.allocs_per_call),
                approx.solves_per_s,
                static_cast<unsigned long long>(approx.allocs_per_call),
-               static_cast<std::size_t>(carat::qn::kMvaBatchLaneWidth),
-               carat::qn::MvaCompiledSimdDoubleLanes(),
-               batch.scalar_solves_per_s, batch.batch_solves_per_s,
-               batch.speedup, batch.bit_identical ? "true" : "false",
-               static_cast<unsigned long long>(batch.batch_allocs_per_call),
                sweep.compiled_us, sweep.runtime_us, sweep.speedup,
                sweep.took_both_paths ? "true" : "false",
                sweep.identical ? "true" : "false",
@@ -568,24 +395,9 @@ int main(int argc, char** argv) {
               exact.solves_per_s,
               static_cast<unsigned long long>(exact.allocs_per_call));
   std::printf(
-      "exact MVA batch (%zu lanes, warm workspace): %.0f lane solves/s, "
-      "identical=%s, %llu allocs/call\n",
-      kExactLanes, exact_batch.solves_per_s,
-      exact_batch_identical ? "yes" : "NO",
-      static_cast<unsigned long long>(exact_batch.allocs_per_call));
-  std::printf(
       "schweitzer MVA (warm workspace): %.0f solves/s, %llu allocs/call\n",
       approx.solves_per_s,
       static_cast<unsigned long long>(approx.allocs_per_call));
-  std::printf(
-      "batch schweitzer (%zu lanes, %zu simd double lanes): scalar %.0f "
-      "solves/s, batch %.0f solves/s, speedup %.2fx, identical=%s, "
-      "%llu allocs/call\n",
-      static_cast<std::size_t>(carat::qn::kMvaBatchLaneWidth),
-      carat::qn::MvaCompiledSimdDoubleLanes(), batch.scalar_solves_per_s,
-      batch.batch_solves_per_s, batch.speedup,
-      batch.bit_identical ? "yes" : "NO",
-      static_cast<unsigned long long>(batch.batch_allocs_per_call));
   std::printf(
       "exact MVA sweep (mb8 site network, 1 thread): compiled %.2f us, "
       "runtime-sized %.2f us, speedup %.2fx, both paths=%s, identical=%s, "
@@ -594,8 +406,7 @@ int main(int argc, char** argv) {
       sweep.took_both_paths ? "yes" : "NO", sweep.identical ? "yes" : "NO",
       static_cast<unsigned long long>(sweep.allocs_per_call));
   if (!identical) return 1;
-  if (exact.allocs_per_call != 0 || approx.allocs_per_call != 0 ||
-      exact_batch.allocs_per_call != 0) {
+  if (exact.allocs_per_call != 0 || approx.allocs_per_call != 0) {
     std::fprintf(stderr, "FAIL: warm-workspace MVA solve allocated\n");
     return 1;
   }
@@ -604,19 +415,6 @@ int main(int argc, char** argv) {
                  "FAIL: sweep speedup %.2fx < 1.5x with %u hardware "
                  "threads\n",
                  speedup, hw);
-    return 1;
-  }
-  if (!exact_batch_identical) {
-    std::fprintf(stderr,
-                 "FAIL: exact batch lanes not bit-identical to scalar\n");
-    return 1;
-  }
-  if (!batch.bit_identical) {
-    std::fprintf(stderr, "FAIL: batch lanes not bit-identical to scalar\n");
-    return 1;
-  }
-  if (batch.batch_allocs_per_call != 0) {
-    std::fprintf(stderr, "FAIL: warm-workspace batch solve allocated\n");
     return 1;
   }
   if (!sweep.took_both_paths || !sweep.identical) {
@@ -634,13 +432,6 @@ int main(int argc, char** argv) {
                  "FAIL: compiled exact sweep speedup %.2fx < 1.5x over the "
                  "runtime-sized sweep\n",
                  sweep.speedup);
-    return 1;
-  }
-  if (batch.speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: batch speedup %.2fx < 2.0x at lane width %zu\n",
-                 batch.speedup,
-                 static_cast<std::size_t>(carat::qn::kMvaBatchLaneWidth));
     return 1;
   }
   return 0;

@@ -21,7 +21,7 @@ std::vector<SweepPoint> RunSweep(
   for (const int n : sizes) inputs.push_back(make(n).ToModelInput());
 
   // Model side: one non-blocking batch submission through the solving
-  // service. The sweep's same-shape points solve in lockstep SoA blocks
+  // service. The sweep's same-shape points solve in lockstep blocks
   // (SubmitBatch groups by shape), which is bit-identical per point to a
   // plain CaratModel::Solve() — warm starting stays off so every solve is
   // cold — while the service still deduplicates repeated sizes via its

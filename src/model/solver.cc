@@ -12,7 +12,8 @@
 #include "model/phases.h"
 #include "model/transition.h"
 #include "model/yao.h"
-#include "qn/mva_batch.h"
+#include "qn/mva.h"
+#include "qn/network.h"
 
 namespace carat::model {
 
@@ -55,9 +56,8 @@ struct SiteState {
 };
 
 // Per-site MVA network of one lane, built once per shape and updated in
-// place each fixed-point iteration (only the chain demands change). The MVA
-// workspace is the unit's qn::BatchMvaWorkspace in the arena, shared by the
-// lanes.
+// place each fixed-point iteration (only the chain demands change). Its MVA
+// workspace is the lane's own qn::MvaWorkspace for the unit in the arena.
 struct SiteNetwork {
   qn::ClosedNetwork net;
   std::size_t cpu = 0, disk = 0, log_disk = 0;
@@ -385,11 +385,11 @@ void BuildShapeKey(const ModelInput& input, const ClassPartition& part,
 
 // ---- Fixed-point building blocks. -----------------------------------------
 // One scenario's solve is a sequence of these per-scenario steps plus the
-// per-site MVA solves. SolveBatchInto, the one driver, runs each step per
-// lane and the MVA solves across lanes through the batch kernels, so lane
-// w's floating-point op sequence is exactly a one-lane solve's — that (plus
-// the batch kernels' own bit-identity contract) is why a batch solve is
-// bit-identical per lane to SolveInto, which is the one-lane call.
+// per-site MVA solves. SolveBatchInto, the one solve loop, runs each step
+// and each MVA solve per lane, on that lane's own state and MVA workspaces,
+// so lane w's floating-point op sequence is exactly a one-lane solve's —
+// that is why a batch solve is bit-identical per lane to SolveInto, which
+// is the one-lane call.
 //
 // Every step takes `units`: the sites the fixed point actually iterates —
 // all of them flat, one representative per class when collapsing. Identical
@@ -471,21 +471,6 @@ void RefreshSolveState(const ModelInput& input,
     for (std::size_t k = 0; k < sn.chain_types.size(); ++k) {
       sn.net.chains[k].population = site.Class(sn.chain_types[k]).population;
       sn.net.chains[k].think_time = site.think_time_ms;
-    }
-  }
-}
-
-// Parks a batch lane that is not being solved (input validation or shape
-// mismatch) on a trivially solvable network: zero populations and demands
-// pass validation and solve to zero throughput, so the lane can keep riding
-// in the lockstep blocks without affecting its neighbors.
-void ZeroLaneNetworks(std::vector<SiteNetwork>* nets) {
-  for (SiteNetwork& sn : *nets) {
-    sn.buffer_hit_prob = 0.0;
-    for (qn::Chain& chain : sn.net.chains) {
-      chain.population = 0;
-      chain.think_time = 0.0;
-      std::fill(chain.demands.begin(), chain.demands.end(), 0.0);
     }
   }
 }
@@ -1243,9 +1228,9 @@ void ResetSolution(ModelSolution* out) {
 }  // namespace
 
 // Cross-solve state of SolveBatchInto: everything whose size depends only on
-// the shape and the lane count. Per-lane solve state plus the shared per-unit
-// MVA workspaces; lane w's column in site_ws[u] (scalar_ws[0] for one lane)
-// retains that lane's Schweitzer queue lengths across solves. `shape`
+// the shape and the lane count. Per-lane solve state plus one MVA workspace
+// per (unit, lane); site_ws[u * lanes + w] retains lane w's Schweitzer queue
+// lengths at unit u across solves. `shape`
 // records the signature the buffers were built for; the scratch strings are
 // persistent so re-deriving the signature of the next input allocates
 // nothing.
@@ -1271,15 +1256,18 @@ struct SolveArena::Impl {
   std::vector<std::size_t> units;
   std::vector<std::size_t> state_order;  // units in state-vector order
   ClassCoupling coupling;
-  std::vector<qn::BatchMvaWorkspace> site_ws;
-  // [unit * lanes + lane] network pointers handed to the batch kernels, and
-  // the per-unit outcome of the current iteration's MVA sweep.
-  std::vector<const qn::ClosedNetwork*> net_ptrs;
-  std::vector<unsigned char> site_ok;
+  // [unit * lanes + lane]: the lane's MVA workspace for the unit, and the
+  // error of its MVA solve in the current iteration (site_failed set).
+  std::vector<qn::MvaWorkspace> site_ws;
   std::vector<std::string> site_error;
-  // [unit * lanes + lane]: the lane's network for the unit failed
-  // validation this iteration (a demand overflowed) and was parked.
-  std::vector<unsigned char> lane_parked;
+  std::vector<unsigned char> site_failed;
+
+  // Drops lane w's retained Schweitzer queue lengths at every unit, so its
+  // next solve starts from the even-spread guess like a fresh arena's.
+  void InvalidateWarm(std::size_t w, std::size_t lanes) {
+    for (std::size_t i = w; i < site_ws.size(); i += lanes)
+      site_ws[i].qkm.clear();
+  }
 };
 
 SolveArena::SolveArena() : impl_(std::make_unique<Impl>()) {}
@@ -1357,12 +1345,11 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
   // ---- Per-lane validation and shape agreement. ----------------------------
   // Lane 0's shape (presence + class partition + collapse mode) defines the
   // block; a lane that fails input validation, has a malformed class spec or
-  // disagrees on shape is failed up front and parked on a zeroed network so
-  // the lockstep blocks stay rectangular. (The serving layer groups queries
-  // by SolveShapeKey, so mismatches never occur there.) The partition drives
-  // the class-aggregated coupling sums; with collapse_site_classes it also
-  // shrinks the solved set to one representative per class, expanded back
-  // after convergence.
+  // disagrees on shape is failed up front and never solved. (The serving
+  // layer groups queries by SolveShapeKey, so mismatches never occur
+  // there.) The partition drives the class-aggregated coupling sums; with
+  // collapse_site_classes it also shrinks the solved set to one
+  // representative per class, expanded back after convergence.
   const std::size_t num_sites = inputs[0]->sites.size();
   std::string spec_error;
   const bool spec_ok =
@@ -1446,15 +1433,9 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     BuildClassCoupling(*inputs[reference], ar.part, &ar.coupling);
     // Fresh workspaces: the retained queue lengths of another shape must
     // not leak into this one.
-    ar.site_ws.assign(num_units, qn::BatchMvaWorkspace{});
-  }
-  ar.net_ptrs.resize(num_units * lanes);
-  ar.site_ok.assign(num_units, 1);
-  ar.site_error.resize(num_units);
-  for (std::size_t u = 0; u < num_units; ++u) {
-    for (std::size_t w = 0; w < lanes; ++w) {
-      ar.net_ptrs[u * lanes + w] = &ar.lanes[w].nets[u].net;
-    }
+    ar.site_ws.assign(num_units * lanes, qn::MvaWorkspace{});
+    ar.site_error.resize(num_units * lanes);
+    ar.site_failed.resize(num_units * lanes);
   }
 
   // ---- Per-lane solve state, seeding and refresh. --------------------------
@@ -1465,7 +1446,7 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
   // under the Ethernet model and the retained per-site Schweitzer queue
   // lengths) from a neighbor's converged values. A cold lane drops its
   // retained queue lengths so its trajectory is bit-identical to a
-  // fresh-arena solve (the other lanes' columns keep theirs). Each lane's
+  // fresh-arena solve (the other lanes' workspaces keep theirs). Each lane's
   // accelerator then starts from the seeded (or zero) state; alpha is part
   // of that state only under the Ethernet model.
   const auto alpha_ptr = [&](SolveArena::Impl::Lane& lane) {
@@ -1479,9 +1460,7 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     lane.failed = !outs[w]->ok;
     lane.active = !lane.failed;
     if (lane.failed) {
-      ZeroLaneNetworks(&lane.nets);
-      for (std::size_t u = 0; u < num_units; ++u)
-        ar.site_ws[u].InvalidateWarm(w);
+      ar.InvalidateWarm(w, lanes);
       continue;
     }
     ++remaining;
@@ -1497,8 +1476,7 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
       if (options.ethernet.has_value()) lane.alpha = seed->comm_delay_ms;
       SeedClassStates(*seed, units, &lane.st);
     } else {
-      for (std::size_t u = 0; u < num_units; ++u)
-        ar.site_ws[u].InvalidateWarm(w);
+      ar.InvalidateWarm(w, lanes);
     }
     // The weighted prefix: alpha and the class representatives' entries.
     std::size_t weighted = alpha_ptr(lane) != nullptr ? 1 : 0;
@@ -1512,12 +1490,10 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
   }
 
   // ---- Lockstep fixed-point iteration (Section 6). -------------------------
-  // Each active lane advances through the same step sequence; the per-site
-  // MVA solves run across lanes through the batch kernels. A lane that
-  // meets the tolerance freezes: its state stops changing (its MVA lanes
-  // keep riding with frozen demands, which is harmless — nothing reads them
-  // back), so its results are bit-identical to a one-lane solve that stopped
-  // at the same iteration.
+  // Each active lane advances through the same step sequence, solving its
+  // site networks on its own MVA workspaces. A lane that meets the tolerance
+  // or fails drops out and does no further work, so its results and its
+  // retained MVA state are exactly those of a one-lane solve.
   for (int iteration = 1;
        iteration <= options.max_iterations && remaining > 0; ++iteration) {
     // (1) Visit counts with the current Pb / Pd / Pra; (2) sigma, P_a, N_s.
@@ -1535,7 +1511,6 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
         outs[w]->sites.clear();
         lane.active = false;
         lane.failed = true;
-        ZeroLaneNetworks(&lane.nets);
         --remaining;
         continue;
       }
@@ -1545,52 +1520,38 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     if (remaining == 0) break;
 
     // (3) Demands (Eqs. 5-10) and the per-site MVA solves. Unit u's solve
-    // touches only unit u's networks and workspace, so the units run
-    // concurrently on options.pool when provided (bit-identical to the
-    // serial order — no cross-site reads or writes). The kernels resume from
-    // the previous iteration's queue lengths: the fixed point moves the
+    // touches only unit u's networks, workspaces and error slots, so the
+    // units run concurrently on options.pool when provided (bit-identical to
+    // the serial order — no cross-site reads or writes). The kernels resume
+    // from the previous iteration's queue lengths: the fixed point moves the
     // demands only slightly per iteration, so large-population Schweitzer
-    // sites converge in a few rounds.
-    //
-    // Finite inputs can still overflow a demand to inf (or NaN) mid-solve,
-    // e.g. a communication delay near DBL_MAX. Such a network fails the
-    // kernels' validation, which would fail the whole lockstep block, so the
-    // lane's demands are parked at zero instead and the lane alone fails
-    // after the sweep.
-    ar.lane_parked.assign(num_units * lanes, 0);
+    // sites converge in a few rounds. Finite inputs can still overflow a
+    // demand to inf (or NaN) mid-solve, e.g. a communication delay near
+    // DBL_MAX; that network fails the kernel's validation, which fails its
+    // lane alone after the sweep.
     const auto solve_site = [&](std::size_t u) {
       const std::size_t i = units[u];
       for (std::size_t w = 0; w < lanes; ++w) {
         SolveArena::Impl::Lane& lane = ar.lanes[w];
         if (!lane.active) continue;
-        qn::ClosedNetwork& net = lane.nets[u].net;
+        const std::size_t slot = u * lanes + w;
         FillSiteDemands(inputs[w]->sites[i], &lane.st[i], &lane.nets[u]);
-        if (!net.Validate(&ar.site_error[u])) {
-          for (qn::Chain& chain : net.chains) {
-            std::fill(chain.demands.begin(), chain.demands.end(), 0.0);
-          }
-          ar.lane_parked[u * lanes + w] = 1;
+        qn::MvaWorkspace& ws = ar.site_ws[slot];
+        const bool ok =
+            options.use_exact_mva
+                ? qn::SolveMvaInPlace(lane.nets[u].net, &ws, 1u << 20,
+                                      /*warm_start=*/true,
+                                      &ar.site_error[slot])
+                : qn::SchweitzerMvaInPlace(lane.nets[u].net, &ws,
+                                           /*tolerance=*/1e-9,
+                                           /*max_iterations=*/10000,
+                                           /*warm_start=*/true,
+                                           &ar.site_error[slot]);
+        ar.site_failed[slot] = ok ? 0 : 1;
+        if (ok) {
+          ReadSiteSolution(inputs[w]->sites[i], ws.solution, lane.nets[u],
+                           &lane.st[i]);
         }
-      }
-      const qn::ClosedNetwork* const* ptrs = ar.net_ptrs.data() + u * lanes;
-      qn::BatchMvaWorkspace& ws = ar.site_ws[u];
-      const bool ok =
-          options.use_exact_mva
-              ? qn::SolveMvaBatchInPlace(ptrs, lanes, &ws, 1u << 20,
-                                         /*warm_start=*/true,
-                                         &ar.site_error[u])
-              : qn::SchweitzerMvaBatchInPlace(ptrs, lanes, &ws,
-                                              /*tolerance=*/1e-9,
-                                              /*max_iterations=*/10000,
-                                              /*warm_start=*/true,
-                                              &ar.site_error[u]);
-      ar.site_ok[u] = ok ? 1 : 0;
-      if (!ok) return;
-      for (std::size_t w = 0; w < lanes; ++w) {
-        SolveArena::Impl::Lane& lane = ar.lanes[w];
-        if (!lane.active || ar.lane_parked[u * lanes + w] != 0) continue;
-        ReadSiteSolution(inputs[w]->sites[i], ws.solutions[w], lane.nets[u],
-                         &lane.st[i]);
       }
     };
     if (options.pool == nullptr) {
@@ -1605,37 +1566,19 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
       SolveArena::Impl::Lane& lane = ar.lanes[w];
       if (!lane.active) continue;
       for (std::size_t u = 0; u < num_units; ++u) {
-        if (ar.lane_parked[u * lanes + w] == 0) continue;
+        const std::size_t slot = u * lanes + w;
+        if (ar.site_failed[slot] == 0) continue;
         outs[w]->error = "MVA failed at site " +
                          inputs[w]->sites[units[u]].name + ": " +
-                         ar.site_error[u];
+                         ar.site_error[slot];
         outs[w]->ok = false;
         outs[w]->sites.clear();
         lane.active = false;
         lane.failed = true;
-        ZeroLaneNetworks(&lane.nets);
-        for (std::size_t v = 0; v < num_units; ++v)
-          ar.site_ws[v].InvalidateWarm(w);
+        ar.InvalidateWarm(w, lanes);
         --remaining;
         break;
       }
-    }
-    for (std::size_t u = 0; u < num_units; ++u) {
-      if (ar.site_ok[u] != 0) continue;
-      // A lockstep MVA failure cannot be attributed to one lane, so it
-      // fails the remaining active lanes of the block. Lanes whose networks
-      // fail validation are parked above before the kernels run, so this
-      // is unreachable in practice.
-      for (std::size_t w = 0; w < lanes; ++w) {
-        SolveArena::Impl::Lane& lane = ar.lanes[w];
-        if (!lane.active) continue;
-        outs[w]->error = "MVA failed: " + ar.site_error[u];
-        outs[w]->ok = false;
-        outs[w]->sites.clear();
-        lane.active = false;
-        lane.failed = true;
-      }
-      remaining = 0;
     }
     if (remaining == 0) break;
 

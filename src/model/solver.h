@@ -240,18 +240,14 @@ class CaratModel {
                  WarmStart* warm_out = nullptr) const;
 
   /// The fixed-point driver. Advances `lanes` same-shape scenarios through
-  /// the fixed point together, solving every site's MVA across all scenarios
-  /// via the batch kernels (qn/mva_batch.h; one lane runs the scalar
-  /// kernels). Lane w's ModelSolution is bit-identical to
+  /// the fixed point together; each lane solves its site networks with the
+  /// scalar MVA kernels (qn/mva.h) on its own workspaces in the arena.
+  /// Lane w's ModelSolution is bit-identical to
   /// `CaratModel(*inputs[w]).SolveInto(...)` with the same options and seed:
-  /// each lane executes exactly the one-lane step sequence and the batch MVA
-  /// kernels are bit-identical per lane by contract. A lane that converges
-  /// early freezes while the others continue. (The
-  /// identity assumes matching retained MVA warm state — e.g. both arenas
-  /// fresh. After a batch solve, an early-frozen lane's retained Schweitzer
-  /// state includes post-freeze refinement at frozen demands, so a later
-  /// *seeded* re-solve through the same arena reaches the same fixed point
-  /// within tolerance rather than bit-exactly.)
+  /// each lane executes exactly the one-lane step sequence. A lane that
+  /// converges or fails drops out while the others continue, and does no
+  /// further work, so the MVA state it leaves in the arena is exactly what a
+  /// one-lane solve leaves.
   ///
   /// `inputs` and `outs` are arrays of `lanes` pointers; `seeds` and
   /// `warm_outs` may be nullptr (or hold per-lane nullptrs). All lanes must

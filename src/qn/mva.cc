@@ -12,11 +12,29 @@ void SetError(std::string* error, const char* msg) {
   if (error != nullptr) *error = msg;
 }
 
-}  // namespace
+// Lists the queueing centers' indices in ascending order: the columns of
+// the exact kernel's population lattice. Allocation-free once `qcenters`
+// has grown to the network's center count.
+void FillQueueingCenters(const ClosedNetwork& net,
+                         std::vector<std::size_t>* qcenters) {
+  qcenters->clear();
+  for (std::size_t m = 0; m < net.centers.size(); ++m) {
+    if (net.centers[m].kind == CenterKind::kQueueing) qcenters->push_back(m);
+  }
+}
 
-namespace internal {
+// Per-center queueing multiplier mask (1.0 at queueing centers, 0.0 at delay
+// centers), so the Schweitzer inner loops stay branch-free.
+void FillQueueingMask(const ClosedNetwork& net, std::vector<double>* qmul) {
+  qmul->resize(net.centers.size());
+  for (std::size_t m = 0; m < net.centers.size(); ++m) {
+    (*qmul)[m] = net.centers[m].kind == CenterKind::kQueueing ? 1.0 : 0.0;
+  }
+}
 
-// Reuses `sol`'s storage; allocation-free once warm.
+// Fills the non-queue-length parts of `sol` from per-chain throughputs and
+// flattened residence times (chain * num_centers + center) at the full
+// population. Reuses `sol`'s storage; allocation-free once warm.
 void FinishSolution(const ClosedNetwork& net, const std::vector<double>& x,
                     const std::vector<double>& residence, Solution* sol) {
   const std::size_t num_chains = net.chains.size();
@@ -40,14 +58,6 @@ void FinishSolution(const ClosedNetwork& net, const std::vector<double>& x,
     }
   }
 }
-
-}  // namespace internal
-
-namespace {
-
-using internal::FillQueueingCenters;
-using internal::FillQueueingMask;
-using internal::FinishSolution;
 
 }  // namespace
 
@@ -76,8 +86,7 @@ namespace {
 // in both, so both give the same bits. Chain k's residence at queueing
 // center qc[j] is its demand times (1 + the queue length at population
 // n - e_k); its total is summed from 0.0 over all centers in index order,
-// so the accumulation order is pinned (the batch kernels in mva_batch.cc
-// replay it per lane). A state's queue lengths are summed from 0.0 chain by
+// so the accumulation order is pinned. A state's queue lengths are summed from 0.0 chain by
 // chain, k ascending; chain k reads only rows of smaller states, so its
 // term is added as soon as its throughput is known.
 //
@@ -277,8 +286,7 @@ bool SchweitzerMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
       const double* qrow = qkm + k * num_centers;
       double* res = residence + k * num_centers;
       // Elementwise part vectorizes; the total is summed sequentially so the
-      // accumulation order is pinned and the batch kernel can replay it per
-      // lane (see the bit-identity note in ExactMvaInPlace).
+      // accumulation order is pinned, as in the exact sweep.
 #pragma omp simd
       for (std::size_t m = 0; m < num_centers; ++m) {
         // Schweitzer estimate of the queue seen on arrival by chain k.

@@ -131,42 +131,6 @@ MvaResult SchweitzerMva(const ClosedNetwork& net, double tolerance = 1e-9,
 MvaResult SolveMva(const ClosedNetwork& net,
                    std::size_t exact_state_limit = 1u << 20);
 
-namespace internal {
-
-/// Precomputes the per-center queueing multiplier mask (1.0 at queueing
-/// centers, 0.0 at delay centers) so the inner loops stay branch-free.
-/// Shared by the scalar and batch (mva_batch.cc) Schweitzer kernels;
-/// templated on the vector type because the batch workspace stores it in a
-/// cache-line-aligned vector.
-template <typename QmulVector>
-void FillQueueingMask(const ClosedNetwork& net, QmulVector* qmul) {
-  qmul->resize(net.centers.size());
-  for (std::size_t m = 0; m < net.centers.size(); ++m) {
-    (*qmul)[m] = net.centers[m].kind == CenterKind::kQueueing ? 1.0 : 0.0;
-  }
-}
-
-/// Lists the queueing centers' indices in ascending order: the columns of
-/// the exact kernels' population lattice. Allocation-free once `qcenters`
-/// has grown to the network's center count.
-inline void FillQueueingCenters(const ClosedNetwork& net,
-                                std::vector<std::size_t>* qcenters) {
-  qcenters->clear();
-  for (std::size_t m = 0; m < net.centers.size(); ++m) {
-    if (net.centers[m].kind == CenterKind::kQueueing) qcenters->push_back(m);
-  }
-}
-
-/// Fills the non-queue-length parts of `sol` from per-chain throughputs and
-/// flattened residence times (chain * num_centers + center) at the full
-/// population. Shared by the scalar and batch kernels: running the *same*
-/// compiled function per lane is what makes the derived Solution fields of a
-/// batch solve bit-identical to the scalar path.
-void FinishSolution(const ClosedNetwork& net, const std::vector<double>& x,
-                    const std::vector<double>& residence, Solution* sol);
-
-}  // namespace internal
-
 }  // namespace carat::qn
 
 #endif  // CARAT_QN_MVA_H_

@@ -87,10 +87,11 @@ class SolverService {
     bool warm_start = true;
     /// Lane width for lockstep batch solving (SubmitBatch/SolveBatch): fresh
     /// same-shape queries are grouped into blocks of exactly this many lanes
-    /// and solved together through CaratModel::SolveBatchInto; the ragged
-    /// remainder of each shape group solves in one-lane blocks. 0 or 1
-    /// disables batching. Per-lane results are bit-identical either way, so
-    /// this is purely a throughput knob.
+    /// and advanced through the fixed point together by
+    /// CaratModel::SolveBatchInto, one arena per block; the ragged remainder
+    /// of each shape group solves in one-lane blocks. 0 or 1 disables
+    /// batching. Per-lane results are bit-identical either way, so this is
+    /// purely a throughput knob.
     std::size_t batch_lane_width = 4;
     /// Solver options applied to every query (also folded into cache keys).
     model::SolverOptions solver;
@@ -131,8 +132,9 @@ class SolverService {
   /// order. Each query still gets the full cache / coalescing / warm-start
   /// treatment; the fresh (cache-missing, non-coalesced) queries are grouped
   /// by solve shape and solved in lockstep blocks of
-  /// Options::batch_lane_width lanes through the SoA batch kernels. Shapes
-  /// never mix within a block; ragged group remainders solve one lane each.
+  /// Options::batch_lane_width lanes through CaratModel::SolveBatchInto.
+  /// Shapes never mix within a block; ragged group remainders solve one
+  /// lane each.
   std::vector<std::future<model::ModelSolution>> SubmitBatch(
       std::vector<model::ModelInput> inputs);
   std::vector<std::future<model::ModelSolution>> SubmitBatch(

@@ -1,15 +1,17 @@
 // Lockstep batch solving at the model layer: CaratModel::SolveBatchInto must
-// produce per-lane ModelSolutions bit-identical to scalar SolveInto runs of
-// the same inputs. The qn-layer tests (mva_batch_test) prove the kernels'
-// lane identity; these tests prove the fixed-point driver preserves it —
-// per-lane acceleration history and damping decay, per-lane freezing, warm
-// seeding and the Ethernet coupling all included.
+// produce per-lane ModelSolutions bit-identical to one-lane SolveInto runs
+// of the same inputs. Every lane runs the scalar MVA kernels on its own
+// workspaces; these tests prove the fixed-point loop keeps the lanes
+// apart — per-lane acceleration history and damping decay, per-lane
+// freezing, exact and Schweitzer sites side by side, warm seeding, arena
+// reuse and the Ethernet coupling all included.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -86,6 +88,19 @@ std::vector<ModelInput> SweepInputs(const char* family,
   return inputs;
 }
 
+// One mb-shaped input per node mix (both nodes alike, so every lane has all
+// six chains at both sites and the same shape key): lanes that differ only
+// in chain populations.
+std::vector<ModelInput> MixInputs(const std::vector<workload::NodeMix>& mixes) {
+  std::vector<ModelInput> inputs;
+  for (const workload::NodeMix& mix : mixes) {
+    workload::WorkloadSpec wl = workload::MakeMB4(8);
+    for (workload::NodeMix& node : wl.nodes) node = mix;
+    inputs.push_back(wl.ToModelInput());
+  }
+  return inputs;
+}
+
 struct BatchRun {
   std::vector<ModelSolution> outs;
   std::vector<WarmStart> warms;
@@ -123,21 +138,34 @@ ModelSolution RunScalar(const ModelInput& input, const SolverOptions& options,
 }
 
 TEST(ModelBatch, BitIdenticalToScalarAcrossWorkloadSweeps) {
-  for (const char* family : {"lb8", "mb4", "mb8", "ub6"}) {
-    const std::vector<ModelInput> inputs =
-        SweepInputs(family, {4, 6, 8, 12, 16, 20});
-    const SolverOptions options;
+  std::vector<std::pair<std::string, std::vector<ModelInput>>> blocks;
+  for (const char* family : {"lb8", "mb4", "mb8", "ub6"})
+    blocks.emplace_back(family, SweepInputs(family, {4, 6, 8, 12, 16, 20}));
+  // Each lane has its own population lattice (2x2x2x2x2x2 up to 4^6 states).
+  blocks.emplace_back("lattices", MixInputs({{1, 1, 1, 1},
+                                             {2, 1, 1, 1},
+                                             {1, 2, 3, 1},
+                                             {3, 3, 3, 3}}));
+  // Lanes 1 and 3 have 11^6 and 13^6 lattice states, above the 1 << 20
+  // exact-state limit, so their sites fall back to Schweitzer while lanes 0
+  // and 2 solve exact.
+  blocks.emplace_back("exact+fallback", MixInputs({{2, 2, 2, 2},
+                                                   {10, 10, 10, 10},
+                                                   {1, 2, 2, 1},
+                                                   {12, 12, 12, 12}}));
+  const SolverOptions options;
+  for (const auto& [tag, inputs] : blocks) {
     const BatchRun batch = RunBatch(inputs, options);
     for (std::size_t w = 0; w < inputs.size(); ++w) {
       ExpectBitIdentical(batch.outs[w], RunScalar(inputs[w], options),
-                         std::string(family) + " lane " + std::to_string(w));
+                         tag + " lane " + std::to_string(w));
     }
   }
 }
 
 TEST(ModelBatch, SchweitzerOnlyOptionTakesLockstepPath) {
-  // use_exact_mva = false forces SchweitzerMvaBatchInPlace at every site —
-  // the pure lockstep path with no per-lane dispatch decisions.
+  // use_exact_mva = false forces SchweitzerMvaInPlace at every site, each
+  // lane warm-starting from its own retained queue lengths.
   SolverOptions options;
   options.use_exact_mva = false;
   const std::vector<ModelInput> inputs = SweepInputs("mb8", {4, 8, 12, 20});
@@ -239,7 +267,7 @@ TEST(ModelBatch, OverflowingLaneFailsAloneNamingTheSite) {
   // A finite but huge communication delay overflows the RW demand to inf
   // mid-solve. That lane must fail on its own, naming the site, while the
   // other seven lanes of the block match their one-lane solves bit for bit,
-  // on both the exact (shared lattice) and the Schweitzer lockstep paths.
+  // with exact and with Schweitzer site solves.
   std::vector<ModelInput> inputs;
   for (int w = 0; w < 8; ++w) {
     inputs.push_back(workload::MakeMB8(4).ToModelInput());
@@ -275,8 +303,8 @@ TEST(ModelBatch, OverflowingLaneFailsAloneNamingTheSite) {
 
 TEST(ModelBatch, ReusedArenaSolvesColdBlocksBitIdentically) {
   // Back-to-back unseeded blocks through one arena must each match fresh
-  // scalar solves: cold lanes invalidate their retained Schweitzer columns
-  // exactly like the scalar arena's qkm.clear().
+  // one-lane solves: a cold lane drops its retained Schweitzer queue
+  // lengths exactly like a one-lane arena does.
   const SolverOptions options;
   const std::vector<ModelInput> first = SweepInputs("mb8", {4, 8, 12, 16});
   const std::vector<ModelInput> second = SweepInputs("mb8", {20, 6, 10, 14});
@@ -297,6 +325,51 @@ TEST(ModelBatch, ReusedArenaSolvesColdBlocksBitIdentically) {
                          "reused-arena lane " + std::to_string(w));
     }
   }
+}
+
+TEST(ModelBatch, ReusedArenaSeededResolveMatchesOneLane) {
+  // A cold block, then the same block re-solved seeded from its own warm
+  // outputs, through one reused arena; against the same two solves per lane
+  // through that lane's own one-lane arena. The lanes freeze at different
+  // iterations, and a frozen lane must leave exactly the retained
+  // Schweitzer queue lengths of its one-lane twin, so the seeded re-solve,
+  // which resumes from them, matches bit for bit.
+  SolverOptions options;
+  options.use_exact_mva = false;
+  const std::vector<ModelInput> inputs = SweepInputs("ub6", {4, 8, 20});
+  const std::size_t lanes = inputs.size();
+
+  BatchSolveArena arena;
+  std::vector<ModelSolution> cold(lanes), warm(lanes);
+  std::vector<WarmStart> cold_warms(lanes);
+  std::vector<const ModelInput*> in_ptrs(lanes);
+  std::vector<ModelSolution*> out_ptrs(lanes);
+  std::vector<WarmStart*> warm_ptrs(lanes);
+  std::vector<const WarmStart*> seeds(lanes);
+  for (std::size_t w = 0; w < lanes; ++w) {
+    in_ptrs[w] = &inputs[w];
+    out_ptrs[w] = &cold[w];
+    warm_ptrs[w] = &cold_warms[w];
+    seeds[w] = &cold_warms[w];
+  }
+  CaratModel::SolveBatchInto(in_ptrs.data(), lanes, options, &arena, nullptr,
+                             out_ptrs.data(), warm_ptrs.data());
+  for (std::size_t w = 0; w < lanes; ++w) out_ptrs[w] = &warm[w];
+  CaratModel::SolveBatchInto(in_ptrs.data(), lanes, options, &arena,
+                             seeds.data(), out_ptrs.data());
+
+  for (std::size_t w = 0; w < lanes; ++w) {
+    SolveArena lane_arena;
+    ModelSolution lane_cold, lane_warm;
+    WarmStart lane_warms;
+    const CaratModel model(inputs[w]);
+    model.SolveInto(options, &lane_arena, nullptr, &lane_cold, &lane_warms);
+    model.SolveInto(options, &lane_arena, &lane_warms, &lane_warm);
+    ExpectBitIdentical(cold[w], lane_cold, "cold lane " + std::to_string(w));
+    EXPECT_TRUE(warm[w].warm_started);
+    ExpectBitIdentical(warm[w], lane_warm, "seeded lane " + std::to_string(w));
+  }
+  EXPECT_NE(cold.front().iterations, cold.back().iterations);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "qn/bounds.h"
 #include "qn/ethernet.h"
 #include "qn/mva.h"
-#include "qn/mva_batch.h"
 #include "qn/network.h"
 #include "util/random.h"
 
@@ -383,8 +382,25 @@ Solution ReferenceExactMva(const ClosedNetwork& net) {
       chain_step(k, num_states - 1 - strides[k], pop);
     }
   }
+  // The derived fields, each sum from 0.0 in index order like the kernels.
   Solution sol;
-  internal::FinishSolution(net, x, residence, &sol);
+  sol.throughput = x;
+  sol.residence.resize(num_chains);
+  sol.response_time.assign(num_chains, 0.0);
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    sol.residence[k].assign(residence.begin() + k * num_centers,
+                            residence.begin() + (k + 1) * num_centers);
+    for (std::size_t m = 0; m < num_centers; ++m)
+      sol.response_time[k] += residence[k * num_centers + m];
+  }
+  sol.queue_length.assign(num_centers, 0.0);
+  sol.utilization.assign(num_centers, 0.0);
+  for (std::size_t m = 0; m < num_centers; ++m) {
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      sol.queue_length[m] += x[k] * residence[k * num_centers + m];
+      sol.utilization[m] += x[k] * net.chains[k].demands[m];
+    }
+  }
   return sol;
 }
 
@@ -590,33 +606,6 @@ TEST(ExactMvaReference, CompiledSweepMatchesFullLatticeBitForBit) {
   EXPECT_EQ(runs[static_cast<int>(ExactSweep::kRuntime)], 216);
 }
 
-TEST(ExactMvaReference, BatchKernelMatchesFullLatticeBitForBit) {
-  util::Rng rng(20240602);
-  for (std::size_t lanes : {1u, 3u, 8u}) {
-    BatchMvaWorkspace bw;
-    for (int trial = 0; trial < 60; ++trial) {
-      const KindLayout layout = kLayouts[trial % 3];
-      const std::size_t max_states = trial % 20 == 0 ? 10000 : 600;
-      // Lanes share the shape (kinds and populations, hence the lattice);
-      // demands and think times differ per lane.
-      const RandomShape shape = MakeRandomShape(&rng, layout, max_states);
-      std::vector<ClosedNetwork> nets;
-      std::vector<const ClosedNetwork*> ptrs;
-      for (std::size_t w = 0; w < lanes; ++w)
-        nets.push_back(MakeRandomNetwork(shape, &rng));
-      for (const ClosedNetwork& net : nets) ptrs.push_back(&net);
-      std::string err;
-      ASSERT_TRUE(ExactMvaBatchInPlace(ptrs.data(), lanes, &bw, 1u << 22, &err))
-          << err;
-      for (std::size_t w = 0; w < lanes; ++w) {
-        EXPECT_TRUE(SameSolutionBits(bw.solutions[w],
-                                     ReferenceExactMva(nets[w])))
-            << "width " << lanes << " trial " << trial << " lane " << w;
-      }
-    }
-  }
-}
-
 TEST(ExactMvaReference, ZeroPopulationNetworkMatches) {
   // Every chain empty: the one-state lattice path.
   ClosedNetwork net;
@@ -627,11 +616,6 @@ TEST(ExactMvaReference, ZeroPopulationNetworkMatches) {
   MvaWorkspace ws;
   ASSERT_TRUE(ExactMvaInPlace(net, &ws));
   EXPECT_TRUE(SameSolutionBits(ws.solution, ReferenceExactMva(net)));
-  BatchMvaWorkspace bw;
-  const ClosedNetwork* ptrs[] = {&net, &net, &net};
-  ASSERT_TRUE(ExactMvaBatchInPlace(ptrs, 3, &bw));
-  for (std::size_t w = 0; w < 3; ++w)
-    EXPECT_TRUE(SameSolutionBits(bw.solutions[w], ReferenceExactMva(net)));
 }
 
 TEST(ClosedNetwork, RejectsNonFiniteDemandsAndThinkTimes) {
