@@ -1,19 +1,23 @@
 // Testbed kernel perf trajectory: events/s of the sharded event kernel at
-// shards = 1 (serial reference) versus shards = hardware on a distributed
-// 4-node workload with a real communication delay (the conservative sync's
-// lookahead). The byte-identity invariant is enforced on every run — a
-// speedup that changes results would be a bug, not a win.
+// shards = 1 (serial reference) versus shards = hardware on the local-only
+// 4-node LB8 workload, the one kind of run whose shards run free on their
+// own threads (a distributed run is serial at any shard request). One run
+// takes about a hundred milliseconds, so the times are medians of
+// interleaved serial/sharded pairs. The byte-identity invariant is enforced
+// on every run — a speedup that changes results would be a bug, not a win.
 //
-// Results land in BENCH_testbed.json (cwd) so successive PRs can track the
-// trajectory. The >= 1.5x speedup gate only arms on hosts with at least 4
-// hardware threads; determinism is enforced everywhere.
+// Results land in BENCH_testbed.json (cwd) so successive changes can track
+// the trajectory. The >= 1.5x speedup gate only arms on hosts with at least
+// 4 hardware threads; determinism is enforced everywhere.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "carat/testbed.h"
 #include "workload/spec.h"
@@ -23,7 +27,6 @@ namespace {
 struct RunStats {
   double wall_ms = 0.0;
   std::uint64_t events = 0;
-  double events_per_s = 0.0;
   std::string fingerprint;
   bool ok = false;
 };
@@ -48,8 +51,6 @@ RunStats RunOnce(const carat::model::ModelInput& input, int shards,
   stats.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
   stats.events = result.events;
-  stats.events_per_s =
-      stats.wall_ms > 0.0 ? 1000.0 * result.events / stats.wall_ms : 0.0;
   stats.fingerprint = carat::TestbedResultFingerprint(result);
   return stats;
 }
@@ -71,23 +72,42 @@ int main(int argc, char** argv) {
   }
 
   const unsigned hw = std::thread::hardware_concurrency();
-  auto wl = carat::workload::MakeMB8(8, 4);
-  wl.comm_delay_ms = 5.0;  // alpha > 0: the sync's lookahead
-  const carat::model::ModelInput input = wl.ToModelInput();
+  const carat::model::ModelInput input =
+      carat::workload::MakeLB8(8, 4).ToModelInput();
 
-  const RunStats serial = RunOnce(input, /*shards=*/1, measure_ms);
-  const RunStats sharded = RunOnce(input, /*shards=*/0, measure_ms);
-  if (!serial.ok || !sharded.ok) return 1;
+  constexpr int kReps = 5;
+  std::vector<double> serial_ms, sharded_ms, ratios;
+  RunStats serial, sharded;
+  bool identical = true;
+  for (int rep = 0; rep < kReps; ++rep) {
+    serial = RunOnce(input, /*shards=*/1, measure_ms);
+    sharded = RunOnce(input, /*shards=*/0, measure_ms);
+    if (!serial.ok || !sharded.ok) return 1;
+    identical = identical && serial.fingerprint == sharded.fingerprint;
+    serial_ms.push_back(serial.wall_ms);
+    sharded_ms.push_back(sharded.wall_ms);
+    ratios.push_back(sharded.wall_ms > 0.0 ? serial.wall_ms / sharded.wall_ms
+                                           : 0.0);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const auto events_per_s = [](const RunStats& run, double wall_ms) {
+    return wall_ms > 0.0 ? 1000.0 * run.events / wall_ms : 0.0;
+  };
+  const double serial_wall_ms = median(serial_ms);
+  const double sharded_wall_ms = median(sharded_ms);
+  const double serial_rate = events_per_s(serial, serial_wall_ms);
+  const double sharded_rate = events_per_s(sharded, sharded_wall_ms);
 
   bool ok = true;
-  const bool identical = serial.fingerprint == sharded.fingerprint;
   if (!identical) {
     std::fprintf(stderr,
                  "FAIL: shards=hw result diverged from the serial run\n");
     ok = false;
   }
-  const double speedup =
-      sharded.wall_ms > 0.0 ? serial.wall_ms / sharded.wall_ms : 0.0;
+  const double speedup = median(ratios);
   const bool gate_armed = hw >= 4;
   if (gate_armed && speedup < 1.5) {
     std::fprintf(stderr, "FAIL: speedup %.2fx < 1.5x with %u hw threads\n",
@@ -104,8 +124,9 @@ int main(int argc, char** argv) {
                "{\n"
                "  \"bench\": \"perf_testbed\",\n"
                "  \"hardware_concurrency\": %u,\n"
-               "  \"workload\": \"mb8 n=8 nodes=4 alpha=5ms\",\n"
+               "  \"workload\": \"lb8 n=8 nodes=4\",\n"
                "  \"measure_ms\": %.0f,\n"
+               "  \"reps\": %d,\n"
                "  \"serial\": {\n"
                "    \"shards\": 1,\n"
                "    \"events\": %llu,\n"
@@ -122,21 +143,21 @@ int main(int argc, char** argv) {
                "  \"speedup_gate_armed\": %s,\n"
                "  \"byte_identical\": %s\n"
                "}\n",
-               hw, measure_ms,
-               static_cast<unsigned long long>(serial.events), serial.wall_ms,
-               serial.events_per_s,
-               static_cast<unsigned long long>(sharded.events),
-               sharded.wall_ms, sharded.events_per_s, speedup,
+               hw, measure_ms, kReps,
+               static_cast<unsigned long long>(serial.events), serial_wall_ms,
+               serial_rate, static_cast<unsigned long long>(sharded.events),
+               sharded_wall_ms, sharded_rate, speedup,
                gate_armed ? "true" : "false", identical ? "true" : "false");
   std::fclose(f);
 
+  std::printf("median of %d interleaved pairs\n", kReps);
   std::printf("serial:  %llu events in %.1f ms (%.0f events/s)\n",
-              static_cast<unsigned long long>(serial.events), serial.wall_ms,
-              serial.events_per_s);
+              static_cast<unsigned long long>(serial.events), serial_wall_ms,
+              serial_rate);
   std::printf("sharded: %llu events in %.1f ms (%.0f events/s, %.2fx, "
               "hw=%u)\n",
               static_cast<unsigned long long>(sharded.events),
-              sharded.wall_ms, sharded.events_per_s, speedup, hw);
+              sharded_wall_ms, sharded_rate, speedup, hw);
   std::printf("byte-identical: %s\n", identical ? "yes" : "NO");
   return ok ? 0 : 1;
 }

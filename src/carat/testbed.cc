@@ -29,9 +29,8 @@ using txn::GlobalTxnId;
 using txn::Node;
 using txn::RequestSpec;
 
-// One simulated user TR process and its measurement counters. The driver is
-// pinned to its home site's shard: every field is only touched from home-site
-// events (remote legs carry no accounting).
+// One simulated user TR process and its measurement counters. Every field is
+// only touched from home-site events (remote legs carry no accounting).
 struct UserDriver {
   int home = 0;
   TxnType type = TxnType::kLRO;
@@ -84,11 +83,10 @@ bool IsDistributed(const model::ModelInput& input) {
   return false;
 }
 
-// Shard count actually used for the run. A distributed workload with zero
-// communication delay admits zero-delay cross-site messages, for which no
-// conservative lookahead window exists: such runs are forced serial.
+// Shard count actually used for the run. Shards never exchange events, so a
+// workload that sends any cross-site message runs on one thread.
 int PlannedShards(const model::ModelInput& input, int requested) {
-  if (IsDistributed(input) && input.comm_delay_ms <= 0.0) return 1;
+  if (IsDistributed(input)) return 1;
   int shards = requested;
   if (shards <= 0) {
     shards = static_cast<int>(std::thread::hardware_concurrency());
@@ -97,22 +95,13 @@ int PlannedShards(const model::ModelInput& input, int requested) {
   return std::clamp(shards, 1, static_cast<int>(input.sites.size()));
 }
 
-// Conservative lookahead: the communication delay for distributed
-// workloads (every cross-site message pays at least one hop), unbounded for
-// purely local ones (no cross-site message ever exists; the kernel asserts
-// that).
-double PlannedLookahead(const model::ModelInput& input) {
-  if (!IsDistributed(input)) return sim::ShardedKernel::kNoLookahead;
-  return input.comm_delay_ms > 0.0 ? input.comm_delay_ms : 0.0;
-}
-
 class Testbed {
  public:
   Testbed(const model::ModelInput& input, const TestbedOptions& options)
       : input_(input),
         options_(options),
         kernel_(static_cast<int>(input.sites.size()),
-                PlannedShards(input, options.shards), PlannedLookahead(input)),
+                PlannedShards(input, options.shards)),
         network_(kernel_, input.comm_delay_ms),
         registry_(static_cast<int>(input.sites.size())),
         locks_(kernel_),
@@ -135,13 +124,8 @@ class Testbed {
                                               index, input.sites[i],
                                               &locks_.at(index)));
     }
-    // Committed-update audit counters, sliced by the crediting coordinator's
-    // home site so CreditCommit stays a home-site write at any shard count.
-    shadow_.resize(nodes_.size());
-    for (auto& slice : shadow_) {
-      for (const auto& node : nodes_) {
-        slice.emplace_back(node->database().num_records(), 0);
-      }
+    for (const auto& node : nodes_) {
+      shadow_.emplace_back(node->database().num_records(), 0);
     }
     std::vector<Node*> node_ptrs;
     for (auto& n : nodes_) node_ptrs.push_back(n.get());
@@ -459,12 +443,11 @@ class Testbed {
   // Credits committed updates to the audit counters. Must run exactly when
   // the coordinator's commit record is logged (the 2PC decision point): the
   // end-of-run audit treats the coordinator's commit record as the global
-  // truth for in-doubt participants. Writes only this coordinator's
-  // home-site shadow slice.
+  // truth for in-doubt participants.
   void CreditCommit(const UserDriver& u, const std::vector<RequestSpec>& plan) {
     if (!model::IsUpdate(u.type)) return;
     for (const RequestSpec& req : plan) {
-      for (const db::RecordId r : req.records) ++shadow_[u.home][req.node][r];
+      for (const db::RecordId r : req.records) ++shadow_[req.node][r];
     }
   }
 
@@ -572,16 +555,11 @@ class Testbed {
     };
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       // Undo in-flight transactions on a copy, then compare with the audit
-      // counters: exactly the committed increments must remain. The audit
-      // count for a record sums every coordinator's home-site slice.
+      // counters: exactly the committed increments must remain.
       db::Database copy = nodes_[i]->database();
       nodes_[i]->log().Recover(&copy, committed_anywhere);
       for (db::RecordId r = 0; r < copy.num_records(); ++r) {
-        std::uint64_t expected = 0;
-        for (std::size_t h = 0; h < shadow_.size(); ++h) {
-          expected += shadow_[h][i][r];
-        }
-        if (copy.Read(r) != static_cast<db::RecordValue>(expected)) {
+        if (copy.Read(r) != static_cast<db::RecordValue>(shadow_[i][r])) {
           return false;
         }
       }
@@ -666,8 +644,9 @@ class Testbed {
   txn::TxnRegistrySet registry_;
   lock::LockManagerSet locks_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Committed update counts: [coordinator home][node][record].
-  std::vector<std::vector<std::vector<std::uint32_t>>> shadow_;
+  // Committed update counts: [node][record]. A multi-shard run is local
+  // only, so a node's counts are written only from its own shard.
+  std::vector<std::vector<std::uint32_t>> shadow_;
   std::unique_ptr<txn::GlobalDeadlockDetector> detector_;
   std::vector<std::unique_ptr<UserDriver>> drivers_;
   util::Rng root_rng_;

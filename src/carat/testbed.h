@@ -34,11 +34,11 @@ struct TestbedOptions {
   /// Simulated measurement window (ms).
   double measure_ms = 1'000'000;
 
-  /// Event shards (threads) for the sharded kernel: 1 = serial (default),
-  /// 0 = hardware concurrency. Clamped to the site count. Results are
-  /// byte-identical at any value for the same seed; when the workload is
-  /// distributed with zero communication delay there is no conservative
-  /// lookahead and the run is forced serial.
+  /// Event shards (threads) for a local-only workload: 1 = serial (default),
+  /// 0 = hardware concurrency, clamped to the site count. Each shard runs
+  /// its sites free to the end of the run. A distributed workload (any class
+  /// with remote requests) accepts any value and runs serially. Results are
+  /// byte-identical at any value for the same seed.
   int shards = 1;
 
   lock::VictimPolicy victim_policy = lock::VictimPolicy::kRequester;

@@ -2,10 +2,10 @@
 //
 // CARAT keeps a lock table per site; the sharded kernel makes that structural:
 // each site's LockManager lives on that site's timeline and is only touched by
-// events executing there, so sharded runs never contend on lock state. Global
-// deadlocks (cycles spanning sites) are the distributed detector's job
-// (txn::ProbeDetector), whose probes travel between sites as cross-shard
-// messages.
+// events executing there, so the free-running shards of a local-only run
+// never contend on lock state. Global deadlocks (cycles spanning sites) are
+// the distributed detector's job (txn::GlobalDeadlockDetector), whose probes
+// travel between sites as network messages.
 
 #ifndef CARAT_LOCK_LOCK_MANAGER_SET_H_
 #define CARAT_LOCK_LOCK_MANAGER_SET_H_

@@ -1,4 +1,4 @@
-// Single-consumer mailboxes for message passing between testbed processes.
+// Single-consumer channels for message passing between testbed processes.
 
 #ifndef CARAT_SIM_CHANNEL_H_
 #define CARAT_SIM_CHANNEL_H_
@@ -12,7 +12,7 @@
 
 namespace carat::sim {
 
-/// Unbounded FIFO mailbox with at most one waiting receiver. Senders never
+/// Unbounded FIFO queue with at most one waiting receiver. Senders never
 /// block; a waiting receiver is resumed through the event queue at the
 /// current time, preserving deterministic ordering.
 template <typename T>

@@ -6,23 +6,19 @@
 // service, start the next) without helper coroutines. Time is in
 // milliseconds, matching the model.
 //
-// The kernel owns one timeline per CARAT *site* and runs sites on up to
-// `num_shards` OS threads (site -> shard is `site % num_shards`). Shards
-// synchronize conservatively: the inter-site communication delay is the
-// lookahead L, every cross-site message pays at least L, and each BSP round
-// executes only events strictly below GVT + L (GVT = min heap head across
-// shards). No rollback is ever needed, and because cross-shard delivery is
-// ordered by the (time, origin site, origin seq) key -- never by thread
-// arrival -- the per-site event sequences are byte-identical at any shard
-// count, including the serial num_shards == 1 path.
+// The kernel owns one timeline per CARAT *site* and runs sites on
+// `num_shards` OS threads (site -> shard is `site % num_shards`). Shards run
+// free: each thread drains its own heap to `until` and never exchanges
+// an event with another, so only a one-shard kernel may schedule across
+// sites from inside an event (asserted). Delivery order on a heap is the
+// (time, origin site, origin seq) key, never heap insertion order, so the
+// per-site event sequences are byte-identical at any shard count.
 
 #ifndef CARAT_SIM_SIMULATION_H_
 #define CARAT_SIM_SIMULATION_H_
 
-#include <barrier>
 #include <coroutine>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -34,22 +30,14 @@ namespace carat::sim {
 
 class ShardedKernel {
  public:
-  static constexpr double kNoLookahead =
-      std::numeric_limits<double>::infinity();
-
-  /// `lookahead_ms` is the minimum delay every cross-site message must pay.
-  /// Pass kNoLookahead (infinity) when the workload provably never sends
-  /// cross-site events: shards then free-run to the horizon, and any
-  /// cross-site Schedule trips an assert. `lookahead_ms == 0` is only legal
-  /// with `num_shards == 1` (no conservative window exists).
-  ShardedKernel(int num_sites, int num_shards, double lookahead_ms);
+  /// `num_shards` (1..num_sites) threads run the sites' timelines.
+  ShardedKernel(int num_sites, int num_shards);
   ShardedKernel(const ShardedKernel&) = delete;
   ShardedKernel& operator=(const ShardedKernel&) = delete;
   ~ShardedKernel();
 
   int num_sites() const { return num_sites_; }
   int num_shards() const { return num_shards_; }
-  double lookahead_ms() const { return lookahead_ms_; }
 
   /// Current simulated time (ms) on `site`'s timeline. Site clocks advance
   /// independently during a run and are aligned to `until` afterwards.
@@ -57,8 +45,8 @@ class ShardedKernel {
 
   /// Schedules `fn` on `site`'s timeline after `delay` ms (>= 0, non-NaN;
   /// enforced). When called from inside an event, the sending site's clock
-  /// and sequence counter stamp the event; cross-site sends must pay at
-  /// least the lookahead (enforced).
+  /// and sequence counter stamp the event; a send to another site needs a
+  /// one-shard kernel (enforced).
   void Schedule(int site, double delay, SmallFn fn);
 
   /// Schedules a coroutine resumption on `site`'s timeline.
@@ -114,34 +102,17 @@ class ShardedKernel {
     std::uint64_t executed = 0;
   };
 
+  // Padded so concurrently running shards never share a cache line.
   struct alignas(64) Shard {
     std::vector<Event> heap;  // binary heap ordered by After()
-    double head = 0.0;        // published heap-head time, +inf when empty
-    std::mutex inbox_mu;
-    std::vector<Event> inbox;  // cross-shard sends, drained each round
   };
 
-  struct Completion {
-    ShardedKernel* kernel;
-    double until;
-    void operator()() noexcept { kernel->ComputeHorizon(until); }
-  };
-  using Barrier = std::barrier<Completion>;
-
-  void PushLocal(Shard& shard, Event ev);
-  void ExecuteOne(Shard& shard);
-  void RunSerial(double until);
-  void RunShard(int shard_index, double until, Barrier& barrier);
-  void ComputeHorizon(double until) noexcept;
+  void RunShard(int shard_index, double until);
 
   const int num_sites_;
   const int num_shards_;
-  const double lookahead_ms_;
   std::unique_ptr<PerSite[]> per_site_;
   std::unique_ptr<Shard[]> shards_;
-  // Round state, written only by the barrier completion step.
-  double horizon_ = 0.0;
-  bool done_ = false;
   // Live Process frames: a circular list through the sentinel. Frames
   // attach and detach from any shard thread, hence the mutex.
   std::mutex processes_mu_;
@@ -183,8 +154,7 @@ struct Delay {
 /// primitives (Delay, FcfsResource, FifoMutex, ...) accept it directly.
 class Simulation : public ShardedKernel {
  public:
-  Simulation() : ShardedKernel(/*num_sites=*/1, /*num_shards=*/1,
-                               /*lookahead_ms=*/0.0) {}
+  Simulation() : ShardedKernel(/*num_sites=*/1, /*num_shards=*/1) {}
 
   double now() const { return ShardedKernel::now(0); }
 

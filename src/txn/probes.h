@@ -3,8 +3,8 @@
 //
 // When a lock request blocks, the local detector first searches the local
 // wait-for graph (lock/lock_manager.h). Probes are then launched along the
-// cross-site wait chain. Under the sharded kernel every piece of state a
-// probe consults is site-local, so a probe is a *journey*: it routes to the
+// cross-site wait chain. Every piece of state a probe consults is site-local
+// (owned by one site's timeline), so a probe is a *journey*: it routes to the
 // target's home TM (which knows where the target currently operates), hops
 // on to that node, and evaluates the wait state there; if the chain closes
 // back on the initiator, a global deadlock exists and the initiator is

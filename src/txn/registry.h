@@ -7,7 +7,8 @@
 // lives only at its home, ids encode the home (gid % num_sites), and anyone
 // else must route a message to the home TM to learn the current node --
 // which is exactly what the probe protocol does (see probes.h). This keeps
-// every registry access site-local under the sharded kernel.
+// every registry access on its own site's timeline, so the free-running
+// shards of a local-only run never share a slice.
 
 #ifndef CARAT_TXN_REGISTRY_H_
 #define CARAT_TXN_REGISTRY_H_

@@ -2,8 +2,10 @@
 //
 // Pins the four cc::Backend policies end to end:
 //   - sharded determinism: every backend's testbed fingerprint is
-//     byte-identical at shards 1/2/4 (the label carries "tsan-testbed" so
-//     the ThreadSanitizer job inherits the multi-shard runs);
+//     byte-identical at shards 1/2/4, on the contended distributed mix
+//     (which a sharded request runs serially) and on its local-only twin
+//     (which runs on free-running shard threads; the label carries
+//     "tsan-testbed" so the ThreadSanitizer job inherits those runs);
 //   - zero-contention equivalence: with only read locks in play the policies
 //     cannot diverge — model observables are bitwise equal across all four
 //     backends, testbed observables are bitwise equal across the three
@@ -64,13 +66,29 @@ workload::WorkloadSpec ContendedSpec(cc::BackendKind kind) {
   return spec;
 }
 
-TestbedResult RunContended(cc::BackendKind kind, int shards) {
+// The same users with every remote request zeroed: each distributed user
+// becomes a local user of its access mode, so no message ever crosses a
+// site and a multi-shard request really runs one thread per shard.
+workload::WorkloadSpec LocalOnly(workload::WorkloadSpec spec) {
+  for (workload::NodeMix& mix : spec.nodes) {
+    mix.lro += mix.dro;
+    mix.lu += mix.du;
+    mix.dro = mix.du = 0;
+  }
+  return spec;
+}
+
+TestbedResult RunContended(const model::ModelInput& input, int shards) {
   TestbedOptions opt;
   opt.seed = 3;
   opt.warmup_ms = 10'000;
   opt.measure_ms = 100'000;
   opt.shards = shards;
-  return RunTestbed(ContendedSpec(kind).ToModelInput(), opt);
+  return RunTestbed(input, opt);
+}
+
+TestbedResult RunContended(cc::BackendKind kind, int shards) {
+  return RunContended(ContendedSpec(kind).ToModelInput(), shards);
 }
 
 std::uint64_t TotalCommits(const TestbedResult& r) {
@@ -132,15 +150,23 @@ void ExpectSameObservables(const TestbedResult& a, const TestbedResult& b,
 
 TEST(CcBackends, ShardedDeterminismFingerprintsPerBackend) {
   for (const cc::BackendKind kind : cc::kAllBackends) {
-    const TestbedResult serial = RunContended(kind, 1);
-    ASSERT_TRUE(serial.ok) << serial.error;
-    ASSERT_TRUE(serial.database_consistent) << cc::Name(kind);
-    const std::string reference = TestbedResultFingerprint(serial);
-    for (const int shards : {2, 4}) {
-      const TestbedResult sharded = RunContended(kind, shards);
-      ASSERT_TRUE(sharded.ok) << sharded.error;
-      EXPECT_EQ(TestbedResultFingerprint(sharded), reference)
-          << cc::Name(kind) << " diverges at shards=" << shards;
+    for (const bool local_only : {false, true}) {
+      const model::ModelInput input =
+          (local_only ? LocalOnly(ContendedSpec(kind)) : ContendedSpec(kind))
+              .ToModelInput();
+      const std::string label = std::string(cc::Name(kind)) +
+                                (local_only ? " local-only" : " distributed");
+      const TestbedResult serial = RunContended(input, 1);
+      ASSERT_TRUE(serial.ok) << label << ": " << serial.error;
+      ASSERT_TRUE(serial.database_consistent) << label;
+      EXPECT_EQ(serial.network_messages == 0, local_only) << label;
+      const std::string reference = TestbedResultFingerprint(serial);
+      for (const int shards : {2, 4}) {
+        const TestbedResult sharded = RunContended(input, shards);
+        ASSERT_TRUE(sharded.ok) << label << ": " << sharded.error;
+        EXPECT_EQ(TestbedResultFingerprint(sharded), reference)
+            << label << " diverges at shards=" << shards;
+      }
     }
   }
 }

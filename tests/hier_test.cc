@@ -369,10 +369,10 @@ TEST(GeneratorClassMode, FiveThousandDrawsDeterministicAndValidAtN1024) {
 // --------------------------------------------- model vs testbed, large N ---
 
 // The validation suite pins the paper's 2-node design points; this pins the
-// largest configuration the sharded testbed kernel reaches in the tier-1
-// budget. Shards = 0 uses every core (clamped to the site count), and the
-// model — solved hierarchically, 2 classes — must still track the
-// simulation on aggregate throughput.
+// largest configuration the testbed reaches in the tier-1 budget. MB4 is
+// distributed, so the shards = 0 request runs serially, and the model —
+// solved hierarchically, 2 classes — must still track the simulation on
+// aggregate throughput.
 TEST(HierValidation, ModelTracksTestbedAtSixteenSites) {
   ModelInput input = NodesInput(workload::MakeMB4, 4, 16);
   // Large-N slave-population convention: WorkloadSpec::ToModelInput gives

@@ -143,7 +143,7 @@ TEST(LockStressVictimPolicies, AllPoliciesPreserveInvariants) {
 constexpr int kSites = 3;
 
 struct MultiSiteShared {
-  sim::ShardedKernel kernel{kSites, /*num_shards=*/1, /*lookahead_ms=*/0.0};
+  sim::ShardedKernel kernel{kSites, /*num_shards=*/1};
   LockManagerSet lms{kernel};
   util::Rng rng{0};
   std::array<std::array<TxnId, kGranules>, kSites> x_owner{};

@@ -31,7 +31,7 @@ struct Harness {
   std::unique_ptr<GlobalDeadlockDetector> detector;
 
   explicit Harness(int num_nodes = 2)
-      : kernel(num_nodes, /*num_shards=*/1, /*lookahead_ms=*/1.0),
+      : kernel(num_nodes, /*num_shards=*/1),
         network(kernel, /*one_way_delay_ms=*/1.0),
         registry(num_nodes) {
     for (int i = 0; i < num_nodes; ++i) {

@@ -1,11 +1,12 @@
 // The sharded kernel's load-bearing invariant: for the same seed, the
-// testbed's results are byte-identical at ANY shard count. Event delivery
-// order is fixed by (time, origin site, origin sequence) — never by thread
-// arrival — so shards 1, 2, and 4 must produce bit-equal fingerprints on
-// every standard workload. A distributed workload needs a non-zero
-// communication delay to give the conservative sync its lookahead; with the
-// paper's default alpha = 0 the run is forced serial, which must also
-// fingerprint-match an explicit shards = 1 run.
+// testbed's results are byte-identical at ANY shard count request. Event
+// delivery order is fixed by (time, origin site, origin sequence) — never by
+// heap insertion order — so shards 1, 2, and 4 must produce bit-equal
+// fingerprints on every standard workload. A local-only workload (LB8) runs
+// one free-running thread per shard. A distributed workload sends messages
+// between sites, so a sharded request on it runs serially, at alpha = 5 ms
+// as at the paper's alpha = 0; either way it must fingerprint-match an
+// explicit shards = 1 run.
 
 #include <gtest/gtest.h>
 
@@ -41,13 +42,14 @@ void ExpectShardCountInvariant(const model::ModelInput& input) {
 }
 
 TEST(TestbedDeterminism, Lb8IsShardCountInvariant) {
-  // Local-only: no cross-site messages, so every shard free-runs.
+  // Local-only: no cross-site messages, so every shard runs on its own
+  // thread.
   ExpectShardCountInvariant(workload::MakeLB8(8, 4).ToModelInput());
 }
 
 TEST(TestbedDeterminism, Mb4IsShardCountInvariant) {
   auto wl = workload::MakeMB4(8, 4);
-  wl.comm_delay_ms = 5.0;  // lookahead for the conservative sync
+  wl.comm_delay_ms = 5.0;  // distributed with alpha > 0: still serial
   ExpectShardCountInvariant(wl.ToModelInput());
 }
 
@@ -64,9 +66,9 @@ TEST(TestbedDeterminism, Ub6IsShardCountInvariant) {
 }
 
 TEST(TestbedDeterminism, ZeroCommDelayForcesSerialAndStaysIdentical) {
-  // alpha = 0 (the paper's Ethernet assumption) leaves no lookahead, so a
-  // multi-shard request silently degrades to the serial kernel — and must
-  // still be bit-equal to shards = 1.
+  // alpha = 0 (the paper's Ethernet assumption): a multi-shard request on a
+  // distributed workload runs on the serial kernel — and must be bit-equal
+  // to shards = 1.
   const auto input = workload::MakeMB4(8, 4).ToModelInput();
   const TestbedResult serial = RunWith(input, 1);
   const TestbedResult requested4 = RunWith(input, 4);

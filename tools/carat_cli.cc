@@ -55,8 +55,9 @@ void PrintHelp() {
       "  --hot-access <frac>           hot-set access share\n"
       "  --buffer <blocks>             LRU buffer per node (0 = none)\n"
       "  --dm-pool <int>               DM servers per node (0 = unlimited)\n"
-      "  --testbed-shards <int>        event shards for the testbed kernel\n"
-      "                                (1 = serial, 0 = hardware; results are\n"
+      "  --testbed-shards <int>        event shards for a local-only testbed\n"
+      "                                (1 = serial, 0 = hardware; distributed\n"
+      "                                workloads run serially; results are\n"
       "                                byte-identical at any value)\n"
       "  --log-disk                    separate log disk per node\n"
       "  --victim <requester|youngest|oldest>  deadlock victim policy\n"
