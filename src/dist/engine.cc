@@ -609,7 +609,7 @@ void SiteEngine::ReleaseLocksHere(std::uint64_t gid,
   // UL phase: unlock processing proportional to the locks held here.
   const double locks_held = static_cast<double>(locks_.HeldCount(gid));
   if (locks_held > 0) UseCpu(costs.unlock_cpu_per_lock_ms * locks_held);
-  locks_.ReleaseAll(gid);
+  locks_.EndTxn(gid);
 }
 
 void SiteEngine::CreditCommitted(LocalTxnState* state) {

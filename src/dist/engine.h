@@ -1,7 +1,8 @@
 // One CARAT site as a real-time protocol engine.
 //
 // SiteEngine hosts everything a site process owns: the site's database with
-// per-transaction before-image journaling, the blocking 2PL lock manager,
+// per-transaction before-image journaling, the 2PL lock table (the
+// simulation's lock::LockManager behind the thread-blocking RtLockFront),
 // the serialized TM server, the CPU / database-disk / log-disk resources
 // (reservation-ledger FCFS, see dist/runtime.h), the resident user TR
 // threads homed here, the slave-side handlers for remote requests and 2PC
@@ -14,8 +15,9 @@
 // U, TM routing, request execution, REMDO round trips, centralized 2PC with
 // forced log writes, rollback, UL) so a distributed run is cross-checkable
 // against the in-process RunTestbed reference: both implement the same
-// protocol over the same cost tables, one in virtual time, one in scaled
-// real time. All engine-internal times are *virtual* milliseconds.
+// protocol over the same cost tables and the same lock table, one in
+// virtual time, one in scaled real time. All engine-internal times are
+// *virtual* milliseconds.
 //
 // Global transaction ids encode the home site (gid = seq * num_sites +
 // home), matching the in-process registry, so any site can route a probe
@@ -39,7 +41,6 @@
 #include <vector>
 
 #include "db/database.h"
-#include "dist/rt_lock.h"
 #include "dist/runtime.h"
 #include "dist/wire.h"
 #include "model/params.h"
@@ -71,6 +72,9 @@ struct EngineReport {
   double log_busy_vms = 0.0;
   std::uint64_t dio = 0;  ///< block I/O completions (db + log disks)
   std::uint64_t lock_requests = 0;
+  /// Requests not grantable at once, counted before the local cycle check
+  /// as in the testbed, so conflicts that end in a local-deadlock abort
+  /// count too (the distributed count used to leave them out).
   std::uint64_t lock_blocks = 0;
   std::uint64_t local_deadlocks = 0;
   std::uint64_t cancelled_waits = 0;
@@ -290,7 +294,7 @@ class SiteEngine {
   std::unique_ptr<RtResource> log_disk_;  ///< null: shares the db disk
   RtFifoMutex tm_mutex_;
   std::unique_ptr<RtSemaphore> dm_pool_;
-  RtLockManager locks_;
+  RtLockFront locks_;
   WorkerPool pool_;
 
   std::mutex db_mu_;  ///< guards database_, shadow_ and LocalTxnState maps

@@ -106,6 +106,47 @@ void RtSemaphore::ResetStats() {
   waits_ = 0;
 }
 
+namespace {
+
+// A thread asleep on a lock wait. The table stores the outcome, then calls
+// Wake; both happen under the front's mutex, which the sleeper re-acquires
+// before it reads them, so the waiter outlives every use the table makes
+// of it.
+struct ThreadWaiter {
+  std::condition_variable cv;
+  bool decided = false;
+  lock::LockOutcome outcome = lock::LockOutcome::kGranted;
+
+  static void Wake(void* self) {
+    auto* waiter = static_cast<ThreadWaiter*>(self);
+    waiter->decided = true;
+    waiter->cv.notify_one();
+  }
+};
+
+}  // namespace
+
+lock::LockOutcome RtLockFront::Acquire(TxnId txn, db::GranuleId granule,
+                                       lock::LockMode mode) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (table_.TryAcquire(txn, granule, mode)) return lock::LockOutcome::kGranted;
+  ThreadWaiter waiter;
+  if (!table_.Enqueue(txn, granule, mode, &waiter.outcome,
+                      {&ThreadWaiter::Wake, &waiter})) {
+    return waiter.outcome;
+  }
+  if (on_block) {
+    // The wait predicate below absorbs a grant or cancellation that lands
+    // while the mutex is released.
+    std::vector<TxnId> holders = table_.WaitingFor(txn);
+    lock.unlock();
+    on_block(txn, std::move(holders));
+    lock.lock();
+  }
+  waiter.cv.wait(lock, [&] { return waiter.decided; });
+  return waiter.outcome;
+}
+
 void WorkerPool::Submit(std::function<void()> fn) {
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -18,6 +18,11 @@
 // error stays per-visit instead of compounding across the queue, and the
 // measured busy time is exactly the virtual service demand, as in the
 // simulation's sim::FcfsResource.
+//
+// RtLockFront puts the same lock table the simulation uses
+// (lock::LockManager) behind a mutex and blocks the requesting thread on a
+// lock wait: in the distributed runtime every transaction leg is a real
+// thread, so blocking the thread *is* the lock wait.
 
 #ifndef CARAT_DIST_RUNTIME_H_
 #define CARAT_DIST_RUNTIME_H_
@@ -32,7 +37,12 @@
 #include <thread>
 #include <vector>
 
+#include "db/database.h"
+#include "lock/lock_manager.h"
+
 namespace carat::dist {
+
+using TxnId = lock::TxnId;
 
 /// Wall-clock <-> virtual-time conversion for one site process. `scale` is
 /// real milliseconds per virtual millisecond (0.1 = ten times faster than
@@ -156,6 +166,77 @@ class RtSemaphore {
   std::condition_variable cv_;
   int available_;
   std::uint64_t waits_ = 0;
+};
+
+/// Thread-blocking front over lock::LockManager, which keeps the grant and
+/// upgrade rules, FIFO queues, local cycle check, victim choice and
+/// counters. A request that must wait sleeps on its own condition variable
+/// until the table's wake hook decides it: granted, or aborted by
+/// CancelWait (a global deadlock victim). Thread-safe.
+class RtLockFront {
+ public:
+  /// Blocks until the lock is granted or the requester is aborted (local
+  /// deadlock victim, or CancelWait); kAborted acquires nothing.
+  lock::LockOutcome Acquire(TxnId txn, db::GranuleId granule,
+                            lock::LockMode mode);
+
+  /// Invoked when a request queues, with the mutex released: it launches
+  /// probes, which charge TM/CPU time and send messages.
+  std::function<void(TxnId waiter, std::vector<TxnId> holders)> on_block;
+
+  /// Ends `txn`'s leg at this site: releases every lock it holds, grants
+  /// the waiters that become eligible, and forgets the transaction.
+  void EndTxn(TxnId txn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    table_.ReleaseAll(txn);
+    table_.EndTxn(txn);
+  }
+
+  // The table's calls and reads under the mutex; see lock::LockManager.
+  bool CancelWait(TxnId txn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.CancelWait(txn);
+  }
+  bool IsWaiting(TxnId txn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.IsWaiting(txn);
+  }
+  std::vector<TxnId> WaitingTxns() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.WaitingTxns();
+  }
+  std::vector<TxnId> WaitingFor(TxnId txn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.WaitingFor(txn);
+  }
+  std::size_t HeldCount(TxnId txn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.HeldCount(txn);
+  }
+  std::uint64_t requests() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.requests();
+  }
+  std::uint64_t blocks() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.blocks();
+  }
+  std::uint64_t local_deadlocks() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.local_deadlocks();
+  }
+  std::uint64_t cancelled_waits() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.cancelled_waits();
+  }
+  void ResetStats() {
+    std::lock_guard<std::mutex> lock(mu_);
+    table_.ResetStats();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  lock::LockManager table_;
 };
 
 /// Spawn-on-demand worker pool for protocol message handlers. A fixed-size

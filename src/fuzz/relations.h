@@ -48,8 +48,10 @@ enum class Rule : int {
   /// B (+A on the testbed): for read-only, uniform-access workloads with
   /// records_per_granule = 1 and no buffer, the granule count is inert:
   /// Pb = 0 exactly and the solution is invariant; the testbed run is
-  /// bit-identical with zero lock blocks. (Skew is excluded because the hot
-  /// region is a granule-count-dependent number of blocks.)
+  /// bit-identical with zero lock blocks, except under the queue backend,
+  /// whose deduplicated lock plan follows duplicate record draws. (Skew is
+  /// excluded because the hot region is a granule-count-dependent number
+  /// of blocks.)
   kGranuleInvariance,
   /// A: SolveBatchInto lane w is byte-identical to a scalar solve of lane
   /// w's input.
@@ -108,7 +110,7 @@ struct CheckOptions {
   /// Evaluate kServeIdentity (spins up a SolverService with worker threads).
   bool with_serve = true;
   /// Solver options shared by every model-level oracle. Defaults: exact MVA,
-  /// serial (pool = nullptr), tolerance 1e-9.
+  /// tolerance 1e-9.
   model::SolverOptions solver;
 
   // Tolerances (policy classes B/C/D; class A rules take none).

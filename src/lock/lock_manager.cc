@@ -14,7 +14,7 @@ bool Conflicts(LockMode a, LockMode b) {
 
 }  // namespace
 
-void LockManager::StartTxn(TxnId txn) { birth_.emplace(txn, sim_.now()); }
+void LockManager::StartTxn(TxnId txn) { birth_.emplace(txn, sim_->now()); }
 
 void LockManager::EndTxn(TxnId txn) {
   assert(!held_.contains(txn) || held_.at(txn).empty());
@@ -32,7 +32,8 @@ bool LockManager::CompatibleWithHolders(const GranuleLock& gl, TxnId txn,
   return true;
 }
 
-bool LockManager::TryGrantNow(TxnId txn, db::GranuleId granule, LockMode mode) {
+bool LockManager::TryAcquire(TxnId txn, db::GranuleId granule, LockMode mode) {
+  ++requests_;
   GranuleLock& gl = table_[granule];
   const auto held_it = held_.find(txn);
   const bool already_holds =
@@ -149,61 +150,60 @@ LockManager::AcquireAwaiter LockManager::Acquire(TxnId txn,
   return AcquireAwaiter{*this, txn, granule, mode};
 }
 
-bool LockManager::AcquireAwaiter::await_ready() {
-  ++lm.requests_;
-  return lm.TryGrantNow(txn, granule, mode);
+void LockManager::AcquireAwaiter::Resume(void* self) {
+  const auto* awaiter = static_cast<const AcquireAwaiter*>(self);
+  awaiter->lm.sim_->Schedule(0.0, awaiter->handle);
 }
 
-bool LockManager::AcquireAwaiter::await_suspend(std::coroutine_handle<> h) {
-  LockManager& m = lm;
-  ++m.blocks_;
-  GranuleLock& gl = m.table_[granule];
+bool LockManager::Enqueue(TxnId txn, db::GranuleId granule, LockMode mode,
+                          LockOutcome* outcome, WakeHook wake) {
+  ++blocks_;
+  GranuleLock& gl = table_[granule];
 
-  if (m.conflict_policy_ == ConflictPolicy::kAbortRequester) {
+  if (conflict_policy_ == ConflictPolicy::kAbortRequester) {
     // No-waiting: a conflict aborts the requester on the spot. Nothing is
     // ever enqueued, so the wait-for graph stays empty.
-    ++m.conflict_aborts_;
-    outcome = LockOutcome::kAborted;
+    ++conflict_aborts_;
+    *outcome = LockOutcome::kAborted;
     return false;
   }
-  if (m.conflict_policy_ == ConflictPolicy::kWaitDie) {
+  if (conflict_policy_ == ConflictPolicy::kWaitDie) {
     // Wait-die: wait only when older (smaller id) than every conflicting
     // holder and queued predecessor; otherwise die. The set a waiter
     // depends on never grows while it is queued (new requests join behind
     // it), so this enqueue-time check covers the wait's whole lifetime.
-    for (const TxnId other :
-         m.ConflictsOf(gl, txn, mode, gl.queue.size())) {
+    for (const TxnId other : ConflictsOf(gl, txn, mode, gl.queue.size())) {
       if (other < txn) {
-        ++m.conflict_aborts_;
-        outcome = LockOutcome::kAborted;
+        ++conflict_aborts_;
+        *outcome = LockOutcome::kAborted;
         return false;
       }
     }
-    gl.queue.push_back(Waiter{txn, mode, h, &outcome});
-    m.waiting_on_[txn] = granule;
-    m.ProcessQueue(granule);
+    gl.queue.push_back(Waiter{txn, mode, outcome, wake});
+    waiting_on_[txn] = granule;
+    ProcessQueue(granule);
     return true;
   }
 
   // Local deadlock check before enqueuing: would this wait close a cycle?
-  const std::vector<TxnId> hops = m.ConflictsOf(gl, txn, mode, gl.queue.size());
-  const std::vector<TxnId> cycle = m.FindCycle(txn, hops);
+  const std::vector<TxnId> hops = ConflictsOf(gl, txn, mode, gl.queue.size());
+  const std::vector<TxnId> cycle = FindCycle(txn, hops);
   if (!cycle.empty()) {
-    ++m.local_deadlocks_;
-    const TxnId victim = m.ChooseVictim(txn, cycle);
+    ++local_deadlocks_;
+    const TxnId victim = ChooseVictim(txn, cycle);
     if (victim == txn) {
-      outcome = LockOutcome::kAborted;
+      *outcome = LockOutcome::kAborted;
       return false;  // resume immediately, aborted
     }
     // Kill another waiting cycle member, then wait normally below.
-    m.CancelWait(victim);
+    CancelWait(victim);
   }
 
-  gl.queue.push_back(Waiter{txn, mode, h, &outcome});
-  m.waiting_on_[txn] = granule;
-  if (m.on_block) m.on_block(txn, m.WaitingFor(txn));
+  gl.queue.push_back(Waiter{txn, mode, outcome, wake});
+  waiting_on_[txn] = granule;
+  if (on_block) on_block(txn, WaitingFor(txn));
   // The cancelled victim (if any) may already have unblocked this granule.
-  m.ProcessQueue(granule);
+  ProcessQueue(granule);
   return true;
 }
 
@@ -230,7 +230,7 @@ void LockManager::ProcessQueue(db::GranuleId granule) {
     *w.outcome = LockOutcome::kGranted;
     const TxnId granted = w.txn;
     waiting_on_.erase(granted);
-    sim_.Schedule(0.0, w.handle);
+    w.wake.fn(w.wake.ctx);
     gl.queue.pop_front();
     if (on_unblock) on_unblock(granted);
   }
@@ -266,11 +266,11 @@ bool LockManager::CancelWait(TxnId txn) {
   for (auto w = gl.queue.begin(); w != gl.queue.end(); ++w) {
     if (w->txn != txn) continue;
     *w->outcome = LockOutcome::kAborted;
-    const std::coroutine_handle<> handle = w->handle;
+    const WakeHook wake = w->wake;
     gl.queue.erase(w);
     waiting_on_.erase(txn);
     ++cancelled_waits_;
-    sim_.Schedule(0.0, handle);
+    wake.fn(wake.ctx);
     if (on_unblock) on_unblock(txn);
     // Removing a queued conflict may unblock the remaining head.
     ProcessQueue(granule);

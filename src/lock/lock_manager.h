@@ -8,6 +8,12 @@
 //
 // Lock-table operations are pure bookkeeping (the testbed keeps the lock
 // table in main memory); the LR-phase CPU cost is charged by the caller.
+//
+// One table serves both runtimes. The in-process testbed suspends a
+// coroutine on Acquire and resumes it on its site's timeline; the
+// distributed site engine (dist::RtLockFront) blocks a thread through
+// TryAcquire/Enqueue under its own mutex. The fronts differ only in how a
+// queued waiter is woken, which each waiter carries as a WakeHook.
 
 #ifndef CARAT_LOCK_LOCK_MANAGER_H_
 #define CARAT_LOCK_LOCK_MANAGER_H_
@@ -16,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -57,7 +64,12 @@ enum class ConflictPolicy {
 
 class LockManager {
  public:
+  /// A table on `sim`'s timeline, for coroutine callers (Acquire).
   explicit LockManager(sim::SitePort sim) : sim_(sim) {}
+  /// A table with no timeline, for thread-blocking callers: they use
+  /// TryAcquire/Enqueue and never Acquire or StartTxn, so age-based victim
+  /// policies see every transaction as born at time 0.
+  LockManager() = default;
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
 
@@ -73,6 +85,24 @@ class LockManager {
   /// held until ReleaseAll; kAborted means the requester was chosen as a
   /// deadlock victim (no lock acquired) and must roll back.
   AcquireAwaiter Acquire(TxnId txn, db::GranuleId granule, LockMode mode);
+
+  /// How a queued request learns its outcome: when the queue grants or
+  /// cancels the wait, it stores the outcome and then calls fn(ctx).
+  struct WakeHook {
+    void (*fn)(void* ctx) = nullptr;
+    void* ctx = nullptr;
+  };
+
+  /// The request protocol behind Acquire, for callers that block a thread
+  /// instead. TryAcquire counts the request and grants it if it can be
+  /// granted now. Otherwise Enqueue resolves the conflict under the
+  /// conflict and victim policies: false means the requester dies on the
+  /// spot (*outcome = kAborted, nothing queued); true means it was queued,
+  /// and `wake` runs once *outcome is decided, possibly before Enqueue
+  /// returns.
+  bool TryAcquire(TxnId txn, db::GranuleId granule, LockMode mode);
+  bool Enqueue(TxnId txn, db::GranuleId granule, LockMode mode,
+               LockOutcome* outcome, WakeHook wake);
 
   /// Releases every lock held by `txn` and grants eligible waiters.
   void ReleaseAll(TxnId txn);
@@ -131,10 +161,16 @@ class LockManager {
     db::GranuleId granule;
     LockMode mode;
     LockOutcome outcome = LockOutcome::kGranted;
+    std::coroutine_handle<> handle = nullptr;
 
-    bool await_ready();
-    bool await_suspend(std::coroutine_handle<> h);
+    bool await_ready() { return lm.TryAcquire(txn, granule, mode); }
+    bool await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      return lm.Enqueue(txn, granule, mode, &outcome, {&Resume, this});
+    }
     LockOutcome await_resume() const { return outcome; }
+    /// Wake hook: resumes the coroutine on the site's timeline at delay 0.
+    static void Resume(void* self);
   };
 
  private:
@@ -145,8 +181,8 @@ class LockManager {
   struct Waiter {
     TxnId txn;
     LockMode mode;
-    std::coroutine_handle<> handle;
     LockOutcome* outcome;
+    WakeHook wake;
   };
   struct GranuleLock {
     std::vector<Holder> holders;
@@ -156,9 +192,6 @@ class LockManager {
   // True if `txn` may be granted `mode` right now (ignoring queue fairness).
   bool CompatibleWithHolders(const GranuleLock& gl, TxnId txn,
                              LockMode mode) const;
-  // Immediate-grant check including FIFO fairness and re-entrant holds.
-  // Mutates the table on success.
-  bool TryGrantNow(TxnId txn, db::GranuleId granule, LockMode mode);
   // Grants queued waiters that have become eligible (strict FIFO).
   void ProcessQueue(db::GranuleId granule);
   // Conflicting predecessors of a hypothetical/queued request.
@@ -170,7 +203,7 @@ class LockManager {
                                const std::vector<TxnId>& first_hops) const;
   TxnId ChooseVictim(TxnId requester, const std::vector<TxnId>& cycle) const;
 
-  sim::SitePort sim_;
+  std::optional<sim::SitePort> sim_;  ///< unset for thread-blocking callers
   VictimPolicy victim_policy_ = VictimPolicy::kRequester;
   ConflictPolicy conflict_policy_ = ConflictPolicy::kWait;
   std::unordered_map<db::GranuleId, GranuleLock> table_;

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "cc/cc.h"
-#include "exec/thread_pool.h"
 #include "model/cc_submodel.h"
 #include "model/demands.h"
 #include "model/lock_model.h"
@@ -1519,17 +1518,14 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
     }
     if (remaining == 0) break;
 
-    // (3) Demands (Eqs. 5-10) and the per-site MVA solves. Unit u's solve
-    // touches only unit u's networks, workspaces and error slots, so the
-    // units run concurrently on options.pool when provided (bit-identical to
-    // the serial order — no cross-site reads or writes). The kernels resume
+    // (3) Demands (Eqs. 5-10) and the per-site MVA solves. The kernels resume
     // from the previous iteration's queue lengths: the fixed point moves the
     // demands only slightly per iteration, so large-population Schweitzer
     // sites converge in a few rounds. Finite inputs can still overflow a
     // demand to inf (or NaN) mid-solve, e.g. a communication delay near
     // DBL_MAX; that network fails the kernel's validation, which fails its
     // lane alone after the sweep.
-    const auto solve_site = [&](std::size_t u) {
+    for (std::size_t u = 0; u < num_units; ++u) {
       const std::size_t i = units[u];
       for (std::size_t w = 0; w < lanes; ++w) {
         SolveArena::Impl::Lane& lane = ar.lanes[w];
@@ -1553,14 +1549,6 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
                            &lane.st[i]);
         }
       }
-    };
-    if (options.pool == nullptr) {
-      // Run inline rather than through ParallelFor: wrapping the lambda in a
-      // std::function would heap-allocate every iteration, and the serial
-      // path is the service's allocation-free warm path.
-      for (std::size_t u = 0; u < num_units; ++u) solve_site(u);
-    } else {
-      exec::ParallelFor(options.pool, 0, num_units, solve_site);
     }
     for (std::size_t w = 0; w < lanes; ++w) {
       SolveArena::Impl::Lane& lane = ar.lanes[w];

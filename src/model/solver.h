@@ -22,10 +22,6 @@
 #include "model/types.h"
 #include "qn/ethernet.h"
 
-namespace carat::exec {
-class ThreadPool;
-}  // namespace carat::exec
-
 namespace carat::model {
 
 /// Converged per-(type, site) quantities.
@@ -139,13 +135,6 @@ struct SolverOptions {
   /// match the input's site count and every class must be presence-uniform,
   /// else the solve fails with ok = false.
   const SiteClassSpec* site_classes = nullptr;
-
-  /// Worker pool for solving the per-site MVA networks concurrently inside
-  /// each fixed-point iteration. The sites are independent given the
-  /// previous iteration's delays, so the solution is bit-identical whether
-  /// this is null (serial) or any pool size. The pool is borrowed, not
-  /// owned, and may be shared across concurrent Solve() calls.
-  exec::ThreadPool* pool = nullptr;
 
   /// Communication Network Model (Section 3): when set, the solver derives
   /// the inter-site delay alpha from the model's own message rate through

@@ -1,11 +1,12 @@
 // Tests for the distributed testbed subsystem (src/dist): the real-time
 // execution primitives (reservation-ledger FCFS resource, FIFO ticket
-// mutex, DM semaphore), the blocking 2PL lock manager with cancellable
-// waits and local cycle detection, the wire vocabulary round trips, and —
-// under the `dist` ctest label — full multi-process loopback runs: the
-// coordinator spawns real carat_sited processes, walks the handshake,
-// cross-checks the aggregate against the in-process RunTestbed reference,
-// and drives the open-loop load generator against the live sites.
+// mutex, DM semaphore), the thread-blocking front over the shared 2PL lock
+// table (cancellable waits, local cycle detection), the wire vocabulary
+// round trips, and — under the `dist` ctest label — full multi-process
+// loopback runs: the coordinator spawns real carat_sited processes, walks
+// the handshake, cross-checks the aggregate against the in-process
+// RunTestbed reference, and drives the open-loop load generator against the
+// live sites.
 //
 // The e2e tests are wall-clock bound (each site scales virtual time by
 // `scale` real ms per virtual ms), so windows are kept short and the
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <future>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +30,6 @@
 #include "dist/coordinator.h"
 #include "dist/engine.h"
 #include "dist/loadgen.h"
-#include "dist/rt_lock.h"
 #include "dist/runtime.h"
 #include "dist/wire.h"
 #include "lock/lock_manager.h"
@@ -219,10 +220,10 @@ TEST(WorkerPool, IdleWorkersRetireAfterABurst) {
   EXPECT_LE(live, 1u) << "idle workers never retired";
 }
 
-// ---- RtLockManager: blocking 2PL with cancellable waits --------------------
+// ---- RtLockFront: lock::LockManager with thread-blocking waits -------------
 
-TEST(RtLockManager, SharedHoldersCoexistAndExclusiveWaits) {
-  dist::RtLockManager locks;
+TEST(RtLockFront, SharedHoldersCoexistAndExclusiveWaits) {
+  dist::RtLockFront locks;
   EXPECT_EQ(locks.Acquire(1, 7, LockMode::kShared), LockOutcome::kGranted);
   EXPECT_EQ(locks.Acquire(2, 7, LockMode::kShared), LockOutcome::kGranted);
   EXPECT_EQ(locks.HeldCount(1), 1u);
@@ -234,18 +235,18 @@ TEST(RtLockManager, SharedHoldersCoexistAndExclusiveWaits) {
   const auto blocked_on = locks.WaitingFor(3);
   EXPECT_EQ(blocked_on.size(), 2u);  // both shared holders
 
-  locks.ReleaseAll(1);
+  locks.EndTxn(1);
   dist::RtClock::SleepRealMs(20.0);
   EXPECT_TRUE(locks.IsWaiting(3));  // one conflicting holder remains
-  locks.ReleaseAll(2);
+  locks.EndTxn(2);
   writer.join();
   EXPECT_EQ(outcome, LockOutcome::kGranted);
   EXPECT_EQ(locks.blocks(), 1u);
-  locks.ReleaseAll(3);
+  locks.EndTxn(3);
 }
 
-TEST(RtLockManager, LocalCycleKillsTheRequesterThatClosesIt) {
-  dist::RtLockManager locks;
+TEST(RtLockFront, LocalCycleKillsTheRequesterThatClosesIt) {
+  dist::RtLockFront locks;
   ASSERT_EQ(locks.Acquire(1, 10, LockMode::kExclusive), LockOutcome::kGranted);
   ASSERT_EQ(locks.Acquire(2, 20, LockMode::kExclusive), LockOutcome::kGranted);
 
@@ -259,15 +260,16 @@ TEST(RtLockManager, LocalCycleKillsTheRequesterThatClosesIt) {
   // spot, without ever joining the queue.
   EXPECT_EQ(locks.Acquire(1, 20, LockMode::kExclusive), LockOutcome::kAborted);
   EXPECT_EQ(locks.local_deadlocks(), 1u);
+  EXPECT_EQ(locks.blocks(), 2u);  // the aborted conflict counts too
 
-  locks.ReleaseAll(1);  // victim rolls back; the survivor's wait resolves
+  locks.EndTxn(1);  // victim rolls back; the survivor's wait resolves
   waiter.join();
   EXPECT_EQ(waiter_outcome, LockOutcome::kGranted);
-  locks.ReleaseAll(2);
+  locks.EndTxn(2);
 }
 
-TEST(RtLockManager, CancelWaitResumesTheWaiterWithAborted) {
-  dist::RtLockManager locks;
+TEST(RtLockFront, CancelWaitResumesTheWaiterWithAborted) {
+  dist::RtLockFront locks;
   ASSERT_EQ(locks.Acquire(1, 5, LockMode::kExclusive), LockOutcome::kGranted);
   LockOutcome outcome = LockOutcome::kGranted;
   std::thread waiter([&] { outcome = locks.Acquire(2, 5, LockMode::kShared); });
@@ -279,11 +281,11 @@ TEST(RtLockManager, CancelWaitResumesTheWaiterWithAborted) {
   EXPECT_EQ(locks.cancelled_waits(), 1u);
   EXPECT_FALSE(locks.CancelWait(2));  // nothing pending any more
   EXPECT_EQ(locks.HeldCount(2), 0u);
-  locks.ReleaseAll(1);
+  locks.EndTxn(1);
 }
 
-TEST(RtLockManager, OnBlockReportsTheConflictingHolders) {
-  dist::RtLockManager locks;
+TEST(RtLockFront, OnBlockReportsTheConflictingHolders) {
+  dist::RtLockFront locks;
   std::mutex mu;
   std::condition_variable cv;
   dist::TxnId blocked_waiter = 0;
@@ -304,9 +306,9 @@ TEST(RtLockManager, OnBlockReportsTheConflictingHolders) {
   }
   EXPECT_EQ(blocked_waiter, 11u);
   EXPECT_EQ(blocked_holders, (std::vector<dist::TxnId>{9}));
-  locks.ReleaseAll(9);
+  locks.EndTxn(9);
   waiter.join();
-  locks.ReleaseAll(11);
+  locks.EndTxn(11);
 }
 
 // ---- Wire vocabulary -------------------------------------------------------
@@ -498,6 +500,18 @@ dist::DistRunOptions BaseE2eOptions() {
   return options;
 }
 
+// The cross-check's inputs and errors, so a failure keeps its numbers.
+std::string CrossCheckNumbers(const dist::DistRunResult& r) {
+  std::ostringstream out;
+  out << "txn/s " << r.dist_txn_per_s << " vs reference " << r.ref_txn_per_s
+      << " (rel err " << r.throughput_rel_err << "), response ms "
+      << r.dist_response_ms << " vs " << r.ref_response_ms << " (rel err "
+      << r.response_rel_err << "), restart ratio " << r.dist_restart_prob
+      << " vs " << r.ref_restart_prob << " (abs err " << r.restart_abs_err
+      << ")";
+  return out.str();
+}
+
 TEST(DistE2e, TwoSiteCrossCheckAgainstTheReference) {
   auto options = BaseE2eOptions();
   if (options.sited_bin.empty()) GTEST_SKIP() << "carat_sited not built";
@@ -513,9 +527,7 @@ TEST(DistE2e, TwoSiteCrossCheckAgainstTheReference) {
   EXPECT_GT(result.messages_sent, 0u);  // mb8 crosses sites
   EXPECT_GT(result.alpha_virtual_ms, 0.0);
   ASSERT_TRUE(result.checked);
-  EXPECT_TRUE(result.within_tolerance)
-      << "throughput err " << result.throughput_rel_err << ", response err "
-      << result.response_rel_err << ", restart err " << result.restart_abs_err;
+  EXPECT_TRUE(result.within_tolerance) << CrossCheckNumbers(result);
 }
 
 TEST(DistE2e, FourSiteAllLocalWorkloadStaysQuiet) {
@@ -533,9 +545,7 @@ TEST(DistE2e, FourSiteAllLocalWorkloadStaysQuiet) {
   EXPECT_GT(result.commits, 0u);
   EXPECT_EQ(result.global_deadlocks, 0u);  // all-local: no cross-site cycles
   ASSERT_TRUE(result.checked);
-  EXPECT_TRUE(result.within_tolerance)
-      << "throughput err " << result.throughput_rel_err << ", response err "
-      << result.response_rel_err << ", restart err " << result.restart_abs_err;
+  EXPECT_TRUE(result.within_tolerance) << CrossCheckNumbers(result);
 }
 
 TEST(DistE2e, ContendedRunDetectsGlobalDeadlocksAndStaysConsistent) {

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "model/solver.h"
 #include "workload/spec.h"
 
@@ -220,20 +219,6 @@ TEST(ModelBatch, EthernetCouplingStaysBitIdentical) {
   for (std::size_t w = 0; w < inputs.size(); ++w) {
     ExpectBitIdentical(batch.outs[w], RunScalar(inputs[w], options),
                        "ethernet lane " + std::to_string(w));
-  }
-}
-
-TEST(ModelBatch, ThreadPoolSolveIsBitIdenticalToSerial) {
-  exec::ThreadPool pool(3);
-  SolverOptions serial;
-  SolverOptions pooled;
-  pooled.pool = &pool;
-  const std::vector<ModelInput> inputs = SweepInputs("ub6", {4, 8, 12, 16});
-  const BatchRun a = RunBatch(inputs, serial);
-  const BatchRun b = RunBatch(inputs, pooled);
-  for (std::size_t w = 0; w < inputs.size(); ++w) {
-    ExpectBitIdentical(b.outs[w], a.outs[w],
-                       "pooled lane " + std::to_string(w));
   }
 }
 

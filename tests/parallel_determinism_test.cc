@@ -1,14 +1,12 @@
-// The parallel solve/sweep paths must be numerically indistinguishable from
-// the serial ones: within a fixed-point iteration the per-site MVA solves
-// are independent, and across a sweep each (workload, n, seed) point is
-// solved/simulated from its own state. These tests compare results
-// bit-for-bit (memcmp on the doubles, not EXPECT_DOUBLE_EQ).
+// The parallel sweep must be numerically indistinguishable from the serial
+// one: each (workload, n, seed) point is solved and simulated from its own
+// state. The test compares results bit for bit (memcmp on the doubles, not
+// EXPECT_DOUBLE_EQ).
 
 #include <cstring>
 
 #include <gtest/gtest.h>
 
-#include "exec/thread_pool.h"
 #include "model/solver.h"
 #include "repro_common.h"
 #include "workload/spec.h"
@@ -61,41 +59,6 @@ workload::WorkloadSpec MakeWorkload(const std::string& name, int n) {
   if (name == "mb4") return workload::MakeMB4(n);
   if (name == "mb8") return workload::MakeMB8(n);
   return workload::MakeUB6(n);
-}
-
-TEST(ParallelSolver, PooledSiteSolvesMatchSerialBitForBit) {
-  exec::ThreadPool pool(8);
-  for (const char* name : {"lb8", "mb4", "mb8", "ub6"}) {
-    for (int n : {4, 12, 20}) {
-      const model::ModelInput input = MakeWorkload(name, n).ToModelInput();
-      model::SolverOptions serial_opts;
-      model::SolverOptions pooled_opts;
-      pooled_opts.pool = &pool;
-      const model::ModelSolution serial =
-          model::CaratModel(input).Solve(serial_opts);
-      const model::ModelSolution pooled =
-          model::CaratModel(input).Solve(pooled_opts);
-      ASSERT_TRUE(serial.ok) << name << " n=" << n << ": " << serial.error;
-      SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n));
-      ExpectIdentical(serial, pooled);
-    }
-  }
-}
-
-TEST(ParallelSolver, SchweitzerPathIsAlsoDeterministic) {
-  // Forced Schweitzer-Bard exercises the warm-started approximate path.
-  exec::ThreadPool pool(8);
-  const model::ModelInput input = MakeWorkload("mb8", 8).ToModelInput();
-  model::SolverOptions serial_opts;
-  serial_opts.use_exact_mva = false;
-  model::SolverOptions pooled_opts = serial_opts;
-  pooled_opts.pool = &pool;
-  const model::ModelSolution serial =
-      model::CaratModel(input).Solve(serial_opts);
-  const model::ModelSolution pooled =
-      model::CaratModel(input).Solve(pooled_opts);
-  ASSERT_TRUE(serial.ok) << serial.error;
-  ExpectIdentical(serial, pooled);
 }
 
 TEST(ParallelSweep, JobsOneAndJobsEightAreBitIdentical) {

@@ -102,15 +102,6 @@ TEST(CanonicalKey, SolverOptionsAreFoldedIn) {
   EXPECT_NE(serve::CanonicalKey(input, a), serve::CanonicalKey(input, c));
 }
 
-TEST(CanonicalKey, PoolPointerDoesNotAffectTheKey) {
-  // The pool changes where the solve runs, never what it computes.
-  const model::ModelInput input = workload::MakeMB4(8).ToModelInput();
-  model::SolverOptions a;
-  model::SolverOptions b;
-  b.pool = reinterpret_cast<exec::ThreadPool*>(0x1);
-  EXPECT_EQ(serve::CanonicalKey(input, a), serve::CanonicalKey(input, b));
-}
-
 // ---- Solution cache --------------------------------------------------------
 
 TEST(SolutionCache, EvictsLeastRecentlyUsed) {
