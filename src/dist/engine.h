@@ -1,23 +1,21 @@
 // One CARAT site as a real-time protocol engine.
 //
-// SiteEngine hosts everything a site process owns: the site's database with
-// per-transaction before-image journaling, the 2PL lock table (the
-// simulation's lock::LockManager behind the thread-blocking RtLockFront),
-// the serialized TM server, the CPU / database-disk / log-disk resources
-// (reservation-ledger FCFS, see dist/runtime.h), the resident user TR
-// threads homed here, the slave-side handlers for remote requests and 2PC
-// legs, and the probe logic for global deadlock detection. It is transport
-// agnostic: outgoing mesh messages go through a Sender callback and incoming
-// ones are fed to HandleMessage by the site daemon (on worker-pool threads —
-// handlers block on locks and resources).
+// SiteEngine hosts everything a site process owns, as coroutines on the
+// site's real-time event loop (dist/runtime.h): one txn::Node, the
+// testbed's per-site runtime (TM server, CPU and disks, DM pool, database,
+// before-image journal, 2PL lock table), plus the resident users homed
+// here, the slave-side handlers for remote requests and 2PC legs, and the
+// probe logic for global deadlock detection. A site's cost structure is
+// therefore defined once, in txn::Node, for both clocks, and a distributed
+// run is cross-checkable against the in-process RunTestbed reference. What
+// stays this engine's own is the transaction flow around the node: plan
+// building, the coordinator's REMDO/PREPARE/COMMIT/TABORT rounds as wire
+// messages, and the probe journeys between processes. All engine-internal
+// times are *virtual* milliseconds.
 //
-// The phase cost structure mirrors carat/testbed.cc visit by visit (INIT,
-// U, TM routing, request execution, REMDO round trips, centralized 2PC with
-// forced log writes, rollback, UL) so a distributed run is cross-checkable
-// against the in-process RunTestbed reference: both implement the same
-// protocol over the same cost tables and the same lock table, one in
-// virtual time, one in scaled real time. All engine-internal times are
-// *virtual* milliseconds.
+// The engine is transport agnostic: outgoing mesh messages go through a
+// Sender callback, called on the loop thread; incoming ones reach
+// HandleMessage on any thread, which posts them to the loop.
 //
 // Global transaction ids encode the home site (gid = seq * num_sites +
 // home), matching the in-process registry, so any site can route a probe
@@ -28,22 +26,23 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "db/database.h"
 #include "dist/runtime.h"
 #include "dist/wire.h"
+#include "lock/lock_manager.h"
 #include "model/params.h"
+#include "sim/process.h"
+#include "sim/sync.h"
+#include "sim/task.h"
+#include "txn/node.h"
 #include "util/random.h"
 #include "util/stats.h"
 
@@ -110,9 +109,14 @@ struct EngineOptions {
 class SiteEngine {
  public:
   /// Ships `body` (a wire payload, verb first) to site `to`; never invoked
-  /// with to == this site. Must be thread-safe.
+  /// with to == this site. Called on the loop thread only.
   using Sender = std::function<void(int to, const std::string& body)>;
 
+  /// Receives an external transaction's TXN_K payload, on the loop thread.
+  using TxnDone = std::function<void(const std::string& reply)>;
+
+  /// Builds the site and starts its loop: remote requests may arrive from
+  /// peers before or after Start.
   SiteEngine(const model::ModelInput& input, const EngineOptions& options,
              Sender sender);
   ~SiteEngine();
@@ -120,15 +124,18 @@ class SiteEngine {
   SiteEngine(const SiteEngine&) = delete;
   SiteEngine& operator=(const SiteEngine&) = delete;
 
-  /// Spawns the resident user threads (if configured) and the re-probe
-  /// watchdog. Remote requests may arrive from peers before or after.
+  // The control calls below block the calling thread (never the loop's)
+  // until the loop has run them; after Stop they do nothing.
+
+  /// Spawns the resident users (if configured) and the re-probe watchdog.
   void Start();
 
   /// Zeroes the measurement counters; called at the end of warm-up.
   void ResetStats();
 
   /// Signals resident users to stop at their next commit-cycle boundary and
-  /// joins them. Records the measured window length.
+  /// waits until they have. The measured window ends when the last one
+  /// stops.
   void StopUsers();
 
   /// Waits until no slave legs or external transactions remain in flight
@@ -138,48 +145,42 @@ class SiteEngine {
   /// Runs the end-of-run audit and gathers the report. Call after Drain.
   EngineReport Collect();
 
-  /// Stops everything (users, watchdog, handler pool). Engine becomes inert.
+  /// Stops the loop and ends every coroutine still parked on it. The engine
+  /// is inert afterwards.
   void Stop();
 
-  /// Dispatches one incoming mesh payload. Called on worker-pool threads;
-  /// may block on locks/resources for extended (scaled) time.
-  void HandleMessage(int from, const std::string& body);
+  /// Dispatches one incoming mesh payload. Thread-safe; never blocks on the
+  /// loop.
+  void HandleMessage(int from, std::string body);
 
   /// Runs one client-submitted transaction to commit (retrying aborts like
-  /// a resident user) and returns the TXN_K payload. Blocking.
-  std::string RunExternalTxn(std::string_view type_token, int requests);
-
-  /// Runs `fn` on the engine's handler pool. The site daemon dispatches
-  /// client TXN frames through this so a connection's reader thread never
-  /// blocks on transaction execution (load generators pipeline frames).
-  void Dispatch(std::function<void()> fn) { pool_.Submit(std::move(fn)); }
+  /// a resident user), then hands the TXN_K payload to `done`. Thread-safe;
+  /// never blocks on the loop.
+  void SubmitExternalTxn(std::string_view type_token, int requests,
+                         TxnDone done);
 
   int site() const { return options_.site; }
-  const RtClock& clock() const { return clock_; }
 
   /// One-line-per-fact dump of the engine's wait state (lock waits and
-  /// their wait-for edges, in-flight coordinator transactions with their
-  /// pending reply counts, resident slave legs, external transactions) for
-  /// diagnosing a stuck distributed run; the coordinator requests it via
-  /// the DUMP control verb when a site misses a protocol deadline.
+  /// their wait-for edges, in-flight coordinator rounds with phase and age,
+  /// resident slave legs, external transactions, per-verb message counts,
+  /// and the work queued on the loop) for diagnosing a stuck distributed
+  /// run; the coordinator requests it via the DUMP control verb when a site
+  /// misses a protocol deadline. Bounded wait: a loop that does not answer
+  /// is reported as such.
   std::string DebugSnapshot();
 
  private:
-  struct PhaseAcct {
-    double lock_wait_vms = 0.0;
-    double remote_wait_vms = 0.0;
-    double commit_wait_vms = 0.0;
-  };
+  using PhaseAccounting = txn::Node::PhaseAccounting;
 
-  /// A resident user TR thread and its measurement counters.
+  /// A resident user TR process and its measurement counters.
   struct UserDriver {
     model::TxnType type = model::TxnType::kLRO;
     util::Rng rng{0};
-    std::thread thread;
-    std::mutex mu;  ///< guards the counters against ResetStats/Collect
     std::uint64_t commits = 0;
     std::uint64_t submissions = 0;
     std::uint64_t aborts = 0;
+    bool attempting = false;  ///< an attempt is submitted and not yet ended
     std::uint64_t records_committed = 0;
     util::StatAccumulator response_vms;
     util::StatAccumulator lock_wait_vms;
@@ -188,34 +189,26 @@ class SiteEngine {
   };
 
   /// Coordinator-side registry entry for an in-flight transaction homed
-  /// here: the blocking slot remote replies signal, plus the current node
-  /// for probe routing.
+  /// here: the reply round it waits in, plus the current node for probe
+  /// routing.
   struct CoordTxn {
-    model::TxnType type;
-    std::mutex mu;
-    std::condition_variable cv;
-    int pending = 0;   ///< outstanding replies in the current round
-    bool remdo_ok = true;
+    model::TxnType type = model::TxnType::kLRO;
     int current_node = 0;
-    /// Which round the coordinator is blocked in ("remdo", "prepare",
-    /// "commit", "tabort") and since when — names the message a stuck
-    /// transaction is waiting for in a DebugSnapshot.
+    sim::Gate* round = nullptr;  ///< open reply round, null between rounds
+    bool remdo_ok = true;
+    /// Which round the coordinator waits in ("remdo", "prepare", "commit",
+    /// "tabort") and since when: names the message a stuck transaction is
+    /// waiting for in a DebugSnapshot.
     const char* phase = "run";
     double phase_start_vms = 0.0;
   };
 
-  /// Per-site execution state of one transaction (the home part of a local
-  /// coordinator, or a slave leg of a remote one): before images for
-  /// rollback and applied updates for the commit-time audit credit.
+  /// Per-site state of one transaction (the home part of a local
+  /// coordinator, or a slave leg of a remote one). Rollback data lives in
+  /// the node's journal; `updated` is the commit-time audit credit.
   struct LocalTxnState {
     model::TxnType coord_type = model::TxnType::kLRO;
-    std::map<db::GranuleId, std::vector<db::RecordValue>> undo;
     std::vector<db::RecordId> updated;
-  };
-
-  struct RequestSpec {
-    int node = 0;
-    std::vector<db::RecordId> records;
   };
 
   const model::SiteParams& params() const {
@@ -228,56 +221,68 @@ class SiteEngine {
     return params().Class(model::SlaveOf(coord_type));
   }
 
-  double NowVms() const { return clock_.NowVirtualMs(); }
+  double NowVms() const { return node_.simulation().now(); }
   void Send(int to, const std::string& body);
-
-  // --- resource usage (blocking, scaled real time) -------------------------
-  void UseCpu(double vms) { cpu_.Use(vms); }
-  void TmHandle(double vms);
-  void DbIo(int blocks);
-  void LogIo(int blocks);
 
   // --- transaction lifecycle (home side) -----------------------------------
   std::uint64_t NewGid(model::TxnType type);
-  void EndGid(std::uint64_t gid);
-  CoordTxn* FindCoordTxn(std::uint64_t gid);
   void SetCurrentNode(std::uint64_t gid, int node);
 
-  void UserMain(UserDriver* driver);
-  std::vector<RequestSpec> BuildPlan(model::TxnType type, int local_requests,
-                                     int remote_requests,
-                                     int records_per_request, util::Rng* rng);
-  bool RunOnce(model::TxnType type, std::uint64_t gid,
-               const std::vector<RequestSpec>& plan, PhaseAcct* acct);
-  bool RemoteRequest(std::uint64_t gid, model::TxnType type,
-                     const RequestSpec& req, std::vector<bool>* touched);
-  void Commit2pc(std::uint64_t gid, model::TxnType type,
-                 const std::vector<int>& slaves, PhaseAcct* acct);
-  void GlobalAbort(std::uint64_t gid, model::TxnType type, int victim_node,
-                   const std::vector<bool>& touched);
+  sim::Process UserProcess(UserDriver* driver);
+  sim::Process ExternalTxn(model::TxnType type, int local_requests,
+                           int remote_requests, TxnDone done);
+  std::vector<txn::RequestSpec> BuildPlan(model::TxnType type,
+                                          int local_requests,
+                                          int remote_requests,
+                                          int records_per_request,
+                                          util::Rng* rng);
+  // Coroutine parameters are references to the awaiting frame's named
+  // locals, never temporaries of class type: GCC 12 has been seen to
+  // destroy such a temporary inside a co_await expression twice.
+  sim::Task<bool> RunOnce(model::TxnType type, std::uint64_t gid,
+                          const std::vector<txn::RequestSpec>& plan,
+                          PhaseAccounting* acct);
+  sim::Task<void> Round(std::uint64_t gid, const char* phase,
+                        const std::vector<int>& sites, const std::string& body);
+  sim::Task<void> Commit2pc(std::uint64_t gid, model::TxnType type,
+                            const std::vector<int>& slaves,
+                            PhaseAccounting* acct);
+  sim::Task<void> GlobalAbort(std::uint64_t gid, model::TxnType type,
+                              int victim_node,
+                              const std::vector<bool>& touched);
 
   // --- per-site execution (home part and slave legs) -----------------------
-  bool ExecuteRequestHere(std::uint64_t gid, const model::ClassParams& costs,
-                          bool update, const std::vector<db::RecordId>& records,
-                          PhaseAcct* acct, LocalTxnState* state);
-  void RollbackHere(std::uint64_t gid, const model::ClassParams& costs,
-                    LocalTxnState* state);
-  void ReleaseLocksHere(std::uint64_t gid, const model::ClassParams& costs);
-  void CreditCommitted(LocalTxnState* state);
+  sim::Task<bool> ExecuteHere(std::uint64_t gid,
+                              const model::ClassParams& costs,
+                              const txn::RequestSpec& request,
+                              PhaseAccounting* acct);
+  void CreditCommitted(std::uint64_t gid);
+  void Vacate(std::uint64_t gid);
 
-  // --- slave-side message handlers -----------------------------------------
-  void HandleRemdo(int from, const std::string& body);
-  void HandlePrepare(int from, const std::string& body);
-  void HandleCommit(int from, const std::string& body);
-  void HandleTabort(int from, const std::string& body);
-  void HandleReply(const std::string& body, bool remdo);
+  // --- slave-side handlers and replies --------------------------------------
+  void Dispatch(int from, const std::string& body);
+  sim::Process Remdo(int from, std::uint64_t gid, model::TxnType coord_type,
+                     std::vector<db::RecordId> records);
+  sim::Process Prepare(int from, std::uint64_t gid);
+  sim::Process CommitLeg(int from, std::uint64_t gid);
+  sim::Process Tabort(int from, std::uint64_t gid);
+  sim::Process LegReply(std::uint64_t gid);
+  void SignalRound(std::uint64_t gid);
 
   // --- global deadlock probes ----------------------------------------------
-  void OnBlock(TxnId waiter, std::vector<TxnId> holders);
-  void HandleProbe(std::uint64_t initiator, int initiator_site,
-                   std::uint64_t target, int hops, std::uint64_t max_gid);
-  void DeliverVictim(std::uint64_t initiator, int initiator_site);
-  void WatchdogMain();
+  sim::Process OnBlock(lock::TxnId waiter, std::vector<lock::TxnId> holders);
+  sim::Task<void> ProbeHolders(lock::TxnId waiter,
+                               const std::vector<lock::TxnId>& holders);
+  sim::Process Probe(std::uint64_t initiator, int initiator_site,
+                     std::uint64_t target, int hops, std::uint64_t max_gid);
+  sim::Task<void> HandleProbe(std::uint64_t initiator, int initiator_site,
+                              std::uint64_t target, int hops,
+                              std::uint64_t max_gid);
+  void SendProbe(int to, std::uint64_t initiator, int initiator_site,
+                 std::uint64_t target, int hops, std::uint64_t max_gid);
+  sim::Process Watchdog();
+
+  std::string Snapshot();
 
   int HomeOf(std::uint64_t gid) const {
     return static_cast<int>(gid % static_cast<std::uint64_t>(
@@ -287,54 +292,40 @@ class SiteEngine {
   const model::ModelInput input_;
   const EngineOptions options_;
   Sender sender_;
-  RtClock clock_;
 
-  RtResource cpu_;
-  RtResource db_disk_;
-  std::unique_ptr<RtResource> log_disk_;  ///< null: shares the db disk
-  RtFifoMutex tm_mutex_;
-  std::unique_ptr<RtSemaphore> dm_pool_;
-  RtLockFront locks_;
-  WorkerPool pool_;
+  // Declared before every object the loop's coroutines touch, so those are
+  // still alive when the destructor's Stop ends the coroutines.
+  RtSiteLoop loop_;
+  txn::Node node_;
 
-  std::mutex db_mu_;  ///< guards database_, shadow_ and LocalTxnState maps
-  db::Database database_;
+  // Everything below is touched only on the loop thread.
   std::vector<std::uint64_t> shadow_;  ///< committed increments per record
-  std::unordered_map<std::uint64_t, std::unique_ptr<LocalTxnState>> local_;
-
-  std::mutex coord_mu_;  ///< guards coord_txns_ and next_seq_
-  std::unordered_map<std::uint64_t, std::unique_ptr<CoordTxn>> coord_txns_;
+  std::unordered_map<std::uint64_t, LocalTxnState> local_;
+  std::unordered_map<std::uint64_t, CoordTxn> coord_txns_;
   std::uint64_t next_seq_ = 0;
 
   std::vector<std::unique_ptr<UserDriver>> drivers_;
-  std::atomic<bool> stop_users_{false};
-  std::atomic<bool> stopping_{false};
-  std::thread watchdog_;
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
+  int live_users_ = 0;
+  bool stop_users_ = false;
 
-  std::mutex ext_mu_;
   util::Rng ext_rng_{0};
   int ext_active_ = 0;
   std::uint64_t ext_commits_ = 0;
   std::uint64_t ext_aborts_ = 0;
-  std::condition_variable ext_cv_;
 
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> probes_sent_{0};
-  std::atomic<std::uint64_t> global_deadlocks_{0};
+  std::uint64_t messages_sent_ = 0;
+  std::uint64_t probes_sent_ = 0;
+  std::uint64_t global_deadlocks_ = 0;
 
   /// Per-verb send/receive counters (diagnostic): comparing one site's tx
   /// row against the peer's rx row in paired DebugSnapshots shows whether a
   /// missing protocol step was lost in transit or stalled after delivery.
-  /// handled_ counts pool tasks that actually started; rx minus handled is
-  /// work sitting in the pool queue.
+  /// rx counts on arrival, on the receiving thread.
   static constexpr int kNumVerbs = 11;
   static int VerbIndex(std::string_view verb);
   static const char* VerbName(int index);
-  std::array<std::atomic<std::uint64_t>, kNumVerbs> tx_verbs_{};
+  std::array<std::uint64_t, kNumVerbs> tx_verbs_{};
   std::array<std::atomic<std::uint64_t>, kNumVerbs> rx_verbs_{};
-  std::atomic<std::uint64_t> handled_{0};
 
   double window_start_vms_ = 0.0;
   double window_end_vms_ = 0.0;

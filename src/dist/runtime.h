@@ -1,48 +1,37 @@
-// Real-time execution primitives for the distributed testbed.
+// Real-time execution for the distributed testbed.
 //
-// The in-process testbed (carat/testbed.h) runs on a virtual-time event
-// kernel; the distributed testbed runs each site as its own OS process, so
-// time must be real. Every service demand of the protocol (CPU bursts, disk
-// block I/Os) is emulated by sleeping a scaled amount of wall-clock time:
-// `scale` real milliseconds per virtual millisecond. All protocol code keeps
-// working in *virtual* milliseconds — the same unit as the model and the
-// simulation — and RtClock converts at the sleep/measure boundary.
+// The in-process testbed (carat/testbed.h) runs every site on a virtual-time
+// event kernel. A carat_sited process runs its one site on the same kernel,
+// driven by the wall clock: RtSiteLoop owns a one-site sim::ShardedKernel
+// and an RtClock (`scale` real milliseconds per virtual millisecond), and
+// its thread runs every event whose virtual time has come, then sleeps until
+// the next event's wall-clock deadline or until another thread posts work.
+// A site's code is therefore the testbed's code (txn::Node's TM server, CPU,
+// disks, DM pool, journal and lock table, as coroutines), and queueing inside
+// a site is exact in virtual time; only the arrival time of a message from
+// another thread carries wall-clock jitter.
 //
-// RtResource is the FCFS single server. Instead of sleeping per caller (which
-// would let scheduler overshoot accumulate through a queue), it keeps a
-// reservation ledger: under a mutex each request computes
-//     start = max(now, busy_until), end = start + service
-// advances busy_until to `end`, and then sleeps until the *absolute* deadline
-// `end` outside the lock. A thread that oversleeps does not push later
-// reservations back — the ledger already fixed their deadlines — so timing
-// error stays per-visit instead of compounding across the queue, and the
-// measured busy time is exactly the virtual service demand, as in the
-// simulation's sim::FcfsResource.
-//
-// RtLockFront puts the same lock table the simulation uses
-// (lock::LockManager) behind a mutex and blocks the requesting thread on a
-// lock wait: in the distributed runtime every transaction leg is a real
-// thread, so blocking the thread *is* the lock wait.
+// Threads other than the loop's never touch site state: they Post closures,
+// which the loop runs as kernel events at delay 0, so every sim::Process is
+// spawned inside event execution and Stop reaches it. The inbox is unbounded
+// and Post never waits for the loop, so a mesh reader thread always drains
+// its socket, and two sites writing to each other cannot deadlock.
 
 #ifndef CARAT_DIST_RUNTIME_H_
 #define CARAT_DIST_RUNTIME_H_
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "db/database.h"
-#include "lock/lock_manager.h"
+#include "sim/event.h"
+#include "sim/simulation.h"
 
 namespace carat::dist {
-
-using TxnId = lock::TxnId;
 
 /// Wall-clock <-> virtual-time conversion for one site process. `scale` is
 /// real milliseconds per virtual millisecond (0.1 = ten times faster than
@@ -54,8 +43,6 @@ class RtClock {
   explicit RtClock(double scale)
       : scale_(scale), start_(std::chrono::steady_clock::now()) {}
 
-  double scale() const { return scale_; }
-
   /// Virtual milliseconds elapsed since this clock was created.
   double NowVirtualMs() const {
     const std::chrono::duration<double, std::milli> real =
@@ -63,16 +50,12 @@ class RtClock {
     return real.count() / scale_;
   }
 
-  /// Real-time duration corresponding to `virtual_ms`.
-  std::chrono::steady_clock::duration RealDuration(double virtual_ms) const {
-    return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        std::chrono::duration<double, std::milli>(virtual_ms * scale_));
-  }
-
-  /// Sleeps for `virtual_ms` of virtual time (scaled to real time).
-  void SleepVirtual(double virtual_ms) const {
-    if (virtual_ms <= 0.0) return;
-    std::this_thread::sleep_for(RealDuration(virtual_ms));
+  /// The wall-clock instant at which virtual time reaches `virtual_ms`,
+  /// rounded up so that NowVirtualMs() has reached it by then.
+  TimePoint WallTime(double virtual_ms) const {
+    return start_ + std::chrono::ceil<std::chrono::steady_clock::duration>(
+                        std::chrono::duration<double, std::milli>(
+                            virtual_ms * scale_));
   }
 
   static void SleepRealMs(double real_ms) {
@@ -86,197 +69,54 @@ class RtClock {
   TimePoint start_;
 };
 
-/// FCFS single-server resource (a CPU or a disk) with a reservation ledger;
-/// see the file comment. Thread-safe.
-class RtResource {
+/// One site's real-time event loop; see the file comment.
+class RtSiteLoop {
  public:
-  explicit RtResource(const RtClock* clock) : clock_(clock) {}
-  RtResource(const RtResource&) = delete;
-  RtResource& operator=(const RtResource&) = delete;
+  explicit RtSiteLoop(double scale);
+  ~RtSiteLoop() { Stop(); }
+  RtSiteLoop(const RtSiteLoop&) = delete;
+  RtSiteLoop& operator=(const RtSiteLoop&) = delete;
 
-  /// Queues for the server, holds it for `service_virtual_ms`, returns when
-  /// the service completes. FIFO by reservation order.
-  void Use(double service_virtual_ms);
+  /// The site's timeline. Only code running on the loop may use it once the
+  /// loop has started.
+  sim::SitePort port() { return sim::SitePort{&kernel_, 0}; }
+  const RtClock& clock() const { return clock_; }
 
-  /// Virtual milliseconds of reserved-but-undelivered service: how far
-  /// busy_until_ has run ahead of the wall clock. Nonzero while requests
-  /// queue; a large, growing value means offered load exceeds the server's
-  /// (scaled) capacity. Diagnostic only.
-  double BacklogVms() const;
+  /// Starts the loop thread.
+  void Start();
 
-  /// Virtual milliseconds of service delivered since the last reset.
-  double BusyVirtualMs() const;
+  /// Queues `fn` to run on the loop as an event at delay 0, at a virtual
+  /// time no earlier than the wall clock's when it was posted. Thread-safe
+  /// and never blocks on the loop. Once the loop has stopped, `fn` is
+  /// destroyed without running.
+  void Post(sim::SmallFn fn);
 
-  /// Completed service visits since the last reset.
-  std::uint64_t completions() const;
+  /// Posts `fn` and blocks the calling thread, which must not be the
+  /// loop's, until it has run. False, with `fn` not run, if the loop
+  /// stopped first.
+  bool Call(std::function<void()> fn);
 
-  void ResetStats();
+  /// Stops the thread, then destroys every process still parked on the
+  /// kernel and every closure not yet run: no event runs afterwards.
+  /// Idempotent.
+  void Stop();
+
+  /// Closures posted but not yet taken by the loop. Thread-safe.
+  std::size_t inbox_depth() const;
+
+  /// Kernel events scheduled but not yet run. Loop thread only.
+  std::size_t pending_events() const { return kernel_.pending_events(); }
 
  private:
-  const RtClock* clock_;
-  mutable std::mutex mu_;
-  RtClock::TimePoint busy_until_{};  ///< end of the last reservation (real)
-  double busy_virtual_ms_ = 0.0;
-  std::uint64_t completions_ = 0;
-};
+  void Run();
 
-/// FIFO mutex held across resource usages — the CARAT TM server is a
-/// serially reusable process: it is seized, charges its CPU demand, and is
-/// released. Waiters are served strictly in arrival order by direct
-/// handoff to a per-waiter condition variable: exactly one thread wakes
-/// per release. (A single shared cv with notify_all makes each service
-/// cost O(queue) wakeups, and under a probe burst that positive feedback
-/// — longer queue, slower service, faster growth — livelocks the whole
-/// site: observed as thousands of handler threads parked on the TM while
-/// the modeled CPU sat idle.)
-class RtFifoMutex {
- public:
-  void Lock();
-  void Unlock();
-
-  /// Current holder plus queued waiters. Diagnostic only.
-  std::uint64_t Depth() const;
-
- private:
-  struct Waiter {
-    std::condition_variable cv;
-    bool ready = false;
-  };
-
-  mutable std::mutex mu_;
-  bool held_ = false;
-  std::uint64_t depth_ = 0;  ///< holder + waiters
-  std::deque<std::shared_ptr<Waiter>> queue_;
-};
-
-/// Counting semaphore for the fixed DM server pool. Counts how many
-/// acquisitions had to wait (the testbed's dm_pool_waits measurement).
-class RtSemaphore {
- public:
-  explicit RtSemaphore(int count) : available_(count) {}
-
-  void Acquire();
-  void Release();
-
-  std::uint64_t waits() const;
-  void ResetStats();
-
- private:
-  mutable std::mutex mu_;
+  RtClock clock_;
+  sim::ShardedKernel kernel_;
+  mutable std::mutex mu_;  ///< guards inbox_ and stop_
   std::condition_variable cv_;
-  int available_;
-  std::uint64_t waits_ = 0;
-};
-
-/// Thread-blocking front over lock::LockManager, which keeps the grant and
-/// upgrade rules, FIFO queues, local cycle check, victim choice and
-/// counters. A request that must wait sleeps on its own condition variable
-/// until the table's wake hook decides it: granted, or aborted by
-/// CancelWait (a global deadlock victim). Thread-safe.
-class RtLockFront {
- public:
-  /// Blocks until the lock is granted or the requester is aborted (local
-  /// deadlock victim, or CancelWait); kAborted acquires nothing.
-  lock::LockOutcome Acquire(TxnId txn, db::GranuleId granule,
-                            lock::LockMode mode);
-
-  /// Invoked when a request queues, with the mutex released: it launches
-  /// probes, which charge TM/CPU time and send messages.
-  std::function<void(TxnId waiter, std::vector<TxnId> holders)> on_block;
-
-  /// Ends `txn`'s leg at this site: releases every lock it holds, grants
-  /// the waiters that become eligible, and forgets the transaction.
-  void EndTxn(TxnId txn) {
-    std::lock_guard<std::mutex> lock(mu_);
-    table_.ReleaseAll(txn);
-    table_.EndTxn(txn);
-  }
-
-  // The table's calls and reads under the mutex; see lock::LockManager.
-  bool CancelWait(TxnId txn) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.CancelWait(txn);
-  }
-  bool IsWaiting(TxnId txn) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.IsWaiting(txn);
-  }
-  std::vector<TxnId> WaitingTxns() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.WaitingTxns();
-  }
-  std::vector<TxnId> WaitingFor(TxnId txn) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.WaitingFor(txn);
-  }
-  std::size_t HeldCount(TxnId txn) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.HeldCount(txn);
-  }
-  std::uint64_t requests() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.requests();
-  }
-  std::uint64_t blocks() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.blocks();
-  }
-  std::uint64_t local_deadlocks() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.local_deadlocks();
-  }
-  std::uint64_t cancelled_waits() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.cancelled_waits();
-  }
-  void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    table_.ResetStats();
-  }
-
- private:
-  mutable std::mutex mu_;
-  lock::LockManager table_;
-};
-
-/// Spawn-on-demand worker pool for protocol message handlers. A fixed-size
-/// pool would distributed-deadlock: a REMDO handler can block on a lock that
-/// only a later COMMIT message (needing a worker) will release. Submitting
-/// when every worker is busy therefore spawns a new thread; idle workers are
-/// reused and retire after staying idle, so a blocking burst does not leave
-/// hundreds of parked threads behind. Threads are joined on Shutdown.
-class WorkerPool {
- public:
-  WorkerPool() = default;
-  ~WorkerPool() { Shutdown(); }
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  /// Runs `fn` on a worker thread (inline if the pool is shut down).
-  void Submit(std::function<void()> fn);
-
-  /// Point-in-time pool occupancy for stuck-run diagnosis: a persistently
-  /// nonzero `queued` with idle waiters available means tasks are stranded.
-  struct Stats {
-    std::size_t queued = 0;
-    int idle = 0;
-    std::size_t threads = 0;
-  };
-  Stats stats() const;
-
-  /// Drains queued work and joins every worker. Idempotent.
-  void Shutdown();
-
- private:
-  void WorkerMain();
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;  ///< every spawned handle, incl. retired
-  int idle_ = 0;
-  int live_ = 0;  ///< threads that have not retired
+  std::vector<sim::SmallFn> inbox_;
   bool stop_ = false;
+  std::thread thread_;
 };
 
 }  // namespace carat::dist

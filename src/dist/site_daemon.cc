@@ -88,7 +88,6 @@ class SiteDaemon {
         // Stuck-run diagnosis: the coordinator asks for the wait state when
         // a site misses a protocol deadline. stderr reaches the operator's
         // terminal through the inherited descriptor.
-        std::lock_guard<std::mutex> lock(mu_);
         std::fprintf(stderr, "carat_sited[site %d]: cc=%s\n", options_.site,
                      options_.cc.c_str());
         if (engine_ != nullptr) {
@@ -109,7 +108,7 @@ class SiteDaemon {
  private:
   struct OutLink {
     std::unique_ptr<rpc::Client> client;
-    std::mutex send_mu;  ///< serializes SendLine against engine threads
+    std::mutex send_mu;  ///< serializes the loop's SendLine against PING
     std::thread reader;
   };
 
@@ -133,8 +132,11 @@ class SiteDaemon {
     if (window_thread_.joinable()) window_thread_.join();
     for (auto& link : out_) {
       if (link == nullptr || link->client == nullptr) continue;
-      link->client->Close();  // unblocks the reader thread
+      // Wake the reader out of its blocking read, and close the link only
+      // once the reader no longer uses it.
+      link->client->Shutdown();
       if (link->reader.joinable()) link->reader.join();
+      link->client->Close();
     }
     if (server_ != nullptr) server_->Shutdown();
   }
@@ -194,7 +196,7 @@ class SiteDaemon {
       link->client = std::make_unique<rpc::Client>();
       rpc::Client::ConnectOptions copts;
       copts.framing = rpc::FramingKind::kBinary;
-      copts.recv_timeout_ms = 0;  // mesh links may idle; Close() unblocks
+      copts.recv_timeout_ms = 0;  // mesh links may idle; Shutdown() unblocks
       copts.connect_timeout_ms = 5000;
       copts.connect_attempts = 50;
       copts.reconnect_backoff_ms = 100;
@@ -380,10 +382,9 @@ class SiteDaemon {
         engine = engine_.get();
       }
       if (engine == nullptr) return;
-      engine->Dispatch(
-          [engine, conn, id, type = std::string(type_token), requests] {
-            conn->Send(id, engine->RunExternalTxn(type, requests));
-          });
+      engine->SubmitExternalTxn(
+          type_token, requests,
+          [conn, id](const std::string& reply) { conn->Send(id, reply); });
       return;
     }
     // Mesh traffic from an identified lower-indexed peer.

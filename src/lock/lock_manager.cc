@@ -14,7 +14,7 @@ bool Conflicts(LockMode a, LockMode b) {
 
 }  // namespace
 
-void LockManager::StartTxn(TxnId txn) { birth_.emplace(txn, sim_->now()); }
+void LockManager::StartTxn(TxnId txn) { birth_.emplace(txn, sim_.now()); }
 
 void LockManager::EndTxn(TxnId txn) {
   assert(!held_.contains(txn) || held_.at(txn).empty());
@@ -150,13 +150,14 @@ LockManager::AcquireAwaiter LockManager::Acquire(TxnId txn,
   return AcquireAwaiter{*this, txn, granule, mode};
 }
 
-void LockManager::AcquireAwaiter::Resume(void* self) {
-  const auto* awaiter = static_cast<const AcquireAwaiter*>(self);
-  awaiter->lm.sim_->Schedule(0.0, awaiter->handle);
+void LockManager::Wake(const Waiter& waiter, LockOutcome outcome) {
+  *waiter.outcome = outcome;
+  sim_.Schedule(0.0, waiter.handle);
 }
 
 bool LockManager::Enqueue(TxnId txn, db::GranuleId granule, LockMode mode,
-                          LockOutcome* outcome, WakeHook wake) {
+                          LockOutcome* outcome,
+                          std::coroutine_handle<> handle) {
   ++blocks_;
   GranuleLock& gl = table_[granule];
 
@@ -179,7 +180,7 @@ bool LockManager::Enqueue(TxnId txn, db::GranuleId granule, LockMode mode,
         return false;
       }
     }
-    gl.queue.push_back(Waiter{txn, mode, outcome, wake});
+    gl.queue.push_back(Waiter{txn, mode, outcome, handle});
     waiting_on_[txn] = granule;
     ProcessQueue(granule);
     return true;
@@ -199,7 +200,7 @@ bool LockManager::Enqueue(TxnId txn, db::GranuleId granule, LockMode mode,
     CancelWait(victim);
   }
 
-  gl.queue.push_back(Waiter{txn, mode, outcome, wake});
+  gl.queue.push_back(Waiter{txn, mode, outcome, handle});
   waiting_on_[txn] = granule;
   if (on_block) on_block(txn, WaitingFor(txn));
   // The cancelled victim (if any) may already have unblocked this granule.
@@ -227,10 +228,9 @@ void LockManager::ProcessQueue(db::GranuleId granule) {
       held[granule] = w.mode;
       ++total_held_;
     }
-    *w.outcome = LockOutcome::kGranted;
     const TxnId granted = w.txn;
     waiting_on_.erase(granted);
-    w.wake.fn(w.wake.ctx);
+    Wake(w, LockOutcome::kGranted);
     gl.queue.pop_front();
     if (on_unblock) on_unblock(granted);
   }
@@ -265,12 +265,10 @@ bool LockManager::CancelWait(TxnId txn) {
   GranuleLock& gl = table_[granule];
   for (auto w = gl.queue.begin(); w != gl.queue.end(); ++w) {
     if (w->txn != txn) continue;
-    *w->outcome = LockOutcome::kAborted;
-    const WakeHook wake = w->wake;
+    Wake(*w, LockOutcome::kAborted);
     gl.queue.erase(w);
     waiting_on_.erase(txn);
     ++cancelled_waits_;
-    wake.fn(wake.ctx);
     if (on_unblock) on_unblock(txn);
     // Removing a queued conflict may unblock the remaining head.
     ProcessQueue(granule);

@@ -9,11 +9,10 @@
 // Lock-table operations are pure bookkeeping (the testbed keeps the lock
 // table in main memory); the LR-phase CPU cost is charged by the caller.
 //
-// One table serves both runtimes. The in-process testbed suspends a
-// coroutine on Acquire and resumes it on its site's timeline; the
-// distributed site engine (dist::RtLockFront) blocks a thread through
-// TryAcquire/Enqueue under its own mutex. The fronts differ only in how a
-// queued waiter is woken, which each waiter carries as a WakeHook.
+// One table serves both clocks. A requester is a coroutine that suspends on
+// Acquire and is resumed on its site's timeline: the in-process testbed's
+// virtual one, or a carat_sited process's real-time site loop
+// (dist::RtSiteLoop), which runs the same kernel against the wall clock.
 
 #ifndef CARAT_LOCK_LOCK_MANAGER_H_
 #define CARAT_LOCK_LOCK_MANAGER_H_
@@ -22,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -64,12 +62,8 @@ enum class ConflictPolicy {
 
 class LockManager {
  public:
-  /// A table on `sim`'s timeline, for coroutine callers (Acquire).
+  /// A table on `sim`'s timeline: waiters resume there.
   explicit LockManager(sim::SitePort sim) : sim_(sim) {}
-  /// A table with no timeline, for thread-blocking callers: they use
-  /// TryAcquire/Enqueue and never Acquire or StartTxn, so age-based victim
-  /// policies see every transaction as born at time 0.
-  LockManager() = default;
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
 
@@ -85,24 +79,6 @@ class LockManager {
   /// held until ReleaseAll; kAborted means the requester was chosen as a
   /// deadlock victim (no lock acquired) and must roll back.
   AcquireAwaiter Acquire(TxnId txn, db::GranuleId granule, LockMode mode);
-
-  /// How a queued request learns its outcome: when the queue grants or
-  /// cancels the wait, it stores the outcome and then calls fn(ctx).
-  struct WakeHook {
-    void (*fn)(void* ctx) = nullptr;
-    void* ctx = nullptr;
-  };
-
-  /// The request protocol behind Acquire, for callers that block a thread
-  /// instead. TryAcquire counts the request and grants it if it can be
-  /// granted now. Otherwise Enqueue resolves the conflict under the
-  /// conflict and victim policies: false means the requester dies on the
-  /// spot (*outcome = kAborted, nothing queued); true means it was queued,
-  /// and `wake` runs once *outcome is decided, possibly before Enqueue
-  /// returns.
-  bool TryAcquire(TxnId txn, db::GranuleId granule, LockMode mode);
-  bool Enqueue(TxnId txn, db::GranuleId granule, LockMode mode,
-               LockOutcome* outcome, WakeHook wake);
 
   /// Releases every lock held by `txn` and grants eligible waiters.
   void ReleaseAll(TxnId txn);
@@ -161,16 +137,12 @@ class LockManager {
     db::GranuleId granule;
     LockMode mode;
     LockOutcome outcome = LockOutcome::kGranted;
-    std::coroutine_handle<> handle = nullptr;
 
     bool await_ready() { return lm.TryAcquire(txn, granule, mode); }
     bool await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      return lm.Enqueue(txn, granule, mode, &outcome, {&Resume, this});
+      return lm.Enqueue(txn, granule, mode, &outcome, h);
     }
     LockOutcome await_resume() const { return outcome; }
-    /// Wake hook: resumes the coroutine on the site's timeline at delay 0.
-    static void Resume(void* self);
   };
 
  private:
@@ -178,17 +150,29 @@ class LockManager {
     TxnId txn;
     LockMode mode;
   };
+  // A queued request: its awaiter's outcome slot and suspended coroutine,
+  // which the queue resumes on the site's timeline once it decides.
   struct Waiter {
     TxnId txn;
     LockMode mode;
     LockOutcome* outcome;
-    WakeHook wake;
+    std::coroutine_handle<> handle;
   };
   struct GranuleLock {
     std::vector<Holder> holders;
     std::deque<Waiter> queue;
   };
 
+  // The request protocol behind Acquire. TryAcquire counts the request and
+  // grants it if it can be granted now. Otherwise Enqueue resolves the
+  // conflict under the conflict and victim policies: false means the
+  // requester dies on the spot (*outcome = kAborted, nothing queued); true
+  // means it was queued, and `handle` is resumed once *outcome is decided.
+  bool TryAcquire(TxnId txn, db::GranuleId granule, LockMode mode);
+  bool Enqueue(TxnId txn, db::GranuleId granule, LockMode mode,
+               LockOutcome* outcome, std::coroutine_handle<> handle);
+  // Stores `outcome` for a dequeued waiter and resumes it at delay 0.
+  void Wake(const Waiter& waiter, LockOutcome outcome);
   // True if `txn` may be granted `mode` right now (ignoring queue fairness).
   bool CompatibleWithHolders(const GranuleLock& gl, TxnId txn,
                              LockMode mode) const;
@@ -203,7 +187,7 @@ class LockManager {
                                const std::vector<TxnId>& first_hops) const;
   TxnId ChooseVictim(TxnId requester, const std::vector<TxnId>& cycle) const;
 
-  std::optional<sim::SitePort> sim_;  ///< unset for thread-blocking callers
+  sim::SitePort sim_;
   VictimPolicy victim_policy_ = VictimPolicy::kRequester;
   ConflictPolicy conflict_policy_ = ConflictPolicy::kWait;
   std::unordered_map<db::GranuleId, GranuleLock> table_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -138,6 +139,21 @@ void ShardedKernel::RunUntil(double until) {
 std::uint64_t ShardedKernel::events_executed() const {
   std::uint64_t total = 0;
   for (int s = 0; s < num_sites_; ++s) total += per_site_[s].executed;
+  return total;
+}
+
+double ShardedKernel::NextEventTime() const {
+  double next = std::numeric_limits<double>::infinity();
+  for (int s = 0; s < num_shards_; ++s) {
+    const std::vector<Event>& heap = shards_[s].heap;
+    if (!heap.empty()) next = std::min(next, heap.front().time);
+  }
+  return next;
+}
+
+std::size_t ShardedKernel::pending_events() const {
+  std::size_t total = 0;
+  for (int s = 0; s < num_shards_; ++s) total += shards_[s].heap.size();
   return total;
 }
 

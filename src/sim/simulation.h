@@ -64,6 +64,13 @@ class ShardedKernel {
   /// same seed at any shard count. Not safe to call during RunUntil.
   std::uint64_t events_executed() const;
 
+  /// Time of the earliest pending event on any site, +infinity when none is
+  /// pending; a real-time loop sleeps until it. Events scheduled but not
+  /// yet run, summed over sites. Neither is safe to call during RunUntil
+  /// except from an event running on a one-shard kernel.
+  double NextEventTime() const;
+  std::size_t pending_events() const;
+
   /// Site of the event currently executing on this thread in this kernel,
   /// or -1 when called from outside event execution.
   int current_site() const;

@@ -141,6 +141,9 @@ class Gate {
 
   WaitAwaiter Wait() { return WaitAwaiter{*this}; }
 
+  /// Signals still missing before the gate opens.
+  int remaining() const { return remaining_; }
+
  private:
   int remaining_;
   std::coroutine_handle<> waiter_ = nullptr;

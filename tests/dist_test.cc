@@ -1,8 +1,8 @@
 // Tests for the distributed testbed subsystem (src/dist): the real-time
-// execution primitives (reservation-ledger FCFS resource, FIFO ticket
-// mutex, DM semaphore), the thread-blocking front over the shared 2PL lock
-// table (cancellable waits, local cycle detection), the wire vocabulary
-// round trips, and — under the `dist` ctest label — full multi-process
+// site loop (posts from other threads, wall-clock pacing of virtual time,
+// exact virtual-time queueing, teardown), the TM server, DM pool and lock
+// table driven on that loop, the wire vocabulary round trips,
+// and — under the `dist` ctest label — full multi-process
 // loopback runs: the coordinator spawns real carat_sited processes, walks
 // the handshake, cross-checks the aggregate against the in-process
 // RunTestbed reference, and drives the open-loop load generator against the
@@ -13,12 +13,10 @@
 // tolerance work is delegated to the coordinator's calibrated bounds:
 //   ctest -L dist
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <future>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,6 +32,9 @@
 #include "dist/wire.h"
 #include "lock/lock_manager.h"
 #include "model/types.h"
+#include "sim/process.h"
+#include "sim/resource.h"
+#include "sim/sync.h"
 
 namespace carat {
 namespace {
@@ -41,274 +42,485 @@ namespace {
 using lock::LockMode;
 using lock::LockOutcome;
 
-// ---- RtResource: the reservation-ledger FCFS server ------------------------
+// ---- RtSiteLoop: one site's kernel driven by the wall clock --------------
 
-TEST(RtResource, LedgerDeliversExactVirtualDemand) {
-  // Four threads contend for one server; the ledger serializes them, and the
-  // delivered busy time is *exactly* the summed virtual demand — scheduler
-  // overshoot must not leak into the measurement.
-  dist::RtClock clock(0.01);  // 100x real time: the whole test is ~0.8 ms
-  dist::RtResource server(&clock);
+// Spins until `done` or ~5 s pass; the loop runs on its own thread.
+bool WaitFor(const std::atomic<bool>& done) {
+  for (int i = 0; i < 5000 && !done.load(); ++i) {
+    dist::RtClock::SleepRealMs(1.0);
+  }
+  return done.load();
+}
+
+TEST(RtSiteLoop, PostedClosureRunsOnTheLoopAtWallVirtualTime) {
+  dist::RtSiteLoop loop(0.1);
+  loop.Start();
+  dist::RtClock::SleepRealMs(20.0);  // let the loop's wall clock move on
+
+  std::atomic<bool> ran{false};
+  std::thread::id ran_on;
+  std::thread::id posted_on;
+  double ran_at = -1.0;
+  const double posted_at = loop.clock().NowVirtualMs();
+  std::thread poster([&] {
+    posted_on = std::this_thread::get_id();
+    loop.Post([&] {
+      ran_on = std::this_thread::get_id();
+      ran_at = loop.port().now();
+      ran = true;
+    });
+  });
+  poster.join();
+  ASSERT_TRUE(WaitFor(ran));
+  const double returned_at = loop.clock().NowVirtualMs();
+  loop.Stop();
+
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  EXPECT_NE(ran_on, posted_on);
+  // Not before it was posted, and no later than it was seen to have run.
+  EXPECT_GE(ran_at, posted_at);
+  EXPECT_LE(ran_at, returned_at);
+}
+
+sim::Process DelayOnLoop(sim::SitePort port, double delay_vms,
+                         std::chrono::steady_clock::time_point* woke,
+                         std::atomic<bool>* done) {
+  co_await sim::Delay{port, delay_vms};
+  *woke = std::chrono::steady_clock::now();
+  *done = true;
+}
+
+TEST(RtSiteLoop, DelayTakesAtLeastItsScaledRealTime) {
+  constexpr double kScale = 0.5;
+  constexpr double kDelayVms = 60.0;
+  dist::RtSiteLoop loop(kScale);
+  loop.Start();
+  std::atomic<bool> done{false};
+  std::chrono::steady_clock::time_point woke;
+  const auto posted = std::chrono::steady_clock::now();
+  loop.Post([&] { DelayOnLoop(loop.port(), kDelayVms, &woke, &done); });
+  ASSERT_TRUE(WaitFor(done));
+  loop.Stop();
+  const std::chrono::duration<double, std::milli> real = woke - posted;
+  EXPECT_GE(real.count(), kDelayVms * kScale);
+}
+
+TEST(RtSiteLoop, FcfsResourceDeliversExactVirtualDemand) {
+  // Four threads post one 5 vms service each to one server: the loop
+  // serializes them, and the busy time is exactly the summed virtual demand,
+  // whatever the wall clock's jitter.
+  dist::RtSiteLoop loop(0.01);
+  sim::FcfsResource server(loop.port(), "cpu");
+  loop.Start();
+  std::atomic<int> finished{0};
   std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&] { server.Use(5.0); });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_DOUBLE_EQ(server.BusyVirtualMs(), 20.0);
-  EXPECT_EQ(server.completions(), 4u);
-
-  server.ResetStats();
-  EXPECT_DOUBLE_EQ(server.BusyVirtualMs(), 0.0);
-  EXPECT_EQ(server.completions(), 0u);
-}
-
-TEST(RtResource, QueueingStretchesWallClockBeyondOneService) {
-  // Two 10 vms services through one server take >= 20 vms of wall clock:
-  // the second reservation starts where the first ends, never alongside it.
-  dist::RtClock clock(0.01);
-  dist::RtResource server(&clock);
-  const auto start = std::chrono::steady_clock::now();
-  std::thread other([&] { server.Use(10.0); });
-  server.Use(10.0);
-  other.join();
-  const std::chrono::duration<double, std::milli> real =
-      std::chrono::steady_clock::now() - start;
-  EXPECT_GE(real.count(), 20.0 * 0.01 * 0.95);  // 5% timer slack
-}
-
-// ---- RtFifoMutex: the serially reusable TM server --------------------------
-
-TEST(RtFifoMutex, ServesWaitersInArrivalOrder) {
-  dist::RtFifoMutex tm;
-  std::vector<int> order;
-  tm.Lock();  // hold while the waiters enqueue, staggered far apart
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&tm, &order, i] {
-      dist::RtClock::SleepRealMs(80.0 * i);
-      tm.Lock();
-      order.push_back(i);
-      tm.Unlock();
+    threads.emplace_back([&] {
+      loop.Call([&] {
+        [](sim::FcfsResource& res, std::atomic<int>& count) -> sim::Process {
+          co_await res.Use(5.0);
+          ++count;
+        }(server, finished);
+      });
     });
   }
-  dist::RtClock::SleepRealMs(80.0 * 3);
-  tm.Unlock();
   for (auto& t : threads) t.join();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  for (int i = 0; i < 5000 && finished.load() < 4; ++i) {
+    dist::RtClock::SleepRealMs(1.0);
+  }
+  double busy = 0.0;
+  std::uint64_t completions = 0;
+  ASSERT_TRUE(loop.Call([&] {
+    busy = server.BusyMs();
+    completions = server.completions();
+  }));
+  loop.Stop();
+  EXPECT_EQ(finished.load(), 4);
+  EXPECT_DOUBLE_EQ(busy, 20.0);
+  EXPECT_EQ(completions, 4u);
 }
 
-// Regression: the ticket-lock implementation woke every waiter per release
-// (O(queue) wakeups per service), which livelocked a site once the watchdog's
-// probe storm queued a few thousand TmHandle calls. The handoff version wakes
-// exactly one; a deep queue must drain while preserving mutual exclusion.
+TEST(RtSiteLoop, QueueingStretchesWallClockBeyondOneService) {
+  // Two 10 vms services through one server take >= 20 vms of wall clock:
+  // the second starts where the first ends, never alongside it.
+  constexpr double kScale = 0.5;
+  dist::RtSiteLoop loop(kScale);
+  sim::FcfsResource server(loop.port(), "disk");
+  loop.Start();
+  std::atomic<int> finished{0};
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 2; ++i) {
+    loop.Post([&] {
+      [](sim::FcfsResource& res, std::atomic<int>& count) -> sim::Process {
+        co_await res.Use(10.0);
+        ++count;
+      }(server, finished);
+    });
+  }
+  for (int i = 0; i < 5000 && finished.load() < 2; ++i) {
+    dist::RtClock::SleepRealMs(0.5);
+  }
+  const std::chrono::duration<double, std::milli> real =
+      std::chrono::steady_clock::now() - start;
+  loop.Stop();
+  ASSERT_EQ(finished.load(), 2);
+  EXPECT_GE(real.count(), 20.0 * kScale);
+}
+
+struct SetOnDestroy {
+  std::atomic<bool>* destroyed;
+  ~SetOnDestroy() { *destroyed = true; }
+};
+
+sim::Process ParkOnGate(sim::Gate* gate, std::atomic<bool>* destroyed) {
+  SetOnDestroy guard{destroyed};
+  co_await gate->Wait();
+}
+
+TEST(RtSiteLoop, StopDestroysParkedProcessesAndRunsNothingAfter) {
+  dist::RtSiteLoop loop(1.0);
+  loop.Start();
+  sim::Gate never(1);
+  std::atomic<bool> destroyed{false};
+  std::atomic<bool> late_event_ran{false};
+  std::atomic<bool> late_post_ran{false};
+  ASSERT_TRUE(loop.Call([&] {
+    ParkOnGate(&never, &destroyed);
+    // Due 30 real ms from now: after Stop below.
+    loop.port().Schedule(30.0, [&] { late_event_ran = true; });
+  }));
+  EXPECT_FALSE(destroyed.load());
+  loop.Stop();
+  EXPECT_TRUE(destroyed.load());
+  loop.Post([&] { late_post_ran = true; });
+  EXPECT_FALSE(loop.Call([] {}));
+  dist::RtClock::SleepRealMs(60.0);
+  EXPECT_FALSE(late_event_ran.load());
+  EXPECT_FALSE(late_post_ran.load());
+}
+
+// ---- TM server, DM pool and lock table on the real-time loop ---------------
+//
+// A site serves its TM, DM pool and lock table with the testbed's
+// sim::FifoMutex, sim::CountingSemaphore and lock::LockManager, run as
+// coroutines on its RtSiteLoop. Requests come in as posts from other threads
+// (mesh readers, control); these cases drive each one that way and read its
+// state back on the loop.
+
+// Evaluates `pred` on the loop until it holds or ~5 s pass.
+template <typename Pred>
+bool PollOnLoop(dist::RtSiteLoop& loop, Pred pred) {
+  for (int i = 0; i < 5000; ++i) {
+    bool holds = false;
+    if (!loop.Call([&] { holds = pred(); })) return false;
+    if (holds) return true;
+    dist::RtClock::SleepRealMs(1.0);
+  }
+  return false;
+}
+
+sim::Process HoldUntilReleased(sim::FifoMutex& tm, sim::Gate& release) {
+  co_await tm.Lock();
+  co_await release.Wait();
+  tm.Unlock();
+}
+
+struct TmRoundCounts {
+  int served = 0;
+  int holders = 0;
+  int max_holders = 0;
+};
+
+sim::Process TakeTmRounds(sim::FifoMutex& tm, sim::SitePort port, int rounds,
+                          TmRoundCounts* counts) {
+  for (int r = 0; r < rounds; ++r) {
+    co_await tm.Lock();
+    counts->max_holders = std::max(counts->max_holders, ++counts->holders);
+    co_await sim::Delay{port, 1.0};
+    --counts->holders;
+    ++counts->served;
+    tm.Unlock();
+  }
+}
+
 TEST(RtFifoMutex, DrainsADeepQueueWithoutCollapse) {
-  dist::RtFifoMutex tm;
-  int counter = 0;  // non-atomic on purpose: races would corrupt it
+  // 64 threads each post a user that takes the TM 50 times. All 64 queue
+  // behind a holder first, so the server drains a queue 64 deep.
   constexpr int kThreads = 64;
   constexpr int kRounds = 50;
+  dist::RtSiteLoop loop(0.01);
+  sim::FifoMutex tm(loop.port());
+  sim::Gate release(1);
+  TmRoundCounts counts;
+  loop.Start();
+  ASSERT_TRUE(loop.Call([&] { HoldUntilReleased(tm, release); }));
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&] {
-      for (int r = 0; r < kRounds; ++r) {
-        tm.Lock();
-        ++counter;
-        tm.Unlock();
-      }
+      loop.Post([&] { TakeTmRounds(tm, loop.port(), kRounds, &counts); });
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, kThreads * kRounds);
-  EXPECT_EQ(tm.Depth(), 0u);
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return tm.waiters() == kThreads; }));
+  ASSERT_TRUE(loop.Call([&] { release.Signal(); }));
+  EXPECT_TRUE(PollOnLoop(loop, [&] {
+    return counts.served == kThreads * kRounds && !tm.locked();
+  }));
+  std::size_t left_waiting = 1;
+  ASSERT_TRUE(loop.Call([&] { left_waiting = tm.waiters(); }));
+  loop.Stop();
+  EXPECT_EQ(counts.served, kThreads * kRounds);
+  EXPECT_EQ(counts.max_holders, 1);
+  EXPECT_EQ(left_waiting, 0u);
 }
 
-// ---- RtSemaphore: the DM pool ----------------------------------------------
+sim::Process HoldPermit(sim::CountingSemaphore& pool, sim::Gate& release,
+                        bool* done) {
+  co_await pool.Acquire();
+  co_await release.Wait();
+  pool.Release();
+  *done = true;
+}
 
 TEST(RtSemaphore, CountsAcquisitionsThatHadToWait) {
-  dist::RtSemaphore pool(1);
-  pool.Acquire();
-  EXPECT_EQ(pool.waits(), 0u);
-  std::thread blocked([&] { pool.Acquire(); });
-  dist::RtClock::SleepRealMs(50.0);
-  pool.Release();
-  blocked.join();
-  EXPECT_EQ(pool.waits(), 1u);
-  pool.Release();
-  pool.ResetStats();
-  EXPECT_EQ(pool.waits(), 0u);
-}
-
-// ---- WorkerPool: spawn-on-demand must never strand a queued task -----------
-
-// Regression: Submit used to trust `idle_ > 0` and notify_one, but a waiter
-// already released for an earlier task still counts as idle, so the second
-// notify could be lost and the task sat queued until the first handler
-// finished. With handler A blocking until handler B runs (a REMDO waiting on
-// the VICTIM cancel that only a later message delivers), that was a deadlock.
-TEST(WorkerPool, RunsAQueuedTaskWhileAnEarlierTaskBlocks) {
-  dist::WorkerPool pool;
-
-  // Park one worker in the idle state so Submit takes the notify path.
-  {
-    std::promise<void> warm;
-    pool.Submit([&] { warm.set_value(); });
-    warm.get_future().wait();
-  }
-  dist::RtClock::SleepRealMs(50.0);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool released = false;
-  std::promise<void> unblocked;
-  pool.Submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return released; });
-    unblocked.set_value();
+  dist::RtSiteLoop loop(0.1);
+  sim::CountingSemaphore pool(loop.port(), 1);
+  sim::Gate first_release(1);
+  sim::Gate second_release(1);
+  bool first_done = false;
+  bool second_done = false;
+  std::uint64_t waits = 99;
+  loop.Start();
+  ASSERT_TRUE(loop.Call([&] {
+    HoldPermit(pool, first_release, &first_done);
+    waits = pool.waits();
+  }));
+  EXPECT_EQ(waits, 0u);
+  std::thread other([&] {
+    loop.Post([&] { HoldPermit(pool, second_release, &second_done); });
   });
-  pool.Submit([&] {
-    std::lock_guard<std::mutex> lock(mu);
-    released = true;
-    cv.notify_all();
-  });
-
-  auto done = unblocked.get_future();
-  const bool ok =
-      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
-  if (!ok) {
-    // Unblock manually so the pool destructor can join instead of hanging.
-    std::lock_guard<std::mutex> lock(mu);
-    released = true;
-    cv.notify_all();
-  }
-  EXPECT_TRUE(ok) << "second task stranded behind a blocked worker";
+  other.join();
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return pool.waiting() == 1; }));
+  ASSERT_TRUE(loop.Call([&] { first_release.Signal(); }));
+  ASSERT_TRUE(
+      PollOnLoop(loop, [&] { return first_done && pool.waiting() == 0; }));
+  ASSERT_TRUE(loop.Call([&] {
+    waits = pool.waits();
+    second_release.Signal();
+  }));
+  EXPECT_EQ(waits, 1u);
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return second_done; }));
+  int available = 0;
+  ASSERT_TRUE(loop.Call([&] {
+    pool.ResetStats();
+    waits = pool.waits();
+    available = pool.available();
+  }));
+  loop.Stop();
+  EXPECT_EQ(waits, 0u);
+  EXPECT_EQ(available, 1);
 }
 
-// A burst that blocks several handlers at once spawns that many workers;
-// once the burst resolves the extra workers must retire instead of parking
-// forever (a contended run was observed stranding thousands).
-TEST(WorkerPool, IdleWorkersRetireAfterABurst) {
-  dist::WorkerPool pool;
-  {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool released = false;
-    std::vector<std::future<void>> running;
-    for (int i = 0; i < 8; ++i) {
-      auto started = std::make_shared<std::promise<void>>();
-      running.push_back(started->get_future());
-      pool.Submit([&, started] {
-        started->set_value();
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return released; });
-      });
-    }
-    for (auto& f : running) f.wait();
-    EXPECT_GE(pool.stats().threads, 8u);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      released = true;
-    }
-    cv.notify_all();
-  }
-  // Retirement triggers after ~2s idle; poll rather than assume scheduling.
-  std::size_t live = 0;
-  for (int i = 0; i < 100; ++i) {
-    live = pool.stats().threads;
-    if (live <= 1) break;
-    dist::RtClock::SleepRealMs(100.0);
-  }
-  EXPECT_LE(live, 1u) << "idle workers never retired";
-}
+struct LockResult {
+  bool resumed = false;
+  LockOutcome outcome = LockOutcome::kGranted;
+};
 
-// ---- RtLockFront: lock::LockManager with thread-blocking waits -------------
+sim::Process RequestLock(lock::LockManager& locks, lock::TxnId txn,
+                         db::GranuleId granule, LockMode mode,
+                         LockResult* out) {
+  out->outcome = co_await locks.Acquire(txn, granule, mode);
+  out->resumed = true;
+}
 
 TEST(RtLockFront, SharedHoldersCoexistAndExclusiveWaits) {
-  dist::RtLockFront locks;
-  EXPECT_EQ(locks.Acquire(1, 7, LockMode::kShared), LockOutcome::kGranted);
-  EXPECT_EQ(locks.Acquire(2, 7, LockMode::kShared), LockOutcome::kGranted);
-  EXPECT_EQ(locks.HeldCount(1), 1u);
-  EXPECT_EQ(locks.HeldCount(2), 1u);
+  dist::RtSiteLoop loop(0.1);
+  lock::LockManager locks(loop.port());
+  LockResult r1, r2, r3;
+  loop.Start();
+  ASSERT_TRUE(loop.Call([&] {
+    for (lock::TxnId t : {1, 2, 3}) locks.StartTxn(t);
+    RequestLock(locks, 1, 7, LockMode::kShared, &r1);
+    RequestLock(locks, 2, 7, LockMode::kShared, &r2);
+  }));
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return r1.resumed && r2.resumed; }));
+  EXPECT_EQ(r1.outcome, LockOutcome::kGranted);
+  EXPECT_EQ(r2.outcome, LockOutcome::kGranted);
+  std::size_t held1 = 0;
+  std::size_t held2 = 0;
+  ASSERT_TRUE(loop.Call([&] {
+    held1 = locks.HeldCount(1);
+    held2 = locks.HeldCount(2);
+  }));
+  EXPECT_EQ(held1, 1u);
+  EXPECT_EQ(held2, 1u);
 
-  LockOutcome outcome = LockOutcome::kAborted;
-  std::thread writer([&] { outcome = locks.Acquire(3, 7, LockMode::kExclusive); });
-  while (!locks.IsWaiting(3)) dist::RtClock::SleepRealMs(1.0);
-  const auto blocked_on = locks.WaitingFor(3);
+  loop.Post([&] { RequestLock(locks, 3, 7, LockMode::kExclusive, &r3); });
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return locks.IsWaiting(3); }));
+  std::vector<lock::TxnId> blocked_on;
+  ASSERT_TRUE(loop.Call([&] {
+    blocked_on = locks.WaitingFor(3);
+    locks.ReleaseAll(1);
+    locks.EndTxn(1);
+  }));
   EXPECT_EQ(blocked_on.size(), 2u);  // both shared holders
 
-  locks.EndTxn(1);
   dist::RtClock::SleepRealMs(20.0);
-  EXPECT_TRUE(locks.IsWaiting(3));  // one conflicting holder remains
-  locks.EndTxn(2);
-  writer.join();
-  EXPECT_EQ(outcome, LockOutcome::kGranted);
-  EXPECT_EQ(locks.blocks(), 1u);
-  locks.EndTxn(3);
+  bool still_waiting = false;
+  ASSERT_TRUE(loop.Call([&] {
+    still_waiting = locks.IsWaiting(3) && !r3.resumed;
+    locks.ReleaseAll(2);
+    locks.EndTxn(2);
+  }));
+  EXPECT_TRUE(still_waiting);  // one conflicting holder remained
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return r3.resumed; }));
+  EXPECT_EQ(r3.outcome, LockOutcome::kGranted);
+  std::uint64_t blocks = 0;
+  ASSERT_TRUE(loop.Call([&] {
+    blocks = locks.blocks();
+    locks.ReleaseAll(3);
+    locks.EndTxn(3);
+  }));
+  loop.Stop();
+  EXPECT_EQ(blocks, 1u);
 }
 
 TEST(RtLockFront, LocalCycleKillsTheRequesterThatClosesIt) {
-  dist::RtLockFront locks;
-  ASSERT_EQ(locks.Acquire(1, 10, LockMode::kExclusive), LockOutcome::kGranted);
-  ASSERT_EQ(locks.Acquire(2, 20, LockMode::kExclusive), LockOutcome::kGranted);
-
-  LockOutcome waiter_outcome = LockOutcome::kAborted;
-  std::thread waiter([&] {
-    waiter_outcome = locks.Acquire(2, 10, LockMode::kExclusive);
-  });
-  while (!locks.IsWaiting(2)) dist::RtClock::SleepRealMs(1.0);
+  dist::RtSiteLoop loop(0.1);
+  lock::LockManager locks(loop.port());
+  LockResult h1, h2, w1, w2;
+  loop.Start();
+  ASSERT_TRUE(loop.Call([&] {
+    locks.StartTxn(1);
+    locks.StartTxn(2);
+    RequestLock(locks, 1, 10, LockMode::kExclusive, &h1);
+    RequestLock(locks, 2, 20, LockMode::kExclusive, &h2);
+  }));
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return h1.resumed && h2.resumed; }));
+  loop.Post([&] { RequestLock(locks, 2, 10, LockMode::kExclusive, &w2); });
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return locks.IsWaiting(2); }));
 
   // 1 -> 2 would close the 1 -> 2 -> 1 cycle: the requester dies on the
   // spot, without ever joining the queue.
-  EXPECT_EQ(locks.Acquire(1, 20, LockMode::kExclusive), LockOutcome::kAborted);
-  EXPECT_EQ(locks.local_deadlocks(), 1u);
-  EXPECT_EQ(locks.blocks(), 2u);  // the aborted conflict counts too
-
-  locks.EndTxn(1);  // victim rolls back; the survivor's wait resolves
-  waiter.join();
-  EXPECT_EQ(waiter_outcome, LockOutcome::kGranted);
-  locks.EndTxn(2);
+  loop.Post([&] { RequestLock(locks, 1, 20, LockMode::kExclusive, &w1); });
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return w1.resumed; }));
+  EXPECT_EQ(w1.outcome, LockOutcome::kAborted);
+  bool victim_queued = true;
+  std::uint64_t deadlocks = 0;
+  std::uint64_t blocks = 0;
+  ASSERT_TRUE(loop.Call([&] {
+    victim_queued = locks.IsWaiting(1);
+    deadlocks = locks.local_deadlocks();
+    blocks = locks.blocks();
+    locks.ReleaseAll(1);  // the victim rolls back; the survivor's wait ends
+    locks.EndTxn(1);
+  }));
+  EXPECT_FALSE(victim_queued);
+  EXPECT_EQ(deadlocks, 1u);
+  EXPECT_EQ(blocks, 2u);  // the aborted conflict counts too
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return w2.resumed; }));
+  EXPECT_EQ(w2.outcome, LockOutcome::kGranted);
+  ASSERT_TRUE(loop.Call([&] {
+    locks.ReleaseAll(2);
+    locks.EndTxn(2);
+  }));
+  loop.Stop();
 }
 
 TEST(RtLockFront, CancelWaitResumesTheWaiterWithAborted) {
-  dist::RtLockFront locks;
-  ASSERT_EQ(locks.Acquire(1, 5, LockMode::kExclusive), LockOutcome::kGranted);
-  LockOutcome outcome = LockOutcome::kGranted;
-  std::thread waiter([&] { outcome = locks.Acquire(2, 5, LockMode::kShared); });
-  while (!locks.IsWaiting(2)) dist::RtClock::SleepRealMs(1.0);
+  dist::RtSiteLoop loop(0.1);
+  lock::LockManager locks(loop.port());
+  LockResult holder, waiter;
+  loop.Start();
+  ASSERT_TRUE(loop.Call([&] {
+    locks.StartTxn(1);
+    locks.StartTxn(2);
+    RequestLock(locks, 1, 5, LockMode::kExclusive, &holder);
+  }));
+  loop.Post([&] { RequestLock(locks, 2, 5, LockMode::kShared, &waiter); });
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return locks.IsWaiting(2); }));
 
-  EXPECT_TRUE(locks.CancelWait(2));  // a global VICTIM message lands here
-  waiter.join();
-  EXPECT_EQ(outcome, LockOutcome::kAborted);
-  EXPECT_EQ(locks.cancelled_waits(), 1u);
-  EXPECT_FALSE(locks.CancelWait(2));  // nothing pending any more
-  EXPECT_EQ(locks.HeldCount(2), 0u);
-  locks.EndTxn(1);
+  bool cancelled = false;
+  // A global VICTIM message lands here.
+  ASSERT_TRUE(loop.Call([&] { cancelled = locks.CancelWait(2); }));
+  EXPECT_TRUE(cancelled);
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return waiter.resumed; }));
+  EXPECT_EQ(waiter.outcome, LockOutcome::kAborted);
+  std::uint64_t cancelled_waits = 0;
+  bool cancelled_again = true;
+  std::size_t held = 1;
+  ASSERT_TRUE(loop.Call([&] {
+    cancelled_waits = locks.cancelled_waits();
+    cancelled_again = locks.CancelWait(2);  // nothing pending any more
+    held = locks.HeldCount(2);
+    locks.EndTxn(2);
+    locks.ReleaseAll(1);
+    locks.EndTxn(1);
+  }));
+  loop.Stop();
+  EXPECT_EQ(cancelled_waits, 1u);
+  EXPECT_FALSE(cancelled_again);
+  EXPECT_EQ(held, 0u);
 }
 
 TEST(RtLockFront, OnBlockReportsTheConflictingHolders) {
-  dist::RtLockFront locks;
-  std::mutex mu;
-  std::condition_variable cv;
-  dist::TxnId blocked_waiter = 0;
-  std::vector<dist::TxnId> blocked_holders;
-  locks.on_block = [&](dist::TxnId waiter, std::vector<dist::TxnId> holders) {
-    std::lock_guard<std::mutex> guard(mu);
+  dist::RtSiteLoop loop(0.1);
+  lock::LockManager locks(loop.port());
+  lock::TxnId blocked_waiter = 0;
+  std::vector<lock::TxnId> blocked_holders;
+  locks.on_block = [&](lock::TxnId waiter,
+                       const std::vector<lock::TxnId>& holders) {
     blocked_waiter = waiter;
-    blocked_holders = std::move(holders);
-    cv.notify_all();
+    blocked_holders = holders;
   };
-
-  ASSERT_EQ(locks.Acquire(9, 3, LockMode::kExclusive), LockOutcome::kGranted);
-  std::thread waiter([&] { locks.Acquire(11, 3, LockMode::kExclusive); });
-  {
-    std::unique_lock<std::mutex> guard(mu);
-    ASSERT_TRUE(cv.wait_for(guard, std::chrono::seconds(5),
-                            [&] { return blocked_waiter != 0; }));
-  }
+  LockResult holder, waiter;
+  loop.Start();
+  ASSERT_TRUE(loop.Call([&] {
+    locks.StartTxn(9);
+    locks.StartTxn(11);
+    RequestLock(locks, 9, 3, LockMode::kExclusive, &holder);
+  }));
+  loop.Post([&] { RequestLock(locks, 11, 3, LockMode::kExclusive, &waiter); });
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return blocked_waiter != 0; }));
   EXPECT_EQ(blocked_waiter, 11u);
-  EXPECT_EQ(blocked_holders, (std::vector<dist::TxnId>{9}));
-  locks.EndTxn(9);
-  waiter.join();
-  locks.EndTxn(11);
+  EXPECT_EQ(blocked_holders, (std::vector<lock::TxnId>{9}));
+  ASSERT_TRUE(loop.Call([&] {
+    locks.ReleaseAll(9);
+    locks.EndTxn(9);
+  }));
+  ASSERT_TRUE(PollOnLoop(loop, [&] { return waiter.resumed; }));
+  EXPECT_EQ(waiter.outcome, LockOutcome::kGranted);
+  ASSERT_TRUE(loop.Call([&] {
+    locks.ReleaseAll(11);
+    locks.EndTxn(11);
+  }));
+  loop.Stop();
+}
+
+// ---- SiteEngine: DUMP diagnostics -----------------------------------------
+
+TEST(SiteEngine, DebugSnapshotShowsWaitStateAndTheLoopQueue) {
+  dist::wire::DistConfig config;
+  config.workload = "lb8";
+  config.sites = 1;
+  dist::EngineOptions options;
+  options.scale = 0.1;
+  dist::SiteEngine engine(config.ToModelInput(), options,
+                          [](int, const std::string&) {});
+  engine.Start();
+  dist::RtClock::SleepRealMs(50.0);
+  const std::string live = engine.DebugSnapshot();
+  EXPECT_EQ(live.rfind("site 0 @", 0), 0u) << live;
+  EXPECT_NE(live.find("coord gid="), std::string::npos) << live;
+  EXPECT_NE(live.find("local gid="), std::string::npos) << live;
+  EXPECT_NE(live.find("loop inbox="), std::string::npos) << live;
+  EXPECT_NE(live.find(" events="), std::string::npos) << live;
+
+  engine.Stop();
+  const std::string stopped = engine.DebugSnapshot();
+  EXPECT_NE(stopped.find("loop did not answer"), std::string::npos)
+      << stopped;
 }
 
 // ---- Wire vocabulary -------------------------------------------------------

@@ -87,6 +87,30 @@ TEST(FifoMutex, NeverTwoHolders) {
   EXPECT_FALSE(mu.locked());
 }
 
+Process LockAfter(Simulation& sim, FifoMutex& mu, double arrive_ms, int id,
+                  std::vector<int>* order) {
+  co_await Delay{sim, arrive_ms};
+  co_await mu.Lock();
+  order->push_back(id);
+  co_await Delay{sim, 1.0};
+  mu.Unlock();
+}
+
+// The TM server: waiters are served in arrival order, whatever order they
+// were spawned in, while the holder keeps the mutex past every arrival.
+TEST(FifoMutex, ServesWaitersInArrivalOrder) {
+  Simulation sim;
+  FifoMutex mu(sim);
+  std::vector<int> order;
+  LockAfter(sim, mu, 0.0, 0, &order);   // holds [0, 1)
+  LockAfter(sim, mu, 0.6, 3, &order);
+  LockAfter(sim, mu, 0.2, 1, &order);
+  LockAfter(sim, mu, 0.4, 2, &order);
+  sim.RunUntil(100.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_FALSE(mu.locked());
+}
+
 TEST(Gate, ManySignalsBeforeWait) {
   Simulation sim;
   Gate gate(2);
