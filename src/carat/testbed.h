@@ -21,7 +21,6 @@
 
 #include "lock/lock_manager.h"
 #include "model/params.h"
-#include "txn/probes.h"
 
 namespace carat {
 
@@ -42,7 +41,6 @@ struct TestbedOptions {
   int shards = 1;
 
   lock::VictimPolicy victim_policy = lock::VictimPolicy::kRequester;
-  txn::GlobalDeadlockDetector::Options probe_options;
 };
 
 /// Measurements for one transaction type at its home node.

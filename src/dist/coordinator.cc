@@ -55,16 +55,6 @@ class Coordinator {
 
   DistRunResult Run() {
     DistRunResult result;
-    if (options_.config.cc != "2pl") {
-      // The distributed engine executes the 2PL+probes protocol; the other
-      // backends run in the in-process testbed only for now. Rejecting here
-      // keeps the CONFIG/HELLO cc plumbing honest until they arrive.
-      result.error = "distributed execution of cc backend '" +
-                     options_.config.cc +
-                     "' is not implemented yet (only 2pl runs distributed; "
-                     "use the in-process testbed for the other backends)";
-      return result;
-    }
     const int sites = options_.config.sites;
     states_.resize(static_cast<std::size_t>(sites));
 

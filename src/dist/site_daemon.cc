@@ -161,9 +161,6 @@ class SiteDaemon {
     eopts.scale = config_.scale;
     eopts.seed = config_.seed;
     eopts.spawn_users = config_.spawn_users;
-    eopts.probe_cpu_ms = config_.probe_cpu_ms;
-    eopts.reprobe_interval_vms = config_.reprobe_interval_ms;
-    eopts.max_probe_hops = config_.max_probe_hops;
     auto engine = std::make_unique<SiteEngine>(
         config_.ToModelInput(), eopts,
         [this](int to, const std::string& body) { MeshSend(to, body); });

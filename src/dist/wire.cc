@@ -149,9 +149,6 @@ std::string DistConfig::Encode() const {
   AppendKv(&out, "seed", seed);
   AppendKv(&out, "scale", scale);
   AppendKv(&out, "users", static_cast<std::int64_t>(spawn_users ? 1 : 0));
-  AppendKv(&out, "probe_cpu", probe_cpu_ms);
-  AppendKv(&out, "reprobe_ms", reprobe_interval_ms);
-  AppendKv(&out, "max_hops", static_cast<std::int64_t>(max_probe_hops));
   return out;
 }
 
@@ -183,10 +180,7 @@ bool DistConfig::Decode(std::string_view body, DistConfig* out,
                   KvDouble(kv, "think_ms", &config.think_time_ms) &&
                   KvU64(kv, "seed", &config.seed) &&
                   KvDouble(kv, "scale", &config.scale) &&
-                  KvInt(kv, "users", &users) &&
-                  KvDouble(kv, "probe_cpu", &config.probe_cpu_ms) &&
-                  KvDouble(kv, "reprobe_ms", &config.reprobe_interval_ms) &&
-                  KvInt(kv, "max_hops", &config.max_probe_hops);
+                  KvInt(kv, "users", &users);
   if (!ok) {
     *error = "CONFIG field missing or malformed";
     return false;

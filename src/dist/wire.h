@@ -22,12 +22,19 @@
 //   mesh (site <-> site, lower index connects to higher):
 //     SITE <i>                       identifies the connecting site
 //     PING <k> / PONG <k>            alpha measurement round trips
-//     REMDO <gid> <type> <r1,r2,..>  remote request (type = coordinator's)
+//     The txn::Leg and txn::Probe messages of txn::SiteProtocol
+//     (dist/engine.cc encodes and decodes them; type = the coordinator's):
+//     REMDO <gid> <type> <first> <r1,r2,..> [<u1,u2,..>]
+//                                    remote request; first = 1 assigns the
+//                                    slave DM, u.. = the queue backend's
+//                                    upfront records at the slave
 //     REMDO_K <gid> <0|1>            remote request done (0 = victim)
-//     PREPARE <gid> / VOTE <gid>     2PC phase 1
-//     COMMIT <gid> / COMMIT_K <gid>  2PC phase 2
-//     TABORT <gid> / ABORT_K <gid>   global abort leg
-//     PROBE <initiator> <initiator_site> <target> <hops> <max_gid>
+//     PREPARE <gid> <type> / VOTE <gid>      2PC phase 1
+//     COMMIT <gid> <type> / COMMIT_K <gid>   2PC phase 2
+//     TABORT <gid> <type> / ABORT_K <gid>    global abort leg
+//     PROBE <initiator> <initiator_site> <target> <hops> <max_gid> <0|1>
+//                                    probe step (0 = relay at the target's
+//                                    home, 1 = evaluate where it runs)
 //     VICTIM <gid>                   global deadlock: cancel gid's wait
 //
 //   client (load generator -> any site's mesh port):
@@ -101,9 +108,6 @@ struct DistConfig {
   std::uint64_t seed = 1;
   double scale = 0.1;  ///< real ms per virtual ms
   bool spawn_users = true;
-  double probe_cpu_ms = 1.0;
-  double reprobe_interval_ms = 200.0;  ///< virtual
-  int max_probe_hops = 64;
 
   std::string Encode() const;  ///< "key=value ..." (no verb)
   static bool Decode(std::string_view body, DistConfig* out,

@@ -14,10 +14,6 @@ void LockManagerSet::set_victim_policy(VictimPolicy policy) {
   for (auto& lm : sites_) lm->set_victim_policy(policy);
 }
 
-void LockManagerSet::set_conflict_policy(ConflictPolicy policy) {
-  for (auto& lm : sites_) lm->set_conflict_policy(policy);
-}
-
 std::uint64_t LockManagerSet::requests() const {
   std::uint64_t total = 0;
   for (const auto& lm : sites_) total += lm->requests();

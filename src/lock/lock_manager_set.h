@@ -33,7 +33,6 @@ class LockManagerSet {
   }
 
   void set_victim_policy(VictimPolicy policy);
-  void set_conflict_policy(ConflictPolicy policy);
 
   // --- aggregate statistics (sums over sites; not safe during RunUntil) ----
   std::uint64_t requests() const;

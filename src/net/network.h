@@ -18,6 +18,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "sim/simulation.h"
 
@@ -48,6 +49,14 @@ class Network {
   HopAwaiter Hop(int dest_site) {
     ++sent_;
     return HopAwaiter{*this, dest_site};
+  }
+
+  /// One message hop to `dest_site` that runs `fn` there on arrival: the
+  /// same delay, count and event as Hop, for a message whose receiver
+  /// starts a new process instead of resuming the sender.
+  void Send(int dest_site, sim::SmallFn fn) {
+    ++sent_;
+    kernel_.Schedule(dest_site, delay_ms_, std::move(fn));
   }
 
   double one_way_delay_ms() const { return delay_ms_; }

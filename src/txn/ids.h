@@ -5,24 +5,11 @@
 
 #include <cstdint>
 
-#include "model/types.h"
-
 namespace carat::txn {
 
 /// Globally unique transaction id (also used as the lock-manager TxnId at
 /// every node the transaction touches).
 using GlobalTxnId = std::uint64_t;
-
-/// What the coordinator TM knows about a transaction.
-struct TxnDescriptor {
-  GlobalTxnId gid = 0;
-  model::TxnType user_type = model::TxnType::kLRO;  ///< LRO/LU/DROC/DUC
-  int home_node = 0;
-  /// Node where the transaction currently operates (there is at most one
-  /// active request per transaction). Maintained by the coordinator TM at
-  /// the home site; probe routing reads it there.
-  int current_node = 0;
-};
 
 }  // namespace carat::txn
 

@@ -133,12 +133,13 @@ sim::Task<void> Node::ReleaseLocksAt(GlobalTxnId gid,
   locks_->ReleaseAll(gid);
 }
 
-std::vector<db::RecordId> Node::PickRecords(int count, util::Rng* rng) const {
+std::vector<db::RecordId> PickRecords(const model::SiteParams& site,
+                                      int count, util::Rng* rng) {
   std::vector<db::RecordId> records(count);
-  const std::uint64_t total = static_cast<std::uint64_t>(database_.num_records());
-  const bool skewed = params_.hot_data_fraction > 0.0 &&
-                      params_.hot_data_fraction < 1.0 &&
-                      params_.hot_access_fraction > 0.0;
+  const std::uint64_t total = static_cast<std::uint64_t>(site.total_records());
+  const bool skewed = site.hot_data_fraction > 0.0 &&
+                      site.hot_data_fraction < 1.0 &&
+                      site.hot_access_fraction > 0.0;
   if (!skewed) {
     for (int i = 0; i < count; ++i) {
       records[i] = static_cast<db::RecordId>(rng->NextBounded(total));
@@ -149,9 +150,9 @@ std::vector<db::RecordId> Node::PickRecords(int count, util::Rng* rng) const {
   // the first hot_data_fraction of the records.
   const std::uint64_t hot =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
-                                     params_.hot_data_fraction * total));
+                                     site.hot_data_fraction * total));
   for (int i = 0; i < count; ++i) {
-    if (rng->NextDouble() < params_.hot_access_fraction) {
+    if (rng->NextDouble() < site.hot_access_fraction) {
       records[i] = static_cast<db::RecordId>(rng->NextBounded(hot));
     } else {
       records[i] =

@@ -30,6 +30,12 @@ struct RequestSpec {
   std::vector<db::RecordId> records;
 };
 
+/// Picks `count` records of a node sized by `site`: uniform, or with the
+/// site's hot/cold skew. Reads only sizing parameters, so any site can pick
+/// records for another.
+std::vector<db::RecordId> PickRecords(const model::SiteParams& site,
+                                      int count, util::Rng* rng);
+
 /// A node of the testbed.
 class Node {
  public:
@@ -123,9 +129,6 @@ class Node {
 
   /// Null when the DM pool is unlimited.
   sim::CountingSemaphore* dm_pool() { return dm_pool_.get(); }
-
-  /// Picks `count` uniform random records at this node.
-  std::vector<db::RecordId> PickRecords(int count, util::Rng* rng) const;
 
   void ResetStats();
 

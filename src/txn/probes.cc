@@ -2,24 +2,20 @@
 
 #include <algorithm>
 
-#include "sim/task.h"
-
 namespace carat::txn {
 
-GlobalDeadlockDetector::GlobalDeadlockDetector(sim::ShardedKernel& kernel,
-                                               net::Network& network,
-                                               TxnRegistrySet& registry,
-                                               std::vector<Node*> nodes,
+GlobalDeadlockDetector::GlobalDeadlockDetector(Node& node,
+                                               const SiteRegistry& registry,
+                                               int num_sites,
+                                               ProbeTransport& transport,
                                                const Options& options)
-    : kernel_(kernel),
-      network_(network),
+    : node_(node),
       registry_(registry),
-      nodes_(std::move(nodes)),
-      options_(options),
-      stats_(std::make_unique<SiteStats[]>(
-          static_cast<std::size_t>(kernel.num_sites()))) {}
+      num_sites_(num_sites),
+      transport_(transport),
+      options_(options) {}
 
-void GlobalDeadlockDetector::OnBlock(int node_index, GlobalTxnId waiter,
+void GlobalDeadlockDetector::OnBlock(GlobalTxnId waiter,
                                      const std::vector<GlobalTxnId>& holders) {
   // Local-only cycles are handled synchronously by the lock manager before
   // the waiter is enqueued. Probes must chase *every* waiting holder, not
@@ -27,121 +23,114 @@ void GlobalDeadlockDetector::OnBlock(int node_index, GlobalTxnId waiter,
   // transaction (local -> distributed -> remote -> ... -> local), and the
   // unique-victim rule needs the cycle's highest-id member to launch its
   // own probe. Probes to holders that are not blocked die on evaluation.
+  const int site = node_.index();
   for (const GlobalTxnId holder : holders) {
-    if (registry_.HomeOf(holder) == node_index) {
+    if (HomeOf(holder) == site) {
       // The holder's coordinator is right here, so consult it before paying
       // for a message: a holder that is running at this node (not waiting)
       // cannot extend a wait chain, and its probe would die on arrival.
-      const SiteRegistry& reg = registry_.at(node_index);
-      const int current = reg.CurrentNode(holder);
+      const int current = registry_.CurrentNode(holder);
       if (current < 0) continue;  // already finished
-      if (current == node_index &&
-          !nodes_[static_cast<std::size_t>(node_index)]->locks().IsWaiting(
-              holder)) {
-        continue;
-      }
+      if (current == site && !node_.locks().IsWaiting(holder)) continue;
     }
-    ++stats_[node_index].probes_sent;
-    ProbeJourney(waiter, node_index, holder, node_index, 0,
-                 std::max(waiter, holder));
+    ++probes_sent_;
+    Launch(waiter, site, holder, 0, std::max(waiter, holder));
   }
 }
 
-sim::Process GlobalDeadlockDetector::ProbeJourney(GlobalTxnId initiator,
-                                                  int initiator_node,
-                                                  GlobalTxnId target,
-                                                  int at_node, int hops,
-                                                  GlobalTxnId max_id) {
-  if (hops >= options_.max_hops) co_return;
-  // Leg 1: the target's home TM knows where the target currently operates.
-  const int home = registry_.HomeOf(target);
-  if (at_node != home) {
-    co_await network_.Hop(home);
-    at_node = home;
-    co_await nodes_[static_cast<std::size_t>(at_node)]->TmHandle(
-        options_.probe_cpu_ms);  // relay cost at the home TM
+void GlobalDeadlockDetector::Launch(GlobalTxnId initiator, int initiator_site,
+                                    GlobalTxnId target, int hops,
+                                    GlobalTxnId max_id) {
+  if (hops >= options_.max_hops) return;
+  Probe probe;
+  probe.initiator = initiator;
+  probe.target = target;
+  probe.max_id = max_id;
+  probe.initiator_site = initiator_site;
+  probe.hops = hops;
+  // The target's home TM knows where the target currently operates.
+  const int home = HomeOf(target);
+  if (home != node_.index()) {
+    transport_.ShipProbe(home, probe);
+    return;
   }
-  const int current = registry_.at(home).CurrentNode(target);
-  if (current < 0) co_return;  // target finished: no cycle through it
-  // Leg 2: evaluate at the node where the target operates (and would wait).
-  if (current != at_node) {
-    co_await network_.Hop(current);
-    at_node = current;
+  const int current = registry_.CurrentNode(target);
+  if (current < 0) return;  // target finished: no cycle through it
+  probe.stage = Probe::Stage::kEvaluate;
+  Forward(current, probe);
+}
+
+void GlobalDeadlockDetector::Forward(int site, const Probe& probe) {
+  if (site == node_.index()) {
+    Receive(probe);
+  } else {
+    transport_.ShipProbe(site, probe);
   }
-  co_await nodes_[static_cast<std::size_t>(at_node)]->TmHandle(
-      options_.probe_cpu_ms);
+}
+
+sim::Process GlobalDeadlockDetector::Receive(Probe probe) {
+  lock::LockManager& lm = node_.locks();
+  switch (probe.stage) {
+    case Probe::Stage::kVictim:
+      co_await node_.TmHandle(options_.probe_cpu_ms);
+      // The victim may have been granted the lock or aborted in the
+      // meantime; CancelWait is a no-op then and the watchdog re-detects if
+      // needed.
+      if (lm.CancelWait(probe.initiator)) ++global_deadlocks_;
+      co_return;
+    case Probe::Stage::kRelay: {
+      co_await node_.TmHandle(options_.probe_cpu_ms);  // relay at the home TM
+      const int current = registry_.CurrentNode(probe.target);
+      if (current < 0) co_return;  // target finished: no cycle through it
+      if (current != node_.index()) {
+        probe.stage = Probe::Stage::kEvaluate;
+        transport_.ShipProbe(current, probe);
+        co_return;
+      }
+      break;  // the target operates here: evaluate at once
+    }
+    case Probe::Stage::kEvaluate:
+      break;
+  }
+  co_await node_.TmHandle(options_.probe_cpu_ms);
 
   // Re-read the wait state after the delays: probes act on current truth.
-  lock::LockManager& lm = nodes_[static_cast<std::size_t>(at_node)]->locks();
-  if (!lm.IsWaiting(target)) co_return;
-  for (const GlobalTxnId next : lm.WaitingFor(target)) {
-    if (next == initiator) {
+  if (!lm.IsWaiting(probe.target)) co_return;
+  for (const GlobalTxnId next : lm.WaitingFor(probe.target)) {
+    if (next == probe.initiator) {
       // Cycle. Only the cycle's highest-id member declares the deadlock, so
       // simultaneous probes around the same cycle agree on one victim; the
       // suppressed probes rely on the winner (or the watchdog) acting.
-      if (initiator >= max_id) {
-        DeliverVictimAbort(initiator, initiator_node, at_node);
+      if (probe.initiator >= probe.max_id) {
+        Probe victim = probe;
+        victim.stage = Probe::Stage::kVictim;
+        Forward(probe.initiator_site, victim);
       }
       co_return;
     }
     // Keep chasing: `next` may be blocked at this or another node. Purely
     // local segments were already covered by local detection - but a chain
     // local -> distributed -> remote still needs the probe, so follow all.
-    ++stats_[at_node].probes_sent;
-    ProbeJourney(initiator, initiator_node, next, at_node, hops + 1,
-                 std::max(max_id, next));
+    ++probes_sent_;
+    Launch(probe.initiator, probe.initiator_site, next, probe.hops + 1,
+           std::max(probe.max_id, next));
   }
 }
 
-sim::Process GlobalDeadlockDetector::DeliverVictimAbort(GlobalTxnId initiator,
-                                                        int initiator_node,
-                                                        int from_node) {
-  if (from_node != initiator_node) co_await network_.Hop(initiator_node);
-  co_await nodes_[static_cast<std::size_t>(initiator_node)]->TmHandle(
-      options_.probe_cpu_ms);
-  // The victim may have been granted the lock or aborted in the meantime;
-  // CancelWait is a no-op then and the watchdog re-detects if needed.
-  if (nodes_[static_cast<std::size_t>(initiator_node)]->locks().CancelWait(
-          initiator)) {
-    ++stats_[initiator_node].global_deadlocks;
-  }
-}
-
-sim::Process GlobalDeadlockDetector::WatchdogAt(int site) {
-  const sim::SitePort port{&kernel_, site};
-  lock::LockManager& lm = nodes_[static_cast<std::size_t>(site)]->locks();
+sim::Process GlobalDeadlockDetector::Watchdog() {
+  lock::LockManager& lm = node_.locks();
   for (;;) {
-    co_await sim::Delay{port, options_.reprobe_interval_ms};
+    co_await sim::Delay{node_.simulation(), options_.reprobe_interval_ms};
     // Re-launch probes for every transaction still blocked at this site;
     // stale probes die harmlessly, persistent global cycles are found.
     // WaitingTxns() is sorted, so the sweep order is deterministic.
     for (const GlobalTxnId waiter : lm.WaitingTxns()) {
       if (!lm.IsWaiting(waiter)) continue;
-      OnBlock(site, waiter, lm.WaitingFor(waiter));
+      OnBlock(waiter, lm.WaitingFor(waiter));
     }
   }
 }
 
-void GlobalDeadlockDetector::StartWatchdogs() {
-  for (int s = 0; s < kernel_.num_sites(); ++s) WatchdogAt(s);
-}
-
-std::uint64_t GlobalDeadlockDetector::probes_sent() const {
-  std::uint64_t total = 0;
-  for (int s = 0; s < kernel_.num_sites(); ++s) total += stats_[s].probes_sent;
-  return total;
-}
-
-std::uint64_t GlobalDeadlockDetector::global_deadlocks() const {
-  std::uint64_t total = 0;
-  for (int s = 0; s < kernel_.num_sites(); ++s) {
-    total += stats_[s].global_deadlocks;
-  }
-  return total;
-}
-
-void GlobalDeadlockDetector::ResetStats() {
-  for (int s = 0; s < kernel_.num_sites(); ++s) stats_[s] = SiteStats{};
-}
+void GlobalDeadlockDetector::StartWatchdog() { Watchdog(); }
 
 }  // namespace carat::txn

@@ -513,7 +513,6 @@ TEST(SiteEngine, DebugSnapshotShowsWaitStateAndTheLoopQueue) {
   const std::string live = engine.DebugSnapshot();
   EXPECT_EQ(live.rfind("site 0 @", 0), 0u) << live;
   EXPECT_NE(live.find("coord gid="), std::string::npos) << live;
-  EXPECT_NE(live.find("local gid="), std::string::npos) << live;
   EXPECT_NE(live.find("loop inbox="), std::string::npos) << live;
   EXPECT_NE(live.find(" events="), std::string::npos) << live;
 
@@ -571,9 +570,6 @@ TEST(Wire, DistConfigSurvivesTheControlChannel) {
   config.seed = 987654321;
   config.scale = 0.05;
   config.spawn_users = false;
-  config.probe_cpu_ms = 1.25;
-  config.reprobe_interval_ms = 333.0;
-  config.max_probe_hops = 17;
 
   dist::wire::DistConfig decoded;
   std::string error;
@@ -590,9 +586,6 @@ TEST(Wire, DistConfigSurvivesTheControlChannel) {
   EXPECT_EQ(decoded.seed, config.seed);
   EXPECT_DOUBLE_EQ(decoded.scale, config.scale);
   EXPECT_EQ(decoded.spawn_users, config.spawn_users);
-  EXPECT_DOUBLE_EQ(decoded.probe_cpu_ms, config.probe_cpu_ms);
-  EXPECT_DOUBLE_EQ(decoded.reprobe_interval_ms, config.reprobe_interval_ms);
-  EXPECT_EQ(decoded.max_probe_hops, config.max_probe_hops);
 
   // The shipped config must reconstruct the same workload on every site,
   // including the concurrency-control backend.
@@ -608,7 +601,7 @@ TEST(Wire, DistConfigWithoutCcMeansTwoPhaseLocking) {
   std::string error;
   const std::string body =
       " workload=mb8 n=8 sites=2 granules=3000 rpg=6 dm_pool=0 think_ms=0"
-      " seed=1 scale=0.1 users=1 probe_cpu=1 reprobe_ms=200 max_hops=64";
+      " seed=1 scale=0.1 users=1";
   ASSERT_TRUE(dist::wire::DistConfig::Decode(body, &decoded, &error)) << error;
   EXPECT_EQ(decoded.cc, "2pl");
   EXPECT_EQ(decoded.ToSpec().cc_backend, cc::BackendKind::k2PL);
@@ -781,6 +774,37 @@ TEST(DistE2e, ContendedRunDetectsGlobalDeadlocksAndStaysConsistent) {
   EXPECT_TRUE(result.all_audits_ok);  // every probe victim rolled back cleanly
   EXPECT_GT(result.global_deadlocks, 0u);
   EXPECT_GT(result.dist_restart_prob, 0.0);
+}
+
+TEST(DistE2e, EveryBackendRunsOnTheSharedProtocol) {
+  // The sites run txn::SiteProtocol, so the restart backends and the queue
+  // backend need no dist code of their own: each site only sets its lock
+  // table's policy, and the queue backend's REMDO carries its upfront plan.
+  for (const char* cc : {"nowait", "waitdie", "queue"}) {
+    auto options = BaseE2eOptions();
+    if (options.sited_bin.empty()) GTEST_SKIP() << "carat_sited not built";
+    options.config.workload = "mb8";
+    options.config.requests_per_txn = 8;
+    options.config.sites = 2;
+    options.config.cc = cc;
+    options.check = false;  // the reference tolerances are calibrated on 2PL
+
+    const auto result = dist::RunDistributed(options);
+    ASSERT_TRUE(result.ok) << cc << ": " << result.error;
+    EXPECT_TRUE(result.all_drained) << cc;
+    EXPECT_TRUE(result.all_audits_ok) << cc;
+    EXPECT_GT(result.commits, 0u) << cc;
+    if (std::string(cc) == "queue") {
+      // Ordered upfront locking: no wait-for cycle, so nothing to abort or
+      // probe.
+      std::uint64_t probes = 0;
+      for (const dist::EngineReport& r : result.reports) {
+        probes += r.probes_sent;
+      }
+      EXPECT_EQ(result.aborts, 0u);
+      EXPECT_EQ(probes, 0u);
+    }
+  }
 }
 
 TEST(DistE2e, LoadgenDrivesOpenLoopTrafficWithMergedHistograms) {

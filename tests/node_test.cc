@@ -174,7 +174,7 @@ TEST(Node, PickRecordsStaysInRange) {
   Node node(sim, 0, TestSite());
   util::Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
-    for (const db::RecordId r : node.PickRecords(4, &rng)) {
+    for (const db::RecordId r : PickRecords(node.params(), 4, &rng)) {
       EXPECT_GE(r, 0);
       EXPECT_LT(r, node.database().num_records());
     }
@@ -192,7 +192,7 @@ TEST(Node, SkewedPickConcentratesOnHotSet) {
       static_cast<db::RecordId>(0.1 * node.database().num_records());
   int hot = 0, total = 0;
   for (int i = 0; i < 5000; ++i) {
-    for (const db::RecordId r : node.PickRecords(4, &rng)) {
+    for (const db::RecordId r : PickRecords(node.params(), 4, &rng)) {
       ++total;
       if (r < hot_limit) ++hot;
     }

@@ -21,9 +21,9 @@
 //   --warmup-ms W      real warm-up window (default 1500)
 //   --measure-ms M     real measurement window (default 6000)
 //   --seed S           workload seed (default 1)
-//   --cc B             concurrency-control backend (default 2pl; only 2pl
-//                      runs distributed today — others are rejected up
-//                      front, and the coordinator refuses mixed meshes)
+//   --cc B             concurrency-control backend: 2pl (default) | nowait
+//                      | waitdie | queue (the coordinator refuses mixed
+//                      meshes; the cross-check is calibrated on 2pl)
 //   --no-check         skip the in-process reference cross-check
 //   --json             machine-readable result on stdout
 //   --sited-bin PATH   carat_sited binary (default: auto-resolve)
