@@ -1,13 +1,17 @@
 // The site network of workload MB8 at n = 12 (site 0 of 2), with demands
 // rounded from the model's fixed point: six chains of population 2, no think
 // time, centers CPU, DISK, LW, RW, CW, UT. It has the (6 centers, 2
-// queueing) shape of every paper workload's site network. Shared by the
-// micro benchmarks and perf_solver.
+// queueing) shape of every paper workload's site network, and with its
+// chains and populations cut to theirs it stands in for the other
+// workloads' sites. Shared by the micro benchmarks, perf_solver and
+// mva_test.
 
 #ifndef CARAT_BENCH_MB8_SITE_NETWORK_H_
 #define CARAT_BENCH_MB8_SITE_NETWORK_H_
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "qn/network.h"
 
@@ -37,6 +41,32 @@ inline qn::ClosedNetwork MakeMb8SiteNetwork() {
     for (int m = 0; m < 6; ++m) net.chains[c].demands[m] = kDemands[k][m];
   }
   return net;
+}
+
+// The mb8 site network cut to populations.size() (at most 6) chains, chain k
+// with population populations[k].
+inline qn::ClosedNetwork MakeSiteShapeNetwork(
+    const std::vector<int>& populations) {
+  qn::ClosedNetwork net = MakeMb8SiteNetwork();
+  net.chains.resize(populations.size());
+  for (std::size_t k = 0; k < populations.size(); ++k)
+    net.chains[k].population = populations[k];
+  return net;
+}
+
+// The lattice shapes of the paper workloads' site networks (2 nodes): the
+// populations of the chains each site solves.
+struct PaperSiteShape {
+  const char* name;
+  std::vector<int> populations;
+  std::size_t states;  // prod_k (N_k + 1)
+};
+
+inline std::vector<PaperSiteShape> PaperSiteShapes() {
+  return {{"lb8", {4, 4}, 25},
+          {"mb4", {1, 1, 1, 1, 1, 1}, 64},
+          {"mb8", {2, 2, 2, 2, 2, 2}, 729},
+          {"ub6", {2, 2, 1, 1, 1, 1}, 144}};
 }
 
 }  // namespace carat::bench

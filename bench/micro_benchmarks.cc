@@ -44,18 +44,26 @@ void BM_ExactMva(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactMva)->Arg(2)->Arg(4)->Arg(6);
 
-// The exact kernel on the site network's shape, 6 centers with 2 queueing
-// and 6 chains x population 2 (729 lattice states), with a warm workspace.
-// It runs the compiled sweep; BM_ExactMva's 3-center networks take the
-// runtime-sized one.
-void BM_ExactMvaSiteShape(benchmark::State& state) {
-  const qn::ClosedNetwork net = bench::MakeMb8SiteNetwork();
+// The exact kernel on each paper workload's site shape (6 centers with 2
+// queueing; lb8 25, mb4 64, mb8 729 and ub6 144 lattice states), built from
+// the mb8 site network, with a warm workspace. They run the compiled sweep;
+// BM_ExactMva's 3-center networks take the runtime-sized one.
+void BM_ExactMvaSiteShape(benchmark::State& state,
+                          const std::vector<int>& populations) {
+  const qn::ClosedNetwork net = bench::MakeSiteShapeNetwork(populations);
   qn::MvaWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(qn::ExactMvaInPlace(net, &ws));
   }
 }
-BENCHMARK(BM_ExactMvaSiteShape);
+const bool kSiteShapesRegistered = [] {
+  for (const bench::PaperSiteShape& shape : bench::PaperSiteShapes()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_ExactMvaSiteShape/") + shape.name).c_str(),
+        BM_ExactMvaSiteShape, shape.populations);
+  }
+  return true;
+}();
 
 void BM_SchweitzerMva(benchmark::State& state) {
   const qn::ClosedNetwork net =

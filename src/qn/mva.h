@@ -7,7 +7,9 @@
 // queue-length work is O(K * Q * prod_k (N_k + 1)) for K chains, plus the
 // per-chain residence sums over all M centers. The CARAT site models have
 // at most six chains with populations <= 4 and Q <= 3, so this is tiny.
-// The lattice sweep is compiled for the shape model::BuildSiteNetworks
+// The sweep walks the lattice level by level (|n| = 1, 2, ...) from an
+// immutable plan shared by every workspace solving the same population
+// vector and Q. It is compiled for the shape model::BuildSiteNetworks
 // builds, M = 6 centers with Q = 2 queueing (CPU, DISK), wherever the
 // queueing centers sit. Every other network, a site with a separate log
 // disk included, runs the same sweep sized at run time. Only the loop
@@ -29,6 +31,7 @@
 #define CARAT_QN_MVA_H_
 
 #include <cstddef>
+#include <memory>
 
 #include "qn/network.h"
 
@@ -52,9 +55,16 @@ enum class ExactSweep {
   kCompiled6x2,  ///< compiled: 6 centers, 2 of them queueing
 };
 
+/// The exact kernel's walk over one joint population lattice: its states in
+/// level order and, for each state, the chains it steps (defined in mva.cc).
+/// Immutable once built, and shared by every workspace solving a lattice of
+/// the same population vector and queueing-center count.
+struct LatticePlan;
+
 /// Reusable buffers for the in-place solvers. All vectors grow to the
 /// largest network shape seen and are then reused; repeated solves of
-/// same-shaped (or smaller) networks allocate nothing.
+/// same-shaped networks allocate nothing. (An exact solve of another
+/// lattice shape, smaller ones included, looks up or builds its plan.)
 struct MvaWorkspace {
   /// Output of the most recent successful *InPlace solve.
   Solution solution;
@@ -67,23 +77,36 @@ struct MvaWorkspace {
   /// leave it alone. Lets tests and benchmarks check a network's path.
   ExactSweep exact_sweep = ExactSweep::kNone;
 
+  /// The lattice plan of the most recent exact solve. An exact solve whose
+  /// population vector and queueing-center count match it reuses it without
+  /// a lock or an allocation; any other looks its plan up in a process-wide
+  /// registry of weak references (building it on a miss), and lets this one
+  /// go. A plan is freed with the last workspace holding it.
+  std::shared_ptr<const LatticePlan> plan;
+
   /// Per-(chain, center) mean queue lengths from the last Schweitzer solve,
   /// flattened as `chain * num_centers + center`. Retained across calls so
   /// `warm_start = true` resumes the fixed point from the previous solution
   /// instead of the even-spread initial guess.
   std::vector<double> qkm;
 
-  // Scratch: exact-MVA joint-population lattice (queueing centers only),
-  // per-chain throughputs, flattened per-(chain, center) residence times, the
-  // per-center queueing multiplier mask of the Schweitzer sweep (1.0 for
-  // queueing centers, 0.0 for delay centers, which hoists the CenterKind
-  // branch out of the inner loops), per-center queue totals, the exact
-  // sweep's per-chain blocks (residence row, queueing demands, think time),
-  // the indices of the queueing centers (the exact lattice's
-  // columns), and the mixed-radix counters of the exact recursion.
+  // Scratch: exact-MVA joint-population lattice (queueing centers only, one
+  // row per state in the plan's level order), per-chain throughputs,
+  // flattened per-(chain, center) residence times, the per-center queueing
+  // multiplier mask of the Schweitzer sweep (1.0 for queueing centers, 0.0
+  // for delay centers, which hoists the CenterKind branch out of the inner
+  // loops), per-center queue totals, the exact sweep's per-chain blocks
+  // (residence row, queueing demands, think time), and the indices of the
+  // queueing centers (the exact lattice's columns).
   std::vector<double> q, x, residence, qmul, qsum, chain_block;
-  std::vector<std::size_t> qcenters, dims, strides, n;
+  std::vector<std::size_t> qcenters;
 };
+
+/// Number of lattice plans the process-wide registry tracks. A lookup drops
+/// the entries of freed plans it passes, and an insertion follows a full
+/// pass, so this never exceeds the number of plans alive at the last
+/// insertion. For tests and diagnostics.
+std::size_t LatticePlanRegistrySize();
 
 /// Number of points in the joint population lattice, prod_k (N_k + 1).
 /// Returns false when the count would exceed `limit` (the product is never
@@ -94,7 +117,8 @@ bool JointLatticeStates(const ClosedNetwork& net, std::size_t limit,
 
 /// Exact multi-chain MVA into `ws->solution`. Zero heap allocation when `ws`
 /// is warm. Returns false (with `*error` set when non-null) on validation
-/// failure or when the lattice exceeds `max_states`.
+/// failure, when the lattice exceeds `max_states`, or when it is too large
+/// for the plan's 32-bit indices.
 bool ExactMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
                      std::size_t max_states = 1u << 22,
                      std::string* error = nullptr);

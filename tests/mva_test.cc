@@ -1,18 +1,55 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
+#include "exec/thread_pool.h"
+#include "mb8_site_network.h"
 #include "qn/bounds.h"
 #include "qn/ethernet.h"
 #include "qn/mva.h"
 #include "qn/network.h"
 #include "util/random.h"
+
+// ---- Global allocation counter ----------------------------------------------
+// Every operator new in the process bumps it; the plan tests read deltas
+// around warm solves. The hooks are not inlined, so GCC never pairs an
+// inlined malloc() or free() with an operator new or delete call
+// (-Wmismatched-new-delete).
+
+namespace {
+std::atomic<std::uint64_t> g_alloc_calls{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace carat::qn {
 namespace {
@@ -616,6 +653,165 @@ TEST(ExactMvaReference, ZeroPopulationNetworkMatches) {
   MvaWorkspace ws;
   ASSERT_TRUE(ExactMvaInPlace(net, &ws));
   EXPECT_TRUE(SameSolutionBits(ws.solution, ReferenceExactMva(net)));
+}
+
+// ---- Lattice plans. ---------------------------------------------------------
+
+constexpr CenterKind kQ = CenterKind::kQueueing;
+constexpr CenterKind kD = CenterKind::kDelay;
+
+TEST(ExactMvaPlan, SwitchingShapesMatchesReference) {
+  // (6, 2) takes the compiled sweep, (6, 3) the runtime one.
+  const std::vector<CenterKind> q2 = {kQ, kQ, kD, kD, kD, kD};
+  const std::vector<CenterKind> q3 = {kQ, kQ, kD, kD, kQ, kD};
+  const std::vector<int> a = {2, 1, 3};
+  const std::vector<int> b = {1, 3, 2};  // A's lattice size, other rows
+  struct Step {
+    const std::vector<CenterKind>* kinds;
+    std::vector<int> populations;
+  };
+  const Step steps[] = {
+      {&q2, a},         {&q2, b},       {&q2, a},          // A -> B -> A
+      {&q3, a},         {&q2, a},                          // Q 2 -> 3 -> 2
+      {&q2, {0, 0, 0}}, {&q2, a},                          // empty, then not
+      {&q2, {2, 1, 3, 0}}, {&q2, {2, 1}},                  // chain count moves
+  };
+  util::Rng rng(20261019);
+  MvaWorkspace ws;
+  for (int lap = 0; lap < 2; ++lap) {
+    for (std::size_t i = 0; i < std::size(steps); ++i) {
+      const ClosedNetwork net =
+          MakeRandomNetwork({*steps[i].kinds, steps[i].populations}, &rng);
+      std::string err;
+      ASSERT_TRUE(ExactMvaInPlace(net, &ws, 1u << 22, &err)) << err;
+      EXPECT_TRUE(SameSolutionBits(ws.solution, ReferenceExactMva(net)))
+          << "lap " << lap << ", step " << i;
+      // New demands on the same shape keep the plan.
+      const LatticePlan* plan = ws.plan.get();
+      const ClosedNetwork again =
+          MakeRandomNetwork({*steps[i].kinds, steps[i].populations}, &rng);
+      ASSERT_TRUE(ExactMvaInPlace(again, &ws, 1u << 22, &err)) << err;
+      EXPECT_EQ(ws.plan.get(), plan);
+      EXPECT_TRUE(SameSolutionBits(ws.solution, ReferenceExactMva(again)))
+          << "lap " << lap << ", step " << i << " again";
+    }
+  }
+}
+
+TEST(ExactMvaPlan, PlanIsFreedWithItsLastWorkspace) {
+  const ClosedNetwork net = bench::MakeMb8SiteNetwork();
+  std::weak_ptr<const LatticePlan> plan;
+  {
+    MvaWorkspace first, second;
+    ASSERT_TRUE(ExactMvaInPlace(net, &first));
+    ASSERT_TRUE(ExactMvaInPlace(net, &second));
+    EXPECT_EQ(first.plan, second.plan);  // one plan per shape
+    plan = first.plan;
+    first = MvaWorkspace{};
+    EXPECT_FALSE(plan.expired());  // `second` still holds it
+  }
+  EXPECT_TRUE(plan.expired());
+
+  // One workspace through 40 lattice shapes: each lets the last plan go, and
+  // the registry holds no more entries than live plans.
+  MvaWorkspace ws;
+  for (int pop = 1; pop <= 40; ++pop) {
+    const ClosedNetwork shape = bench::MakeSiteShapeNetwork({pop, 1});
+    ASSERT_TRUE(ExactMvaInPlace(shape, &ws));
+    EXPECT_LE(LatticePlanRegistrySize(), 1u) << "population " << pop;
+  }
+}
+
+TEST(ExactMvaPlan, LatticeBeyondPlanIndicesFailsWithError) {
+  constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+  MvaWorkspace ws;
+  std::string err;
+  // 65537^2 states: more than 32-bit row indices can name.
+  ClosedNetwork rows;
+  rows.AddCenter("cpu", kQ);
+  for (int k = 0; k < 2; ++k) {
+    const std::size_t c = rows.AddChain("k", 65536, 1.0);
+    rows.chains[c].demands[0] = 1.0;
+  }
+  EXPECT_FALSE(ExactMvaInPlace(rows, &ws, kNoLimit, &err));
+  EXPECT_NE(err.find("32-bit"), std::string::npos) << err;
+  // 2^31 states fit, but not their 3-column lattice's offsets.
+  ClosedNetwork columns;
+  for (int m = 0; m < 3; ++m) columns.AddCenter("q", kQ);
+  const std::size_t c =
+      columns.AddChain("k", std::numeric_limits<int>::max(), 1.0);
+  columns.chains[c].demands = {1.0, 1.0, 1.0};
+  err.clear();
+  EXPECT_FALSE(ExactMvaInPlace(columns, &ws, kNoLimit, &err));
+  EXPECT_NE(err.find("32-bit"), std::string::npos) << err;
+  // The workspace still solves what fits.
+  const ClosedNetwork fits = bench::MakeMb8SiteNetwork();
+  ASSERT_TRUE(ExactMvaInPlace(fits, &ws));
+  EXPECT_TRUE(SameSolutionBits(ws.solution, ReferenceExactMva(fits)));
+}
+
+TEST(ExactMvaPlan, ConcurrentWorkspacesShareOnePlanPerShape) {
+  // Three shapes, the compiled site shape, a ub6 site and a runtime-sized
+  // (7, 3) network, each solved on 4 workspaces at once. Every task steps
+  // through the shapes, so plans are looked up, shared and freed while
+  // other threads solve.
+  util::Rng rng(20261020);
+  std::vector<ClosedNetwork> nets = {
+      bench::MakeMb8SiteNetwork(),
+      bench::MakeSiteShapeNetwork({2, 2, 1, 1, 1, 1}),
+      MakeRandomNetwork({{kQ, kD, kQ, kD, kD, kQ, kD}, {2, 3, 1, 2}}, &rng)};
+  std::vector<Solution> want;
+  for (const ClosedNetwork& net : nets) want.push_back(ReferenceExactMva(net));
+
+  constexpr std::size_t kTasks = 12;
+  constexpr int kReps = 30;
+  std::vector<MvaWorkspace> ws(kTasks);
+  std::vector<int> mismatches(kTasks, 0);
+  exec::ThreadPool pool(4);
+  exec::ParallelFor(&pool, 0, kTasks, [&](std::size_t i) {
+    for (int rep = 0; rep < kReps; ++rep) {
+      const std::size_t s = (i + static_cast<std::size_t>(rep / 3)) % 3;
+      if (!ExactMvaInPlace(nets[s], &ws[i]) ||
+          !SameSolutionBits(ws[i].solution, want[s]))
+        ++mismatches[i];
+    }
+  });
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(mismatches[i], 0) << "task " << i;
+    // Tasks i and i % 3 ended on the same shape, so on the same plan.
+    EXPECT_EQ(ws[i].plan, ws[i % 3].plan) << "task " << i;
+  }
+  EXPECT_NE(ws[0].plan, ws[1].plan);
+}
+
+TEST(ExactMvaPlan, WarmSolvesOfPaperSiteShapesAllocateNothing) {
+  for (const bench::PaperSiteShape& shape : bench::PaperSiteShapes()) {
+    const ClosedNetwork net = bench::MakeSiteShapeNetwork(shape.populations);
+    std::size_t states = 0;
+    ASSERT_TRUE(JointLatticeStates(net, 1u << 22, &states));
+    EXPECT_EQ(states, shape.states) << shape.name;
+
+    MvaWorkspace ws;
+    ASSERT_TRUE(ExactMvaInPlace(net, &ws));  // cold: builds the plan
+    ASSERT_TRUE(ExactMvaInPlace(net, &ws));
+    std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+    for (int i = 0; i < 20; ++i) ExactMvaInPlace(net, &ws);
+    EXPECT_EQ(g_alloc_calls.load(std::memory_order_relaxed) - before, 0u)
+        << shape.name;
+
+    // A second workspace adopts the built plan; once its own buffers have
+    // grown, it allocates nothing either.
+    MvaWorkspace adopter;
+    ASSERT_TRUE(ExactMvaInPlace(net, &adopter));
+    EXPECT_EQ(adopter.plan, ws.plan) << shape.name;
+    before = g_alloc_calls.load(std::memory_order_relaxed);
+    for (int i = 0; i < 20; ++i) ExactMvaInPlace(net, &adopter);
+    EXPECT_EQ(g_alloc_calls.load(std::memory_order_relaxed) - before, 0u)
+        << shape.name << " (adopted plan)";
+    EXPECT_EQ(adopter.exact_sweep, ExactSweep::kCompiled6x2) << shape.name;
+    EXPECT_TRUE(SameSolutionBits(adopter.solution, ReferenceExactMva(net)))
+        << shape.name;
+  }
 }
 
 TEST(ClosedNetwork, RejectsNonFiniteDemandsAndThinkTimes) {
