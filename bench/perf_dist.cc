@@ -16,13 +16,14 @@
 // Results land in BENCH_dist.json (cwd) so successive PRs can track the
 // numbers. Usage: perf_dist [--out FILE] [--sited-bin PATH]
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/coordinator.h"
 #include "dist/loadgen.h"
-#include "dist/runtime.h"
 
 namespace {
 
@@ -113,7 +114,8 @@ int main(int argc, char** argv) {
         [&](const std::vector<std::string>& endpoints) {
           // Let every site pass its warm-up ResetStats first, so the sites'
           // ext_commits counters see the whole load-generator run.
-          carat::dist::RtClock::SleepRealMs(options.warmup_real_ms + 300.0);
+          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+              options.warmup_real_ms + 300.0));
           carat::dist::LoadgenOptions lg;
           lg.targets = endpoints;
           lg.connections = 4;

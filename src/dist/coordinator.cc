@@ -6,15 +6,11 @@
 
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "carat/testbed.h"
-#include "rpc/message_server.h"
+#include "rpc/connection_set.h"
 
 namespace carat::dist {
 
@@ -34,9 +30,12 @@ bool Executable(const std::string& path) {
   return !path.empty() && ::access(path.c_str(), X_OK) == 0;
 }
 
+using ConnId = rpc::ConnectionSet::ConnId;
+using Clock = rpc::ConnectionSet::Clock;
+
 /// Tracks the handshake state of one spawned site.
 struct SiteState {
-  rpc::MessageServer::ConnectionPtr conn;
+  ConnId conn = 0;  ///< control link, once HELLO registered it
   int mesh_port = -1;
   /// CC backend the site reported in HELLO. Absent on the wire means a
   /// pre-backend daemon, which always ran 2PL.
@@ -51,7 +50,15 @@ struct SiteState {
 
 class Coordinator {
  public:
-  explicit Coordinator(const DistRunOptions& options) : options_(options) {}
+  explicit Coordinator(const DistRunOptions& options)
+      : options_(options),
+        net_(
+            [this](ConnId conn, const std::string&, const std::string& body) {
+              OnFrame(conn, body);
+            },
+            [this](ConnId conn, const std::string& reason) {
+              OnClose(conn, reason);
+            }) {}
 
   DistRunResult Run() {
     DistRunResult result;
@@ -66,14 +73,7 @@ class Coordinator {
     }
 
     std::string error;
-    server_ = std::make_unique<rpc::MessageServer>(
-        rpc::MessageServer::Options{},
-        [this](const rpc::MessageServer::ConnectionPtr& conn,
-               const std::string& id, const std::string& body) {
-          (void)id;
-          OnFrame(conn, body);
-        });
-    if (!server_->Start(&error)) {
+    if (!net_.Listen(&error)) {
       result.error = "control listen: " + error;
       return result;
     }
@@ -83,37 +83,30 @@ class Coordinator {
     // HELLO barrier: every site is up and has bound its mesh port.
     if (!WaitAll([&](const SiteState& s) { return s.mesh_port >= 0; },
                  30'000)) {
-      result.error = "timed out waiting for site HELLOs";
-      return Abort(std::move(result));
+      return Stuck(std::move(result), "timed out waiting for site HELLOs");
     }
 
     // Backend homogeneity guard: the mesh executes one global CC protocol,
     // so every site's HELLO must name the configured backend.
     {
       std::vector<std::string> site_cc;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const SiteState& s : states_) site_cc.push_back(s.cc);
-      }
+      for (const SiteState& s : states_) site_cc.push_back(s.cc);
       result.error = wire::CheckMeshBackends(site_cc, options_.config.cc);
       if (!result.error.empty()) return Abort(std::move(result));
     }
 
     // CONFIG + PEERS to every site; sites then build their mesh.
     std::vector<std::string> endpoints;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const SiteState& s : states_) {
-        endpoints.push_back("127.0.0.1:" + std::to_string(s.mesh_port));
-      }
+    for (const SiteState& s : states_) {
+      endpoints.push_back("127.0.0.1:" + std::to_string(s.mesh_port));
     }
     {
       const std::string config_msg = "CONFIG" + options_.config.Encode();
       std::string peers_msg = "PEERS";
       for (const std::string& ep : endpoints) peers_msg += " " + ep;
-      std::lock_guard<std::mutex> lock(mu_);
       for (SiteState& s : states_) {
-        if (!s.conn->Send("0", config_msg) || !s.conn->Send("0", peers_msg)) {
+        if (!net_.Send(s.conn, "0", config_msg) ||
+            !net_.Send(s.conn, "0", peers_msg)) {
           result.error = "control send failed";
         }
       }
@@ -122,13 +115,12 @@ class Coordinator {
 
     // ALPHA barrier: the mesh is fully connected and measured.
     if (!WaitAll([&](const SiteState& s) { return s.alpha; }, 60'000)) {
-      result.error = "timed out waiting for ALPHA (mesh build failed?)";
-      return Abort(std::move(result));
+      return Stuck(std::move(result),
+                   "timed out waiting for ALPHA (mesh build failed?)");
     }
     {
       double rtt_sum = 0.0;
       int links = 0;
-      std::lock_guard<std::mutex> lock(mu_);
       for (const SiteState& s : states_) {
         rtt_sum += s.rtt_sum_ms;
         links += s.links;
@@ -144,17 +136,14 @@ class Coordinator {
       std::string start = "START";
       wire::AppendKv(&start, "warmup_ms", options_.warmup_real_ms);
       wire::AppendKv(&start, "measure_ms", options_.measure_real_ms);
-      std::lock_guard<std::mutex> lock(mu_);
-      for (SiteState& s : states_) s.conn->Send("0", start);
+      for (SiteState& s : states_) net_.Send(s.conn, "0", start);
     }
     if (options_.during_measure) options_.during_measure(endpoints);
 
     const double window_ms = options_.warmup_real_ms + options_.measure_real_ms;
     if (!WaitAll([&](const SiteState& s) { return s.drained; },
                  static_cast<int>(window_ms) + 60'000)) {
-      result.error = "timed out waiting for DRAINED";
-      DumpSites();
-      return Abort(std::move(result));
+      return Stuck(std::move(result), "timed out waiting for DRAINED");
     }
 
     // FINISH: everyone has stopped submitting; drain in-flight legs, audit,
@@ -162,25 +151,21 @@ class Coordinator {
     {
       std::string finish = "FINISH";
       wire::AppendKv(&finish, "timeout_ms", options_.drain_timeout_ms);
-      std::lock_guard<std::mutex> lock(mu_);
-      for (SiteState& s : states_) s.conn->Send("0", finish);
+      for (SiteState& s : states_) net_.Send(s.conn, "0", finish);
     }
     if (!WaitAll([&](const SiteState& s) { return s.reported; },
                  static_cast<int>(options_.drain_timeout_ms) + 30'000)) {
-      result.error = "timed out waiting for REPORT";
-      DumpSites();
-      return Abort(std::move(result));
+      return Stuck(std::move(result), "timed out waiting for REPORT");
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (SiteState& s : states_) s.conn->Send("0", "SHUTDOWN");
-      for (const SiteState& s : states_) result.reports.push_back(s.report);
+    for (SiteState& s : states_) {
+      net_.Send(s.conn, "0", "SHUTDOWN");
+      result.reports.push_back(s.report);
     }
+    // Every REPORT is in, so the sites' closing links are expected now.
     if (!Reap(10'000)) {
       result.error = "site process did not exit cleanly";
       return Abort(std::move(result));
     }
-    server_->Shutdown();
 
     Aggregate(&result);
     if (options_.check) Check(&result);
@@ -191,7 +176,7 @@ class Coordinator {
  private:
   bool Spawn(const std::string& sited, DistRunResult* result) {
     const std::string coord_arg =
-        "127.0.0.1:" + std::to_string(server_->port());
+        "127.0.0.1:" + std::to_string(net_.port());
     for (int i = 0; i < options_.config.sites; ++i) {
       const std::string site_arg = std::to_string(i);
       const pid_t pid = ::fork();
@@ -237,54 +222,67 @@ class Coordinator {
     return clean;
   }
 
-  /// Asks every site to print its wait state to stderr (DUMP) before the
-  /// run is aborted, so a stuck distributed run leaves a diagnosis behind.
+  /// Asks every site still connected to print its wait state to stderr
+  /// (DUMP), serving the links while the sites write their snapshots.
   void DumpSites() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (SiteState& s : states_) {
-        if (s.conn != nullptr) s.conn->Send("0", "DUMP");
-      }
+    for (SiteState& s : states_) {
+      if (s.conn != 0) net_.Send(s.conn, "0", "DUMP");
     }
-    ::usleep(1'500'000);  // give the sites time to write their snapshots
+    const auto deadline = Clock::now() + std::chrono::milliseconds(1'500);
+    while (Clock::now() < deadline) net_.Poll(deadline);
+  }
+
+  /// Fails a run whose handshake did not complete: names the first site
+  /// whose control link closed before its REPORT, if one did, else reports
+  /// `timeout`. Leaves a DUMP from every surviving site behind.
+  DistRunResult Stuck(DistRunResult result, const std::string& timeout) {
+    result.error = lost_.empty() ? timeout : lost_;
+    DumpSites();
+    return Abort(std::move(result));
   }
 
   DistRunResult Abort(DistRunResult result) {
     for (const pid_t pid : pids_) ::kill(pid, SIGKILL);
     Reap(5'000);
-    if (server_ != nullptr) server_->Shutdown();
     return result;
   }
 
-  void OnFrame(const rpc::MessageServer::ConnectionPtr& conn,
-               const std::string& body) {
+  /// The site whose control link `conn` is, or -1.
+  int SiteOf(ConnId conn) const {
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      if (states_[i].conn == conn) return static_cast<int>(i);
+    }
+    return -1;
+  }
+
+  void OnFrame(ConnId conn, const std::string& body) {
     wire::TokenReader reader(body);
     std::string_view verb;
     if (!reader.Next(&verb)) return;
-    std::lock_guard<std::mutex> lock(mu_);
+    const auto kv = wire::ParseKv(body);
     if (verb == "HELLO") {
-      const auto kv = wire::ParseKv(body);
+      // A HELLO with a site index or port out of range, for a site already
+      // registered, or on a registered link is not a spawned site's.
       int site = -1;
       int port = -1;
       if (!wire::KvInt(kv, "site", &site) || !wire::KvInt(kv, "port", &port) ||
-          site < 0 || site >= static_cast<int>(states_.size())) {
+          site < 0 || site >= static_cast<int>(states_.size()) || port < 1 ||
+          port > 65535 || states_[static_cast<std::size_t>(site)].conn != 0 ||
+          SiteOf(conn) >= 0) {
+        net_.Close(conn);
         return;
       }
-      states_[static_cast<std::size_t>(site)].conn = conn;
-      states_[static_cast<std::size_t>(site)].mesh_port = port;
+      SiteState& state = states_[static_cast<std::size_t>(site)];
+      state.conn = conn;
+      state.mesh_port = port;
       const auto cc_it = kv.find("cc");
-      if (cc_it != kv.end()) {
-        states_[static_cast<std::size_t>(site)].cc = cc_it->second;
-      }
-      conn_site_[conn->index()] = site;
-      cv_.notify_all();
+      if (cc_it != kv.end()) state.cc = cc_it->second;
       return;
     }
-    const auto it = conn_site_.find(conn->index());
-    if (it == conn_site_.end()) return;
-    SiteState& state = states_[static_cast<std::size_t>(it->second)];
+    const int site = SiteOf(conn);
+    if (site < 0) return;
+    SiteState& state = states_[static_cast<std::size_t>(site)];
     if (verb == "ALPHA") {
-      const auto kv = wire::ParseKv(body);
       wire::KvDouble(kv, "rtt_sum_ms", &state.rtt_sum_ms);
       wire::KvInt(kv, "links", &state.links);
       state.alpha = true;
@@ -293,18 +291,34 @@ class Coordinator {
     } else if (verb == "REPORT") {
       if (EngineReport::Decode(body, &state.report)) state.reported = true;
     }
-    cv_.notify_all();
   }
 
+  /// A site's control link closing before its REPORT means the site died:
+  /// the run has failed, and the first such site is named.
+  void OnClose(ConnId conn, const std::string& reason) {
+    const int site = SiteOf(conn);
+    if (site < 0) return;
+    SiteState& state = states_[static_cast<std::size_t>(site)];
+    state.conn = 0;
+    if (!state.reported && lost_.empty()) {
+      lost_ = "site " + std::to_string(site) +
+              " control link closed before REPORT (" + reason + ")";
+    }
+  }
+
+  /// Serves the control links until every site satisfies `pred`. False on
+  /// timeout, or as soon as a site's link closed before its REPORT.
   bool WaitAll(const std::function<bool(const SiteState&)>& pred,
                int timeout_ms) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-      for (const SiteState& s : states_) {
-        if (s.conn == nullptr || !pred(s)) return false;
-      }
-      return true;
-    });
+    const auto deadline =
+        Clock::now() + std::chrono::milliseconds(timeout_ms);
+    for (;;) {
+      if (!lost_.empty()) return false;
+      bool all = true;
+      for (const SiteState& s : states_) all = all && s.conn != 0 && pred(s);
+      if (all) return true;
+      if (Clock::now() >= deadline || !net_.Poll(deadline)) return false;
+    }
   }
 
   void Aggregate(DistRunResult* result) {
@@ -396,13 +410,10 @@ class Coordinator {
   }
 
   const DistRunOptions options_;
-  std::unique_ptr<rpc::MessageServer> server_;
+  rpc::ConnectionSet net_;
   std::vector<pid_t> pids_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<SiteState> states_;
-  std::unordered_map<std::uint64_t, int> conn_site_;
+  std::string lost_;  ///< the first site lost before its REPORT
 };
 
 }  // namespace

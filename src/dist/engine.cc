@@ -1,9 +1,7 @@
 #include "dist/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <future>
 #include <memory>
 #include <utility>
 
@@ -111,13 +109,16 @@ SiteEngine::SiteEngine(const model::ModelInput& input,
       ext_rng_(options.seed ^ 0xD15Cul ^
                (static_cast<std::uint64_t>(options.site) << 32)) {
   shadow_.assign(static_cast<std::size_t>(node_.database().num_records()), 0);
-  loop_.Start();
 }
 
 SiteEngine::~SiteEngine() { Stop(); }
 
-void SiteEngine::Start() {
-  loop_.Call([this] {
+void SiteEngine::Start(double warmup_real_ms, double measure_real_ms,
+                       std::function<void()> users_stopped) {
+  users_stopped_ = std::move(users_stopped);
+  const double warmup_vms = warmup_real_ms / options_.scale;
+  const double measure_vms = measure_real_ms / options_.scale;
+  loop_.Arrive([this, warmup_vms, measure_vms] {
     if (options_.spawn_users) {
       const model::SiteParams& site = params();
       util::Rng root(options_.seed ^
@@ -139,6 +140,8 @@ void SiteEngine::Start() {
     }
     protocol_.StartWatchdog();
     window_start_vms_ = NowVms();
+    loop_.port().Schedule(warmup_vms, [this] { ResetStats(); });
+    loop_.port().Schedule(warmup_vms + measure_vms, [this] { StopUsers(); });
   });
 }
 
@@ -193,7 +196,7 @@ void SiteEngine::HandleMessage(int from, std::string body) {
   const std::string_view verb =
       std::string_view(body).substr(0, body.find(' '));
   ++rx_verbs_[static_cast<std::size_t>(VerbIndex(verb))];
-  loop_.Post([this, from, body = std::move(body)] { Dispatch(from, body); });
+  loop_.Arrive([this, from, body = std::move(body)] { Dispatch(from, body); });
 }
 
 sim::Task<bool> SiteEngine::Ship(const txn::Leg& leg) {
@@ -358,6 +361,7 @@ sim::Process SiteEngine::ServeLeg(int from, LegMessage message) {
       break;
   }
   Send(from, reply);
+  CheckDrained();
 }
 
 void SiteEngine::CommitPoint(const std::vector<txn::RequestSpec>& plan) {
@@ -380,6 +384,7 @@ sim::Process SiteEngine::UserLoop(txn::UserDriver* driver) {
   // the measured window.
   --live_users_;
   window_end_vms_ = NowVms();
+  if (live_users_ == 0 && users_stopped_) std::exchange(users_stopped_, {})();
 }
 
 void SiteEngine::SubmitExternalTxn(std::string_view type_token, int requests,
@@ -402,8 +407,8 @@ void SiteEngine::SubmitExternalTxn(std::string_view type_token, int requests,
     local_requests = (requests + 1) / 2;
     remote_requests = requests - local_requests;
   }
-  loop_.Post([this, type, local_requests, remote_requests,
-              done = std::move(done)]() mutable {
+  loop_.Arrive([this, type, local_requests, remote_requests,
+                done = std::move(done)]() mutable {
     ExternalTxn(type, local_requests, remote_requests, std::move(done));
   });
 }
@@ -440,6 +445,7 @@ sim::Process SiteEngine::ExternalTxn(TxnType type, int local_requests,
   std::snprintf(buf, sizeof(buf), "%.3f", response_vms);
   reply += buf;
   done(reply);
+  CheckDrained();
 }
 
 // ---------------------------------------------------------------------------
@@ -447,125 +453,98 @@ sim::Process SiteEngine::ExternalTxn(TxnType type, int local_requests,
 // ---------------------------------------------------------------------------
 
 void SiteEngine::ResetStats() {
-  loop_.Call([this] {
-    node_.ResetStats();
-    messages_sent_ = 0;
-    protocol_.detector().ResetStats();
-    for (auto& driver : drivers_) {
-      driver->ResetStats();
-      // An attempt in flight ends inside the window, as a commit or an
-      // abort, so the window counts its submission too: the restart
-      // probability then compares attempts that ended in one window.
-      if (driver->attempting) driver->submissions = 1;
-    }
-    ext_commits_ = ext_aborts_ = 0;
-    window_start_vms_ = NowVms();
-    window_end_vms_ = window_start_vms_;
-  });
+  node_.ResetStats();
+  messages_sent_ = 0;
+  protocol_.detector().ResetStats();
+  for (auto& driver : drivers_) {
+    driver->ResetStats();
+    // An attempt in flight ends inside the window, as a commit or an
+    // abort, so the window counts its submission too: the restart
+    // probability then compares attempts that ended in one window.
+    if (driver->attempting) driver->submissions = 1;
+  }
+  ext_commits_ = ext_aborts_ = 0;
+  window_start_vms_ = NowVms();
+  window_end_vms_ = window_start_vms_;
 }
 
 void SiteEngine::StopUsers() {
-  bool stopped = false;
-  if (!loop_.Call([&] {
-        stop_users_ = true;
-        if (live_users_ == 0) window_end_vms_ = NowVms();
-        stopped = live_users_ == 0;
-      })) {
-    return;
-  }
-  while (!stopped) {
-    RtClock::SleepRealMs(5);
-    if (!loop_.Call([&] { stopped = live_users_ == 0; })) return;
-  }
+  stop_users_ = true;
+  if (live_users_ != 0) return;  // the last user to stop ends the window
+  window_end_vms_ = NowVms();
+  if (users_stopped_) std::exchange(users_stopped_, {})();
 }
 
-bool SiteEngine::Drain(double timeout_real_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::duration<double, std::milli>(
-                                timeout_real_ms));
-  for (;;) {
-    bool idle = false;
-    if (!loop_.Call([&] { idle = slaves_.empty() && ext_active_ == 0; })) {
-      return false;
-    }
-    if (idle) return true;
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    RtClock::SleepRealMs(10);
+void SiteEngine::Drain(double timeout_real_ms,
+                       std::function<void(bool drained)> done) {
+  drained_ = std::move(done);
+  loop_.Arrive([this, timeout_vms = timeout_real_ms / options_.scale] {
+    CheckDrained();
+    loop_.port().Schedule(timeout_vms, [this] {
+      if (drained_) std::exchange(drained_, {})(false);
+    });
+  });
+}
+
+void SiteEngine::CheckDrained() {
+  if (drained_ && slaves_.empty() && ext_active_ == 0) {
+    std::exchange(drained_, {})(true);
   }
 }
 
 EngineReport SiteEngine::Collect() {
   EngineReport report;
-  loop_.Call([&] {
-    report.measured_vms = window_end_vms_ - window_start_vms_;
-    report.cpu_busy_vms = node_.cpu().BusyMs();
-    report.db_busy_vms = node_.db_disk().BusyMs();
-    report.dio = node_.db_disk().completions();
-    if (node_.has_separate_log_disk()) {
-      report.log_busy_vms = node_.log_disk().BusyMs();
-      report.dio += node_.log_disk().completions();
+  report.measured_vms = window_end_vms_ - window_start_vms_;
+  report.cpu_busy_vms = node_.cpu().BusyMs();
+  report.db_busy_vms = node_.db_disk().BusyMs();
+  report.dio = node_.db_disk().completions();
+  if (node_.has_separate_log_disk()) {
+    report.log_busy_vms = node_.log_disk().BusyMs();
+    report.dio += node_.log_disk().completions();
+  }
+  const lock::LockManager& locks = node_.locks();
+  report.lock_requests = locks.requests();
+  report.lock_blocks = locks.blocks();
+  report.local_deadlocks = locks.local_deadlocks();
+  report.cancelled_waits = locks.cancelled_waits();
+  report.global_deadlocks = protocol_.detector().global_deadlocks();
+  report.probes_sent = protocol_.detector().probes_sent();
+  report.messages_sent = messages_sent_;
+  report.dm_pool_waits =
+      node_.dm_pool() != nullptr ? node_.dm_pool()->waits() : 0;
+  report.ext_commits = ext_commits_;
+  report.ext_aborts = ext_aborts_;
+  for (const auto& driver : drivers_) {
+    TypeCounters& t = report.types[model::Index(driver->type)];
+    t.present = true;
+    t.commits += driver->commits;
+    t.submissions += driver->submissions;
+    t.aborts += driver->aborts;
+    t.records_committed += driver->records_committed;
+    t.response_sum_vms += driver->response_ms.Sum();
+    t.lock_wait_sum_vms += driver->lock_wait_ms.Sum();
+    t.remote_wait_sum_vms += driver->remote_wait_ms.Sum();
+    t.commit_wait_sum_vms += driver->commit_wait_ms.Sum();
+  }
+  // Audit: with everything drained, every record must equal the number of
+  // committed updates applied to it (atomicity + write serialization).
+  const db::Database& database = node_.database();
+  report.drained = slaves_.empty();
+  report.audit_ok = true;
+  for (db::RecordId r = 0; r < database.num_records(); ++r) {
+    if (database.Read(r) !=
+        static_cast<db::RecordValue>(shadow_[static_cast<std::size_t>(r)])) {
+      report.audit_ok = false;
+      break;
     }
-    const lock::LockManager& locks = node_.locks();
-    report.lock_requests = locks.requests();
-    report.lock_blocks = locks.blocks();
-    report.local_deadlocks = locks.local_deadlocks();
-    report.cancelled_waits = locks.cancelled_waits();
-    report.global_deadlocks = protocol_.detector().global_deadlocks();
-    report.probes_sent = protocol_.detector().probes_sent();
-    report.messages_sent = messages_sent_;
-    report.dm_pool_waits =
-        node_.dm_pool() != nullptr ? node_.dm_pool()->waits() : 0;
-    report.ext_commits = ext_commits_;
-    report.ext_aborts = ext_aborts_;
-    for (const auto& driver : drivers_) {
-      TypeCounters& t = report.types[model::Index(driver->type)];
-      t.present = true;
-      t.commits += driver->commits;
-      t.submissions += driver->submissions;
-      t.aborts += driver->aborts;
-      t.records_committed += driver->records_committed;
-      t.response_sum_vms += driver->response_ms.Sum();
-      t.lock_wait_sum_vms += driver->lock_wait_ms.Sum();
-      t.remote_wait_sum_vms += driver->remote_wait_ms.Sum();
-      t.commit_wait_sum_vms += driver->commit_wait_ms.Sum();
-    }
-    // Audit: with everything drained, every record must equal the number of
-    // committed updates applied to it (atomicity + write serialization).
-    const db::Database& database = node_.database();
-    report.drained = slaves_.empty();
-    report.audit_ok = true;
-    for (db::RecordId r = 0; r < database.num_records(); ++r) {
-      if (database.Read(r) !=
-          static_cast<db::RecordValue>(shadow_[static_cast<std::size_t>(r)])) {
-        report.audit_ok = false;
-        break;
-      }
-    }
-  });
+  }
   return report;
 }
 
 std::string SiteEngine::DebugSnapshot() {
-  std::promise<std::string> result;
-  std::future<std::string> snapshot = result.get_future();
-  loop_.Post([this, result = std::move(result)]() mutable {
-    result.set_value(Snapshot());
-  });
-  if (snapshot.wait_for(std::chrono::seconds(2)) ==
-      std::future_status::ready) {
-    try {
-      return snapshot.get();
-    } catch (const std::future_error&) {
-      // The loop stopped before taking the request.
-    }
+  if (loop_.stopped()) {
+    return "site " + std::to_string(options_.site) + ": loop stopped\n";
   }
-  return "site " + std::to_string(options_.site) +
-         ": loop did not answer; inbox=" +
-         std::to_string(loop_.inbox_depth()) + "\n";
-}
-
-std::string SiteEngine::Snapshot() {
   std::string out = "site " + std::to_string(options_.site) + " @" +
                     std::to_string(NowVms()) + "vms\n";
   for (const lock::TxnId waiter : node_.locks().WaitingTxns()) {
@@ -596,8 +575,8 @@ std::string SiteEngine::Snapshot() {
   }
   out += "  ext_active=" + std::to_string(ext_active_) + "\n";
   // Message flow and queued work: a verb whose tx count at the peer exceeds
-  // the rx count here was lost in transit; posts in the inbox and events
-  // pending on the kernel are work that has arrived but not yet run.
+  // the rx count here was lost in transit; events pending on the kernel are
+  // work that has arrived or been timed but not yet run.
   out += "  tx";
   for (int i = 0; i < kNumVerbs; ++i) {
     const std::uint64_t n = tx_verbs_[static_cast<std::size_t>(i)];
@@ -605,11 +584,10 @@ std::string SiteEngine::Snapshot() {
   }
   out += "\n  rx";
   for (int i = 0; i < kNumVerbs; ++i) {
-    const std::uint64_t n = rx_verbs_[static_cast<std::size_t>(i)].load();
+    const std::uint64_t n = rx_verbs_[static_cast<std::size_t>(i)];
     if (n != 0) out += ' ' + std::string(VerbName(i)) + '=' + std::to_string(n);
   }
-  out += "\n  loop inbox=" + std::to_string(loop_.inbox_depth()) +
-         " events=" + std::to_string(loop_.pending_events()) + "\n";
+  out += "\n  loop events=" + std::to_string(loop_.pending_events()) + "\n";
   return out;
 }
 

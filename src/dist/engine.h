@@ -18,15 +18,15 @@
 // the per-site audit of committed updates, the report, and DebugSnapshot.
 // All engine-internal times are *virtual* milliseconds.
 //
-// The engine is transport agnostic: outgoing mesh messages go through a
-// Sender callback, called on the loop thread; incoming ones reach
-// HandleMessage on any thread, which posts them to the loop.
+// The engine is transport agnostic and single-threaded: the process's one
+// thread runs it through Run. Outgoing mesh messages go through a Sender
+// callback, called from events; incoming ones reach HandleMessage from the
+// socket layer, which schedules their dispatch as an event.
 
 #ifndef CARAT_DIST_ENGINE_H_
 #define CARAT_DIST_ENGINE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -104,14 +104,14 @@ struct EngineOptions {
 class SiteEngine final : private txn::Runtime {
  public:
   /// Ships `body` (a wire payload, verb first) to site `to`; never invoked
-  /// with to == this site. Called on the loop thread only.
+  /// with to == this site. Called from events only.
   using Sender = std::function<void(int to, const std::string& body)>;
 
-  /// Receives an external transaction's TXN_K payload, on the loop thread.
+  /// Receives an external transaction's TXN_K payload, from an event.
   using TxnDone = std::function<void(const std::string& reply)>;
 
-  /// Builds the site and starts its loop: remote requests may arrive from
-  /// peers before or after Start.
+  /// Builds the site: remote requests may arrive from peers before or after
+  /// Start.
   SiteEngine(const model::ModelInput& input, const EngineOptions& options,
              Sender sender);
   ~SiteEngine();
@@ -119,51 +119,46 @@ class SiteEngine final : private txn::Runtime {
   SiteEngine(const SiteEngine&) = delete;
   SiteEngine& operator=(const SiteEngine&) = delete;
 
-  // The control calls below block the calling thread (never the loop's)
-  // until the loop has run them; after Stop they do nothing.
+  /// Runs the site's loop on the calling thread until `done()` holds; see
+  /// RtSiteLoop::Run.
+  void Run(rpc::ConnectionSet* net, const std::function<bool()>& done) {
+    loop_.Run(net, done);
+  }
 
   /// Spawns the resident users (if configured) and the re-probe watchdog
-  /// (2PL).
-  void Start();
+  /// (2PL), and times the window with kernel timers: the counters reset
+  /// after `warmup_real_ms` of wall clock, and the users stop at their next
+  /// commit-cycle boundary `measure_real_ms` later. The window ends when
+  /// the last one stops, and `users_stopped` runs then.
+  void Start(double warmup_real_ms, double measure_real_ms,
+             std::function<void()> users_stopped);
 
-  /// Zeroes the measurement counters; called at the end of warm-up.
-  void ResetStats();
-
-  /// Signals resident users to stop at their next commit-cycle boundary and
-  /// waits until they have. The measured window ends when the last one
-  /// stops.
-  void StopUsers();
-
-  /// Waits until no slave legs or external transactions remain in flight
-  /// (all peers must have stopped submitting first). False on timeout.
-  bool Drain(double timeout_real_ms);
+  /// Calls `done(true)` once no slave legs or external transactions remain
+  /// in flight (all peers must have stopped submitting first), or
+  /// `done(false)` once `timeout_real_ms` of wall clock have passed.
+  void Drain(double timeout_real_ms, std::function<void(bool drained)> done);
 
   /// Runs the end-of-run audit and gathers the report. Call after Drain.
   EngineReport Collect();
 
-  /// Stops the loop and ends every coroutine still parked on it. The engine
-  /// is inert afterwards.
+  /// Ends every coroutine still parked on the loop. The engine is inert
+  /// afterwards.
   void Stop();
 
-  /// Dispatches one incoming mesh payload. Thread-safe; never blocks on the
-  /// loop.
+  /// Dispatches one incoming mesh payload, as an event at its arrival time.
   void HandleMessage(int from, std::string body);
 
   /// Runs one client-submitted transaction to commit (retrying aborts like
-  /// a resident user), then hands the TXN_K payload to `done`. Thread-safe;
-  /// never blocks on the loop.
+  /// a resident user), then hands the TXN_K payload to `done`.
   void SubmitExternalTxn(std::string_view type_token, int requests,
                          TxnDone done);
-
-  int site() const { return options_.site; }
 
   /// One-line-per-fact dump of the engine's wait state (lock waits and
   /// their wait-for edges, in-flight coordinators with their current node,
   /// legs awaiting a reply with verb and age, resident slave legs, external
-  /// transactions, per-verb message counts, and the work queued on the
+  /// transactions, per-verb message counts, and the events pending on the
   /// loop) for diagnosing a stuck distributed run; the coordinator requests
   /// it via the DUMP control verb when a site misses a protocol deadline.
-  /// Bounded wait: a loop that does not answer is reported as such.
   std::string DebugSnapshot();
 
  private:
@@ -193,6 +188,12 @@ class SiteEngine final : private txn::Runtime {
   }
   void Send(int to, const std::string& body);
 
+  /// The window's ends, run as timer events.
+  void ResetStats();
+  void StopUsers();
+  /// Ends a pending Drain once nothing is in flight.
+  void CheckDrained();
+
   // --- txn::Runtime ---------------------------------------------------------
   sim::Task<bool> Ship(const txn::Leg& leg) override;
   void ShipProbe(int site, const txn::Probe& probe) override;
@@ -207,8 +208,6 @@ class SiteEngine final : private txn::Runtime {
   void Dispatch(int from, const std::string& body);
   sim::Process ServeLeg(int from, LegMessage message);
 
-  std::string Snapshot();
-
   const model::ModelInput input_;
   const EngineOptions options_;
   Sender sender_;
@@ -219,7 +218,7 @@ class SiteEngine final : private txn::Runtime {
   txn::Node node_;
   txn::SiteProtocol protocol_;
 
-  // Everything below is touched only on the loop thread.
+  // Everything below is touched only by the loop's events.
   std::vector<std::uint64_t> shadow_;  ///< committed increments per record
   /// Slave legs resident here, by gid: the records each has updated, which
   /// the audit credits when its COMMIT step is done.
@@ -230,6 +229,8 @@ class SiteEngine final : private txn::Runtime {
   std::vector<std::unique_ptr<txn::UserDriver>> drivers_;
   int live_users_ = 0;
   bool stop_users_ = false;
+  std::function<void()> users_stopped_;
+  std::function<void(bool drained)> drained_;  ///< set while a Drain waits
 
   util::Rng ext_rng_{0};
   int ext_active_ = 0;
@@ -241,12 +242,12 @@ class SiteEngine final : private txn::Runtime {
   /// Per-verb send/receive counters (diagnostic): comparing one site's tx
   /// row against the peer's rx row in paired DebugSnapshots shows whether a
   /// missing protocol step was lost in transit or stalled after delivery.
-  /// rx counts on arrival, on the receiving thread.
+  /// rx counts on arrival.
   static constexpr int kNumVerbs = 11;
   static int VerbIndex(std::string_view verb);
   static const char* VerbName(int index);
   std::array<std::uint64_t, kNumVerbs> tx_verbs_{};
-  std::array<std::atomic<std::uint64_t>, kNumVerbs> rx_verbs_{};
+  std::array<std::uint64_t, kNumVerbs> rx_verbs_{};
 
   double window_start_vms_ = 0.0;
   double window_end_vms_ = 0.0;

@@ -1,7 +1,8 @@
 #include "dist/runtime.h"
 
+#include <algorithm>
 #include <cmath>
-#include <future>
+#include <thread>
 #include <utility>
 
 namespace carat::dist {
@@ -9,73 +10,38 @@ namespace carat::dist {
 RtSiteLoop::RtSiteLoop(double scale)
     : clock_(scale), kernel_(/*num_sites=*/1, /*num_shards=*/1) {}
 
-void RtSiteLoop::Start() { thread_ = std::thread([this] { Run(); }); }
-
-void RtSiteLoop::Post(sim::SmallFn fn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    inbox_.push_back(std::move(fn));
-  }
-  cv_.notify_one();
+void RtSiteLoop::Arrive(sim::SmallFn fn) {
+  if (stopped_) return;
+  // Stamped with the wall clock's virtual time, not the kernel's (which
+  // stands where the last round left it), so work runs no earlier in
+  // virtual time than it arrived.
+  kernel_.Schedule(0, std::max(0.0, clock_.NowVirtualMs() - kernel_.now(0)),
+                   std::move(fn));
 }
 
-bool RtSiteLoop::Call(std::function<void()> fn) {
-  std::promise<void> done;
-  std::future<void> ran = done.get_future();
-  // A closure dropped by Stop destroys its promise unset, which wakes us.
-  Post([fn = std::move(fn), done = std::move(done)]() mutable {
-    fn();
-    done.set_value();
-  });
-  try {
-    ran.get();
-    return true;
-  } catch (const std::future_error&) {
-    return false;
+void RtSiteLoop::Run(rpc::ConnectionSet* net,
+                     const std::function<bool()>& done) {
+  while (!stopped_) {
+    kernel_.RunUntil(clock_.NowVirtualMs());
+    if (done()) return;
+    const double next = kernel_.NextEventTime();
+    if (net != nullptr) {
+      if (!net->Poll(std::isinf(next)
+                         ? rpc::ConnectionSet::Clock::time_point::max()
+                         : clock_.WallTime(next))) {
+        return;  // epoll failed: the loop can no longer wait
+      }
+    } else if (std::isinf(next)) {
+      return;
+    } else {
+      std::this_thread::sleep_until(clock_.WallTime(next));
+    }
   }
 }
 
 void RtSiteLoop::Stop() {
-  std::vector<sim::SmallFn> dropped;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    dropped.swap(inbox_);
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  stopped_ = true;
   kernel_.DestroyProcesses();
-}
-
-std::size_t RtSiteLoop::inbox_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inbox_.size();
-}
-
-void RtSiteLoop::Run() {
-  std::vector<sim::SmallFn> posted;
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    posted.swap(inbox_);
-    lock.unlock();
-    // The clock is read after the inbox is taken, so a post runs no earlier
-    // (in virtual time) than it was made. Events that came due run first, in
-    // virtual-time order; then the posts, at the current virtual time.
-    const double now = clock_.NowVirtualMs();
-    kernel_.RunUntil(now);
-    for (sim::SmallFn& fn : posted) kernel_.Schedule(0, 0.0, std::move(fn));
-    posted.clear();
-    kernel_.RunUntil(now);
-    const double next = kernel_.NextEventTime();
-    lock.lock();
-    const auto woken = [this] { return stop_ || !inbox_.empty(); };
-    if (std::isinf(next)) {
-      cv_.wait(lock, woken);
-    } else {
-      cv_.wait_until(lock, clock_.WallTime(next), woken);
-    }
-  }
 }
 
 }  // namespace carat::dist

@@ -3,31 +3,30 @@
 // The in-process testbed (carat/testbed.h) runs every site on a virtual-time
 // event kernel. A carat_sited process runs its one site on the same kernel,
 // driven by the wall clock: RtSiteLoop owns a one-site sim::ShardedKernel
-// and an RtClock (`scale` real milliseconds per virtual millisecond), and
-// its thread runs every event whose virtual time has come, then sleeps until
-// the next event's wall-clock deadline or until another thread posts work.
-// A site's code is therefore the testbed's code (txn::Node's TM server, CPU,
-// disks, DM pool, journal and lock table, as coroutines), and queueing inside
-// a site is exact in virtual time; only the arrival time of a message from
-// another thread carries wall-clock jitter.
+// and an RtClock (`scale` real milliseconds per virtual millisecond). Run
+// executes, on the calling thread, every event whose virtual time has come,
+// then sleeps in the process's rpc::ConnectionSet (epoll) until the next
+// event's wall-clock deadline or until a socket is ready. A site's code is
+// therefore the testbed's code (txn::Node's TM server, CPU, disks, DM pool,
+// journal and lock table, as coroutines), and queueing inside a site is
+// exact in virtual time; only the arrival time of a message carries
+// wall-clock jitter.
 //
-// Threads other than the loop's never touch site state: they Post closures,
-// which the loop runs as kernel events at delay 0, so every sim::Process is
-// spawned inside event execution and Stop reaches it. The inbox is unbounded
-// and Post never waits for the loop, so a mesh reader thread always drains
-// its socket, and two sites writing to each other cannot deadlock.
+// A site process has one thread, and it is the loop's. A frame decoded off
+// a socket enters the site through Arrive, as a kernel event at the wall
+// clock's current virtual time, so every sim::Process is spawned inside
+// event execution and Stop reaches it. Writes never block (see
+// rpc/connection_set.h), so a peer that stops reading cannot stop the
+// loop.
 
 #ifndef CARAT_DIST_RUNTIME_H_
 #define CARAT_DIST_RUNTIME_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
+#include "rpc/connection_set.h"
 #include "sim/event.h"
 #include "sim/simulation.h"
 
@@ -58,12 +57,6 @@ class RtClock {
                             virtual_ms * scale_));
   }
 
-  static void SleepRealMs(double real_ms) {
-    if (real_ms <= 0.0) return;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(real_ms));
-  }
-
  private:
   double scale_;
   TimePoint start_;
@@ -77,46 +70,34 @@ class RtSiteLoop {
   RtSiteLoop(const RtSiteLoop&) = delete;
   RtSiteLoop& operator=(const RtSiteLoop&) = delete;
 
-  /// The site's timeline. Only code running on the loop may use it once the
-  /// loop has started.
+  /// The site's timeline.
   sim::SitePort port() { return sim::SitePort{&kernel_, 0}; }
   const RtClock& clock() const { return clock_; }
 
-  /// Starts the loop thread.
-  void Start();
+  /// Schedules `fn` as an event at the wall clock's current virtual time:
+  /// how work that came off a socket enters the site. Dropped once the loop
+  /// has stopped.
+  void Arrive(sim::SmallFn fn);
 
-  /// Queues `fn` to run on the loop as an event at delay 0, at a virtual
-  /// time no earlier than the wall clock's when it was posted. Thread-safe
-  /// and never blocks on the loop. Once the loop has stopped, `fn` is
-  /// destroyed without running.
-  void Post(sim::SmallFn fn);
+  /// Runs the loop on the calling thread until `done()` holds (checked after
+  /// each round), Stop, or a failed wait: a round runs every event whose
+  /// virtual time has come, then waits in `net` until the next event's
+  /// wall-clock deadline or a ready socket. With `net` null it sleeps
+  /// instead, and returns once no event is pending.
+  void Run(rpc::ConnectionSet* net, const std::function<bool()>& done);
 
-  /// Posts `fn` and blocks the calling thread, which must not be the
-  /// loop's, until it has run. False, with `fn` not run, if the loop
-  /// stopped first.
-  bool Call(std::function<void()> fn);
-
-  /// Stops the thread, then destroys every process still parked on the
-  /// kernel and every closure not yet run: no event runs afterwards.
-  /// Idempotent.
+  /// Destroys every process still parked on the kernel: no event runs
+  /// afterwards. Idempotent.
   void Stop();
+  bool stopped() const { return stopped_; }
 
-  /// Closures posted but not yet taken by the loop. Thread-safe.
-  std::size_t inbox_depth() const;
-
-  /// Kernel events scheduled but not yet run. Loop thread only.
+  /// Kernel events scheduled but not yet run.
   std::size_t pending_events() const { return kernel_.pending_events(); }
 
  private:
-  void Run();
-
   RtClock clock_;
   sim::ShardedKernel kernel_;
-  mutable std::mutex mu_;  ///< guards inbox_ and stop_
-  std::condition_variable cv_;
-  std::vector<sim::SmallFn> inbox_;
-  bool stop_ = false;
-  std::thread thread_;
+  bool stopped_ = false;
 };
 
 }  // namespace carat::dist

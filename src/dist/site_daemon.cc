@@ -1,159 +1,222 @@
 #include "dist/site_daemon.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "dist/engine.h"
 #include "dist/wire.h"
-#include "rpc/client.h"
-#include "rpc/message_server.h"
+#include "rpc/connection_set.h"
 #include "util/cli.h"
 
 namespace carat::dist {
 
 namespace {
 
-/// Strips the "<id> " prefix rpc::Client prepends to binary frames.
-std::string_view StripFrameId(std::string_view line) {
-  const std::size_t space = line.find(' ');
-  return space == std::string_view::npos ? std::string_view()
-                                         : line.substr(space + 1);
-}
+using ConnId = rpc::ConnectionSet::ConnId;
+using Clock = rpc::ConnectionSet::Clock;
+
+/// RTT samples per outgoing link; ALPHA reports their median.
+constexpr std::size_t kPingsPerLink = 5;
 
 class SiteDaemon {
  public:
-  explicit SiteDaemon(const SiteDaemonOptions& options) : options_(options) {}
+  explicit SiteDaemon(const SiteDaemonOptions& options)
+      : options_(options),
+        net_(
+            [this](ConnId conn, const std::string& id,
+                   const std::string& body) { OnFrame(conn, id, body); },
+            [this](ConnId conn, const std::string& reason) {
+              OnClose(conn, reason);
+            }) {}
 
   int Run() {
     std::string error;
-    server_ = std::make_unique<rpc::MessageServer>(
-        rpc::MessageServer::Options{},
-        [this](const rpc::MessageServer::ConnectionPtr& conn,
-               const std::string& id, const std::string& body) {
-          OnFrame(conn, id, body);
-        });
-    if (!server_->Start(&error)) return Fail("mesh listen: " + error);
+    if (!net_.Listen(&error)) return Fail("mesh listen: " + error);
+    control_ = net_.Dial(options_.coordinator_host,
+                         static_cast<std::uint16_t>(options_.coordinator_port),
+                         &error);
+    if (control_ == 0) return Fail("coordinator connect: " + error);
+    std::string hello = "HELLO";
+    wire::AppendKv(&hello, "site", static_cast<std::int64_t>(options_.site));
+    wire::AppendKv(&hello, "port", static_cast<std::int64_t>(net_.port()));
+    wire::AppendKv(&hello, "cc", std::string_view(options_.cc));
+    ControlSend(hello);
 
-    rpc::Client::ConnectOptions copts;
-    copts.framing = rpc::FramingKind::kBinary;
-    copts.recv_timeout_ms = options_.control_timeout_ms;
-    copts.connect_timeout_ms = 5000;
-    copts.connect_attempts = 50;
-    copts.reconnect_backoff_ms = 100;
-    if (!control_.Connect(options_.coordinator_host,
-                          static_cast<std::uint16_t>(options_.coordinator_port),
-                          &error, copts)) {
-      return Fail("coordinator connect: " + error);
+    // CONFIG sizes the site, so until it arrives there is no kernel and the
+    // sockets alone are served. A coordinator that dies closes the link.
+    while (exit_code_ < 0 && engine_ == nullptr) {
+      if (!net_.Poll(Clock::time_point::max())) Fail("epoll failed");
     }
-    {
-      std::string hello = "0 HELLO";
-      wire::AppendKv(&hello, "site",
-                     static_cast<std::int64_t>(options_.site));
-      wire::AppendKv(&hello, "port",
-                     static_cast<std::int64_t>(server_->port()));
-      wire::AppendKv(&hello, "cc", std::string_view(options_.cc));
-      if (!control_.SendLine(hello)) return Fail("HELLO send failed");
+    if (engine_ != nullptr) {
+      engine_->Run(&net_, [this] { return exit_code_ >= 0; });
+      engine_->Stop();
     }
-
-    // Control loop: the coordinator drives, the daemon reacts.
-    for (;;) {
-      std::string line;
-      if (!control_.ReadLine(&line)) {
-        return Fail("coordinator link lost");
-      }
-      const std::string_view payload = StripFrameId(line);
-      wire::TokenReader reader(payload);
-      std::string_view verb;
-      if (!reader.Next(&verb)) continue;
-      int rc = 0;
-      if (verb == "CONFIG") {
-        rc = OnConfig(payload);
-      } else if (verb == "PEERS") {
-        rc = OnPeers(reader);
-      } else if (verb == "START") {
-        rc = OnStart(payload);
-      } else if (verb == "FINISH") {
-        rc = OnFinish(payload);
-      } else if (verb == "DUMP") {
-        // Stuck-run diagnosis: the coordinator asks for the wait state when
-        // a site misses a protocol deadline. stderr reaches the operator's
-        // terminal through the inherited descriptor.
-        std::fprintf(stderr, "carat_sited[site %d]: cc=%s\n", options_.site,
-                     options_.cc.c_str());
-        if (engine_ != nullptr) {
-          std::fprintf(stderr, "%s", engine_->DebugSnapshot().c_str());
-        }
-      } else if (verb == "SHUTDOWN") {
-        break;
-      } else {
-        rc = Fail("unexpected control verb: " + std::string(verb));
-      }
-      if (rc != 0) return rc;
-    }
-
-    Teardown();
-    return 0;
+    return exit_code_ >= 0 ? exit_code_ : Fail("epoll failed");
   }
 
  private:
-  struct OutLink {
-    std::unique_ptr<rpc::Client> client;
-    std::mutex send_mu;  ///< serializes the loop's SendLine against PING
-    std::thread reader;
-  };
-
-  /// Serializes control-channel writes: DRAINED ships from the window
-  /// thread while the control loop may answer DUMP or send REPORT.
-  bool ControlSend(const std::string& line) {
-    std::lock_guard<std::mutex> lock(control_send_mu_);
-    return control_.SendLine(line);
-  }
-
+  /// Logs `message` and ends the run with exit code 1, unless it has ended
+  /// already. Returns 1.
   int Fail(const std::string& message) {
-    std::fprintf(stderr, "carat_sited[site %d]: %s\n", options_.site,
-                 message.c_str());
-    Teardown();
+    if (exit_code_ < 0) {
+      std::fprintf(stderr, "carat_sited[site %d]: %s\n", options_.site,
+                   message.c_str());
+      exit_code_ = 1;
+    }
     return 1;
   }
 
-  void Teardown() {
-    closing_.store(true);
-    if (engine_ != nullptr) engine_->Stop();
-    if (window_thread_.joinable()) window_thread_.join();
-    for (auto& link : out_) {
-      if (link == nullptr || link->client == nullptr) continue;
-      // Wake the reader out of its blocking read, and close the link only
-      // once the reader no longer uses it.
-      link->client->Shutdown();
-      if (link->reader.joinable()) link->reader.join();
-      link->client->Close();
+  void ControlSend(const std::string& body) {
+    if (!net_.Send(control_, "0", body)) {
+      Fail("control send failed (" + body.substr(0, body.find(' ')) + ")");
     }
-    if (server_ != nullptr) server_->Shutdown();
   }
 
-  int OnConfig(std::string_view payload) {
+  /// Engine Sender.
+  void MeshSend(int to, const std::string& body) {
+    const auto it = links_.find(to);
+    if (it != links_.end()) SendOn(it->second, "0", body);
+  }
+
+  /// A send that fails has failed its connection: the output passed the
+  /// bound (the peer stopped reading) or the write erred. On a mesh link
+  /// that is this site's own failure, and the close handler ends the run
+  /// with the reason.
+  void SendOn(ConnId conn, const std::string& id, const std::string& body) {
+    if (!net_.Send(conn, id, body) && peer_of_.contains(conn)) {
+      failed_sends_.insert(conn);
+    }
+  }
+
+  void Bind(int peer, ConnId conn) {
+    links_[peer] = conn;
+    peer_of_[conn] = peer;
+  }
+
+  void OnClose(ConnId conn, const std::string& reason) {
+    if (conn == control_) {
+      Fail("coordinator link lost: " + reason);
+      return;
+    }
+    const auto it = peer_of_.find(conn);
+    if (it == peer_of_.end()) return;  // a load generator or a stray
+    const int peer = it->second;
+    const bool own = failed_sends_.erase(conn) > 0;
+    links_.erase(peer);
+    peer_of_.erase(it);
+    // Once REPORT is out, peers exit at SHUTDOWN in any order.
+    if (reported_ || exit_code_ >= 0) return;
+    const std::string link = "mesh link to site " + std::to_string(peer);
+    if (own || !alpha_sent_) {
+      Fail(link + " failed: " + reason);
+    } else {
+      // The peer died or dropped a built mesh. Its control link tells the
+      // coordinator, which ends the run; until then this site stays up to
+      // answer DUMP.
+      std::fprintf(stderr, "carat_sited[site %d]: %s lost: %s\n",
+                   options_.site, link.c_str(), reason.c_str());
+    }
+  }
+
+  void OnFrame(ConnId conn, const std::string& id, const std::string& body) {
+    if (conn == control_) {
+      OnControl(body);
+      return;
+    }
+    wire::TokenReader reader(body);
+    std::string_view verb;
+    if (!reader.Next(&verb)) return;
+    if (verb == "SITE") {
+      OnSiteClaim(conn, reader);
+      return;
+    }
+    if (verb == "PING") {
+      std::string_view k;
+      reader.Next(&k);
+      SendOn(conn, "0", "PONG " + std::string(k));
+      return;
+    }
+    if (verb == "TXN") {
+      std::string_view type_token;
+      int requests = 1;
+      if (engine_ == nullptr || !reader.Next(&type_token) ||
+          !reader.NextInt(&requests)) {
+        return;
+      }
+      engine_->SubmitExternalTxn(
+          type_token, requests, [this, conn, id](const std::string& reply) {
+            SendOn(conn, id, reply);
+          });
+      return;
+    }
+    // Mesh traffic from an identified peer.
+    const auto it = peer_of_.find(conn);
+    if (it == peer_of_.end()) return;
+    std::uint64_t sent_ns = 0;
+    if (verb == "PONG") {
+      if (reader.NextU64(&sent_ns)) OnPong(it->second, sent_ns);
+    } else if (engine_ != nullptr) {
+      engine_->HandleMessage(it->second, body);
+    }
+  }
+
+  void OnControl(const std::string& body) {
+    wire::TokenReader reader(body);
+    std::string_view verb;
+    if (!reader.Next(&verb)) return;
+    if (verb == "CONFIG") {
+      OnConfig(body);
+    } else if (verb == "PEERS") {
+      OnPeers(reader);
+    } else if (verb == "START") {
+      OnStart(body);
+    } else if (verb == "FINISH") {
+      OnFinish(body);
+    } else if (verb == "DUMP") {
+      // Stuck-run diagnosis: the coordinator asks for the wait state when
+      // a site misses a protocol deadline. stderr reaches the operator's
+      // terminal through the inherited descriptor.
+      std::fprintf(stderr, "carat_sited[site %d]: cc=%s\n", options_.site,
+                   options_.cc.c_str());
+      if (engine_ != nullptr) {
+        std::fprintf(stderr, "%s", engine_->DebugSnapshot().c_str());
+      }
+    } else if (verb == "SHUTDOWN") {
+      if (exit_code_ < 0) exit_code_ = 0;
+    } else {
+      Fail("unexpected control verb: " + std::string(verb));
+    }
+  }
+
+  void OnConfig(const std::string& payload) {
+    if (engine_ != nullptr) {
+      Fail("second CONFIG");
+      return;
+    }
     // "CONFIG <kv...>": ParseKv skips the bare verb token.
     std::string error;
     if (!wire::DistConfig::Decode(payload, &config_, &error)) {
-      return Fail(error);
+      Fail(error);
+      return;
     }
     if (options_.site < 0 || options_.site >= config_.sites) {
-      return Fail("site index out of range");
+      Fail("site index out of range");
+      return;
     }
     if (config_.cc != options_.cc) {
-      return Fail("CONFIG names cc backend '" + config_.cc +
-                  "' but this site runs '" + options_.cc +
-                  "' (mixed-backend meshes are rejected)");
+      Fail("CONFIG names cc backend '" + config_.cc +
+           "' but this site runs '" + options_.cc +
+           "' (mixed-backend meshes are rejected)");
+      return;
     }
     EngineOptions eopts;
     eopts.site = options_.site;
@@ -161,257 +224,159 @@ class SiteDaemon {
     eopts.scale = config_.scale;
     eopts.seed = config_.seed;
     eopts.spawn_users = config_.spawn_users;
-    auto engine = std::make_unique<SiteEngine>(
+    engine_ = std::make_unique<SiteEngine>(
         config_.ToModelInput(), eopts,
         [this](int to, const std::string& body) { MeshSend(to, body); });
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      engine_ = std::move(engine);
-    }
-    return 0;
   }
 
-  int OnPeers(wire::TokenReader& reader) {
-    if (engine_ == nullptr) return Fail("PEERS before CONFIG");
+  void OnPeers(wire::TokenReader& reader) {
+    if (engine_ == nullptr || peers_known_) {
+      Fail("PEERS before CONFIG, or twice");
+      return;
+    }
     std::vector<std::string> endpoints;
     std::string_view token;
     while (reader.Next(&token)) endpoints.emplace_back(token);
     if (static_cast<int>(endpoints.size()) != config_.sites) {
-      return Fail("PEERS size mismatch");
+      Fail("PEERS size mismatch");
+      return;
     }
-    out_.resize(static_cast<std::size_t>(config_.sites));
-
     // Dial every higher-indexed peer; SITE identifies us on their side.
     for (int j = options_.site + 1; j < config_.sites; ++j) {
+      const std::string& endpoint = endpoints[static_cast<std::size_t>(j)];
       std::string host;
       int port = 0;
-      if (!util::ParseHostPort(endpoints[static_cast<std::size_t>(j)].c_str(),
-                               &host, &port, util::PortZeroPolicy::kReject)) {
-        return Fail("bad peer endpoint: " + endpoints[j]);
-      }
-      auto link = std::make_unique<OutLink>();
-      link->client = std::make_unique<rpc::Client>();
-      rpc::Client::ConnectOptions copts;
-      copts.framing = rpc::FramingKind::kBinary;
-      copts.recv_timeout_ms = 0;  // mesh links may idle; Shutdown() unblocks
-      copts.connect_timeout_ms = 5000;
-      copts.connect_attempts = 50;
-      copts.reconnect_backoff_ms = 100;
       std::string error;
-      if (!link->client->Connect(host, static_cast<std::uint16_t>(port),
-                                 &error, copts)) {
-        return Fail("peer " + std::to_string(j) + " connect: " + error);
+      if (!util::ParseHostPort(endpoint.c_str(), &host, &port,
+                               util::PortZeroPolicy::kReject)) {
+        Fail("bad peer endpoint: " + endpoint);
+        return;
       }
-      if (!link->client->SendLine("0 SITE " + std::to_string(options_.site))) {
-        return Fail("peer " + std::to_string(j) + " SITE send failed");
+      const ConnId conn =
+          net_.Dial(host, static_cast<std::uint16_t>(port), &error);
+      if (conn == 0) {
+        Fail("peer " + std::to_string(j) + " connect: " + error);
+        return;
       }
-      out_[static_cast<std::size_t>(j)] = std::move(link);
+      Bind(j, conn);
+      rtts_ms_[j];
+      SendOn(conn, "0", "SITE " + std::to_string(options_.site));
+      SendPing(j);
     }
-
-    // Barrier: every lower-indexed peer must have dialed in before alpha
-    // measurement (their connects also carry the PONG path).
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      const bool ok = cv_.wait_for(
-          lock, std::chrono::milliseconds(options_.control_timeout_ms),
-          [&] { return in_count_ == options_.site; });
-      if (!ok) return Fail("timed out waiting for lower-indexed peers");
-    }
-
-    // Alpha: median of 5 RTTs per outgoing link, measured synchronously
-    // before the reader thread takes over the receive path.
-    double rtt_sum = 0.0;
-    int links = 0;
-    for (int j = options_.site + 1; j < config_.sites; ++j) {
-      OutLink* link = out_[static_cast<std::size_t>(j)].get();
-      std::vector<double> rtts;
-      for (int k = 0; k < 5; ++k) {
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!link->client->SendLine("0 PING " + std::to_string(k))) {
-          return Fail("PING send failed");
-        }
-        std::string pong;
-        if (!link->client->ReadLine(&pong)) return Fail("PONG read failed");
-        const std::chrono::duration<double, std::milli> rtt =
-            std::chrono::steady_clock::now() - t0;
-        rtts.push_back(rtt.count());
-      }
-      std::sort(rtts.begin(), rtts.end());
-      rtt_sum += rtts[rtts.size() / 2];
-      ++links;
-    }
-    for (int j = options_.site + 1; j < config_.sites; ++j) {
-      OutLink* link = out_[static_cast<std::size_t>(j)].get();
-      link->reader = std::thread([this, link, j] { OutReader(link, j); });
-    }
-
-    std::string alpha = "0 ALPHA";
-    wire::AppendKv(&alpha, "rtt_sum_ms", rtt_sum);
-    wire::AppendKv(&alpha, "links", static_cast<std::int64_t>(links));
-    if (!control_.SendLine(alpha)) return Fail("ALPHA send failed");
-    return 0;
+    peers_known_ = true;
+    MaybeSendAlpha();
   }
 
-  int OnStart(std::string_view payload) {
-    if (engine_ == nullptr) return Fail("START before CONFIG");
+  /// A lower-indexed peer identifies its link. This site's index is known
+  /// from the command line, before PEERS, so a claim is checked at once: a
+  /// claim outside [0, site), of a slot already taken, or from a connection
+  /// already identified is not a peer's, and its connection is closed.
+  void OnSiteClaim(ConnId conn, wire::TokenReader& reader) {
+    int peer = -1;
+    if (!reader.NextInt(&peer) || peer < 0 || peer >= options_.site ||
+        links_.contains(peer) || peer_of_.contains(conn)) {
+      std::fprintf(stderr, "carat_sited[site %d]: rejected SITE %d claim\n",
+                   options_.site, peer);
+      net_.Close(conn);
+      return;
+    }
+    Bind(peer, conn);
+    MaybeSendAlpha();
+  }
+
+  /// One RTT probe on an outgoing link; the PONG echoes its send time.
+  void SendPing(int peer) {
+    const std::chrono::nanoseconds now = Clock::now().time_since_epoch();
+    SendOn(links_[peer], "0", "PING " + std::to_string(now.count()));
+  }
+
+  void OnPong(int peer, std::uint64_t sent_ns) {
+    const auto it = rtts_ms_.find(peer);
+    if (it == rtts_ms_.end() || it->second.size() >= kPingsPerLink) return;
+    const std::chrono::duration<double, std::milli> rtt =
+        Clock::now().time_since_epoch() -
+        std::chrono::nanoseconds(static_cast<std::int64_t>(sent_ns));
+    it->second.push_back(rtt.count());
+    if (it->second.size() < kPingsPerLink) {
+      SendPing(peer);
+    } else {
+      MaybeSendAlpha();
+    }
+  }
+
+  /// ALPHA: once every lower-indexed peer has dialed in (their links also
+  /// carry the PONG path) and every outgoing link has its RTT samples.
+  void MaybeSendAlpha() {
+    if (alpha_sent_ || !peers_known_) return;
+    const auto inbound = std::distance(links_.begin(),
+                                       links_.lower_bound(options_.site));
+    if (inbound != options_.site) return;
+    double rtt_sum = 0.0;
+    for (auto& [peer, rtts] : rtts_ms_) {
+      if (rtts.size() < kPingsPerLink) return;
+      std::sort(rtts.begin(), rtts.end());
+      rtt_sum += rtts[rtts.size() / 2];
+    }
+    std::string alpha = "ALPHA";
+    wire::AppendKv(&alpha, "rtt_sum_ms", rtt_sum);
+    wire::AppendKv(&alpha, "links", static_cast<std::int64_t>(rtts_ms_.size()));
+    ControlSend(alpha);
+    alpha_sent_ = true;
+  }
+
+  void OnStart(const std::string& payload) {
+    if (engine_ == nullptr) {
+      Fail("START before CONFIG");
+      return;
+    }
     const auto kv = wire::ParseKv(payload);
     double warmup_ms = 0.0;
     double measure_ms = 0.0;
     if (!wire::KvDouble(kv, "warmup_ms", &warmup_ms) ||
         !wire::KvDouble(kv, "measure_ms", &measure_ms)) {
-      return Fail("START missing window");
+      Fail("START missing window");
+      return;
     }
-    engine_->Start();
-    // The window runs on its own thread so the control loop stays
-    // responsive while the site measures (and while StopUsers drains a
-    // contended system) — the coordinator can ask for a DUMP mid-window.
-    window_thread_ = std::thread([this, warmup_ms, measure_ms] {
-      RtClock::SleepRealMs(warmup_ms);
-      engine_->ResetStats();
-      RtClock::SleepRealMs(measure_ms);
-      engine_->StopUsers();
-      std::string drained = "0 DRAINED";
+    engine_->Start(warmup_ms, measure_ms, [this] {
+      std::string drained = "DRAINED";
       wire::AppendKv(&drained, "site",
                      static_cast<std::int64_t>(options_.site));
       ControlSend(drained);
     });
-    return 0;
   }
 
-  int OnFinish(std::string_view payload) {
-    if (engine_ == nullptr) return Fail("FINISH before CONFIG");
-    // FINISH follows DRAINED, so the window thread has finished its work;
-    // join it before draining the slave legs.
-    if (window_thread_.joinable()) window_thread_.join();
+  void OnFinish(const std::string& payload) {
+    if (engine_ == nullptr) {
+      Fail("FINISH before CONFIG");
+      return;
+    }
     const auto kv = wire::ParseKv(payload);
     double timeout_ms = 10'000.0;
     wire::KvDouble(kv, "timeout_ms", &timeout_ms);
-    const bool drained = engine_->Drain(timeout_ms);
-    EngineReport report = engine_->Collect();
-    report.drained = report.drained && drained;
-    if (!ControlSend("0 REPORT" + report.Encode())) {
-      return Fail("REPORT send failed");
-    }
-    return 0;
-  }
-
-  /// Reader for an outgoing (dialed) link: the peer pushes mesh frames back
-  /// over the same connection.
-  void OutReader(OutLink* link, int peer) {
-    std::string line;
-    while (link->client->ReadLine(&line)) {
-      const std::string_view payload = StripFrameId(line);
-      if (payload.empty()) continue;
-      engine_->HandleMessage(peer, std::string(payload));
-    }
-    // A mesh link must outlive the run; a reader that exits outside
-    // teardown means every further message from that peer is lost, so the
-    // failure must be loud, not a silent wedge.
-    if (!closing_.load()) {
-      std::fprintf(stderr,
-                   "carat_sited[site %d]: mesh link to site %d lost\n",
-                   options_.site, peer);
-    }
-  }
-
-  /// Engine Sender: route by peer index over whichever side owns the link.
-  void MeshSend(int to, const std::string& body) {
-    bool sent = false;
-    if (to > options_.site) {
-      OutLink* link = out_[static_cast<std::size_t>(to)].get();
-      std::lock_guard<std::mutex> lock(link->send_mu);
-      sent = link->client->SendLine("0 " + body);
-    } else {
-      rpc::MessageServer::ConnectionPtr conn;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = in_.find(to);
-        if (it != in_.end()) conn = it->second;
-      }
-      sent = conn != nullptr && conn->Send("0", body);
-    }
-    if (!sent && !closing_.load()) {
-      std::fprintf(stderr,
-                   "carat_sited[site %d]: mesh send to site %d failed (%s)\n",
-                   options_.site, to,
-                   std::string(body, 0, body.find(' ')).c_str());
-    }
-  }
-
-  /// MessageServer handler: lower-indexed peers (after SITE) and load
-  /// generator clients share the mesh port.
-  void OnFrame(const rpc::MessageServer::ConnectionPtr& conn,
-               const std::string& id, const std::string& body) {
-    wire::TokenReader reader(body);
-    std::string_view verb;
-    if (!reader.Next(&verb)) return;
-    if (verb == "SITE") {
-      // A lower-indexed peer can dial in and identify itself *before* this
-      // site has processed its own PEERS message (the coordinator fans
-      // CONFIG+PEERS out to everyone, and peers race each other through the
-      // handshake), so registration must not depend on any PEERS-derived
-      // state — in_ is a map, not a config-sized vector, for exactly that
-      // reason. Bounds are enforced at the barrier and by MeshSend lookups.
-      int peer = -1;
-      if (!reader.NextInt(&peer) || peer < 0 || peer > 1024) return;
-      std::lock_guard<std::mutex> lock(mu_);
-      auto& slot = in_[peer];
-      if (slot != nullptr) return;  // duplicate claim
-      slot = conn;
-      conn_site_[conn->index()] = peer;
-      ++in_count_;
-      cv_.notify_all();
-      return;
-    }
-    if (verb == "PING") {
-      std::string_view k;
-      reader.Next(&k);
-      conn->Send("0", "PONG " + std::string(k));
-      return;
-    }
-    if (verb == "TXN") {
-      std::string_view type_token;
-      int requests = 1;
-      if (!reader.Next(&type_token) || !reader.NextInt(&requests)) return;
-      SiteEngine* engine;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        engine = engine_.get();
-      }
-      if (engine == nullptr) return;
-      engine->SubmitExternalTxn(
-          type_token, requests,
-          [conn, id](const std::string& reply) { conn->Send(id, reply); });
-      return;
-    }
-    // Mesh traffic from an identified lower-indexed peer.
-    int from = -1;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = conn_site_.find(conn->index());
-      if (it != conn_site_.end()) from = it->second;
-    }
-    if (from < 0 || engine_ == nullptr) return;
-    engine_->HandleMessage(from, body);
+    engine_->Drain(timeout_ms, [this](bool drained) {
+      EngineReport report = engine_->Collect();
+      report.drained = report.drained && drained;
+      ControlSend("REPORT" + report.Encode());
+      reported_ = true;
+    });
   }
 
   const SiteDaemonOptions options_;
-  rpc::Client control_;
-  std::mutex control_send_mu_;
-  std::thread window_thread_;
-  std::unique_ptr<rpc::MessageServer> server_;
+  // Declared before engine_, so the engine (whose events send through it)
+  // is destroyed first.
+  rpc::ConnectionSet net_;
+  ConnId control_ = 0;
   wire::DistConfig config_;
   std::unique_ptr<SiteEngine> engine_;
+  int exit_code_ = -1;  ///< set once the run ends (SHUTDOWN or a failure)
 
-  std::mutex mu_;  ///< guards engine_ pointer, in_, conn_site_, in_count_
-  std::condition_variable cv_;
-  std::vector<std::unique_ptr<OutLink>> out_;  ///< by peer index (> site)
-  /// Dialed-in peers by index; a map because SITE frames may land before
-  /// PEERS tells this site how many peers exist.
-  std::unordered_map<int, rpc::MessageServer::ConnectionPtr> in_;
-  std::unordered_map<std::uint64_t, int> conn_site_;
-  int in_count_ = 0;
-  std::atomic<bool> closing_{false};
+  std::map<int, ConnId> links_;  ///< mesh links by peer index
+  std::unordered_map<ConnId, int> peer_of_;
+  std::unordered_set<ConnId> failed_sends_;  ///< mesh links this site failed
+  std::map<int, std::vector<double>> rtts_ms_;  ///< by outgoing link
+  bool peers_known_ = false;
+  bool alpha_sent_ = false;
+  bool reported_ = false;
 };
 
 }  // namespace

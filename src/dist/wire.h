@@ -21,7 +21,8 @@
 //
 //   mesh (site <-> site, lower index connects to higher):
 //     SITE <i>                       identifies the connecting site
-//     PING <k> / PONG <k>            alpha measurement round trips
+//     PING <t> / PONG <t>            alpha measurement round trips (t = the
+//                                    sender's send time, echoed)
 //     The txn::Leg and txn::Probe messages of txn::SiteProtocol
 //     (dist/engine.cc encodes and decodes them; type = the coordinator's):
 //     REMDO <gid> <type> <first> <r1,r2,..> [<u1,u2,..>]

@@ -267,10 +267,6 @@ void Client::CloseSend() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
 
-void Client::Shutdown() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void Client::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

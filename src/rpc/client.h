@@ -90,11 +90,6 @@ class Client {
   /// be read (used to exercise the server's torn-frame/drain paths).
   void CloseSend();
 
-  /// Shuts both directions down without closing the descriptor: a ReadLine
-  /// blocked on another thread returns false. Close once that thread no
-  /// longer uses the client.
-  void Shutdown();
-
   void Close();
 
   bool connected() const { return fd_ >= 0; }

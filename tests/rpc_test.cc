@@ -1,6 +1,7 @@
 // Loopback integration tests for the network serving front-end (src/rpc):
 // the epoll multi-reactor TcpServer, the per-connection framing negotiation
-// (text and binary), the blocking Client, and the log-linear
+// (text and binary), the blocking Client, the single-threaded
+// ConnectionSet the distributed testbed runs on, and the log-linear
 // LatencyHistogram. Concurrency-sensitive paths (admission, deadlines,
 // graceful drain, multi-client interleaving) are made deterministic with the
 // same gate-the-pool trick serve_test uses: plug the worker pool with a
@@ -18,6 +19,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -40,7 +42,7 @@
 #include "rpc/client.h"
 #include "rpc/framing.h"
 #include "rpc/latency_histogram.h"
-#include "rpc/message_server.h"
+#include "rpc/connection_set.h"
 #include "rpc/tcp_server.h"
 #include "serve/query.h"
 #include "serve/solver_service.h"
@@ -95,12 +97,14 @@ class RawServer {
  public:
   ~RawServer() { Close(); }
 
-  bool Listen() {
+  bool Listen(std::uint16_t port = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd_ < 0) return false;
+    int one = 1;
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    addr.sin_port = 0;
+    addr.sin_port = htons(port);
     ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
         ::listen(fd_, 1) != 0) {
@@ -115,7 +119,12 @@ class RawServer {
     return true;
   }
 
-  int Accept() { return ::accept(fd_, nullptr, nullptr); }
+  /// -1 when nothing connects within `timeout_ms` (-1 waits forever).
+  int Accept(int timeout_ms = -1) {
+    pollfd pfd{fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) != 1) return -1;
+    return ::accept(fd_, nullptr, nullptr);
+  }
 
   void Close() {
     if (fd_ >= 0) {
@@ -863,8 +872,8 @@ TEST(Client, ConnectTimeoutFailsInsteadOfBlocking) {
 TEST(Client, ReconnectBackoffSurvivesALateBindingListener) {
   // Reserve a port, free it, and only re-listen after a delay: a
   // single-attempt connect must fail, a budgeted one must land once the
-  // listener appears (the carat_sited spawn pattern — the coordinator's
-  // children race it to their listen sockets).
+  // listener appears (a client racing a freshly spawned server to its
+  // listen socket).
   RawServer probe;
   ASSERT_TRUE(probe.Listen());
   const std::uint16_t port = probe.port();
@@ -877,18 +886,33 @@ TEST(Client, ReconnectBackoffSurvivesALateBindingListener) {
   rpc::Client fail_fast;
   EXPECT_FALSE(fail_fast.Connect("127.0.0.1", port, &error, one));
 
-  std::unique_ptr<rpc::MessageServer> late;
+  // The late listener echoes one binary frame by hand. (ConnectionSet binds
+  // ephemeral ports only, so it cannot re-take a reserved one.)
   std::thread binder([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    rpc::MessageServer::Options mopts;
-    mopts.port = port;
-    late = std::make_unique<rpc::MessageServer>(
-        mopts, [](const rpc::MessageServer::ConnectionPtr& conn,
-                  const std::string& id, const std::string& body) {
-          conn->Send(id, "echo " + body);
-        });
-    std::string bind_error;
-    ASSERT_TRUE(late->Start(&bind_error)) << bind_error;
+    RawServer late;
+    ASSERT_TRUE(late.Listen(port));
+    const int fd = late.Accept(/*timeout_ms=*/10'000);
+    ASSERT_GE(fd, 0);
+    const auto framing = rpc::Framing::Create(rpc::FramingKind::kBinary);
+    std::string in;
+    std::vector<rpc::Framing::Message> frames;
+    std::string decode_error;
+    char chunk[256];
+    while (frames.empty()) {
+      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n <= 0) break;
+      in.append(chunk, static_cast<std::size_t>(n));
+      if (in[0] == rpc::kBinaryFramingByte) in.erase(0, 1);
+      framing->Decode(&in, 1 << 20, &frames, &decode_error);
+    }
+    if (!frames.empty()) {
+      std::string reply;
+      framing->Encode(frames[0].id, "echo " + frames[0].body, &reply);
+      EXPECT_EQ(::write(fd, reply.data(), reply.size()),
+                static_cast<ssize_t>(reply.size()));
+    }
+    ::close(fd);
   });
 
   rpc::Client::ConnectOptions patient;
@@ -899,54 +923,134 @@ TEST(Client, ReconnectBackoffSurvivesALateBindingListener) {
   patient.framing = rpc::FramingKind::kBinary;
   rpc::Client client;
   EXPECT_TRUE(client.Connect("127.0.0.1", port, &error, patient)) << error;
-  binder.join();
 
-  ASSERT_TRUE(client.SendLine("7 ping"));
+  // EXPECT, not ASSERT: the binder must be joined whatever happens.
+  EXPECT_TRUE(client.SendLine("7 ping"));
   std::string line;
-  ASSERT_TRUE(client.ReadLine(&line));
+  EXPECT_TRUE(client.ReadLine(&line));
   EXPECT_EQ(line, "7 echo ping");
-  late->Shutdown();
+  binder.join();
 }
 
-// ---- MessageServer (peer-to-peer framed push) ------------------------------
+// ---- ConnectionSet (single-threaded peer-to-peer framed push) --------------
 
-TEST(MessageServer, SurfacesEphemeralPortAndPushesBothWays) {
-  rpc::MessageServer::ConnectionPtr peer;
-  std::mutex mu;
-  std::condition_variable cv;
+using ConnId = rpc::ConnectionSet::ConnId;
+
+void IgnoreClose(ConnId, const std::string&) {}
+
+// Serves `net` until `done()` holds or five seconds pass.
+template <typename Done>
+bool PollUntil(rpc::ConnectionSet& net, Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    if (!net.Poll(deadline)) return false;
+  }
+  return done();
+}
+
+TEST(ConnectionSet, SurfacesEphemeralPortAndPushesBothWays) {
+  ConnId peer = 0;
   std::vector<std::string> got;
-  rpc::MessageServer server(
-      rpc::MessageServer::Options{},  // port 0: kernel-assigned
-      [&](const rpc::MessageServer::ConnectionPtr& conn, const std::string& id,
-          const std::string& body) {
-        std::lock_guard<std::mutex> lock(mu);
+  rpc::ConnectionSet net(
+      [&](ConnId conn, const std::string& id, const std::string& body) {
         peer = conn;
         got.push_back(id + "|" + body);
-        cv.notify_all();
-      });
+      },
+      IgnoreClose);
   std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  ASSERT_NE(server.port(), 0);  // the ephemeral pick is visible
+  ASSERT_TRUE(net.Listen(&error)) << error;
+  ASSERT_NE(net.port(), 0);  // the ephemeral pick is visible
 
   rpc::Client::ConnectOptions copts;
   copts.framing = rpc::FramingKind::kBinary;
   copts.recv_timeout_ms = 5'000;
   rpc::Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error, copts));
+  ASSERT_TRUE(client.Connect("127.0.0.1", net.port(), &error, copts));
   ASSERT_TRUE(client.SendLine("3 REMDO 42"));
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                            [&] { return !got.empty(); }));
-    EXPECT_EQ(got[0], "3|REMDO 42");
-  }
-  // Server-initiated push on the retained connection handle: the pattern
-  // site daemons use for unsolicited mesh traffic.
-  ASSERT_TRUE(peer->Send("0", "PROBE 1 0 2"));
+  ASSERT_TRUE(PollUntil(net, [&] { return !got.empty(); }));
+  EXPECT_EQ(got[0], "3|REMDO 42");
+  // Server-initiated push on the retained connection id: the pattern site
+  // daemons use for unsolicited mesh traffic.
+  ASSERT_TRUE(net.Send(peer, "0", "PROBE 1 0 2"));
   std::string line;
   ASSERT_TRUE(client.ReadLine(&line));
   EXPECT_EQ(line, "0 PROBE 1 0 2");
-  server.Shutdown();
+}
+
+TEST(ConnectionSet, DialedLinksSpeakBinaryBothWaysOnOneThread) {
+  // Two sets on one thread, one dialing the other: neither ever blocks, so
+  // serving them in turn is enough to carry frames both ways.
+  std::vector<std::string> at_listener;
+  std::vector<std::string> at_dialer;
+  ConnId accepted = 0;
+  rpc::ConnectionSet listener(
+      [&](ConnId conn, const std::string& id, const std::string& body) {
+        accepted = conn;
+        at_listener.push_back(id + "|" + body);
+      },
+      IgnoreClose);
+  rpc::ConnectionSet dialer(
+      [&](ConnId, const std::string& id, const std::string& body) {
+        at_dialer.push_back(id + "|" + body);
+      },
+      IgnoreClose);
+  std::string error;
+  ASSERT_TRUE(listener.Listen(&error)) << error;
+  const ConnId link = dialer.Dial("127.0.0.1", listener.port(), &error);
+  ASSERT_NE(link, 0u) << error;
+  ASSERT_TRUE(dialer.Send(link, "0", "SITE 0"));  // queued while connecting
+  const auto serve_both = [&](auto done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      const auto slice =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+      dialer.Poll(slice);
+      listener.Poll(slice);
+    }
+    return done();
+  };
+  ASSERT_TRUE(serve_both([&] { return !at_listener.empty(); }));
+  EXPECT_EQ(at_listener[0], "0|SITE 0");
+  ASSERT_TRUE(listener.Send(accepted, "9", "PONG 4"));
+  ASSERT_TRUE(serve_both([&] { return !at_dialer.empty(); }));
+  EXPECT_EQ(at_dialer[0], "9|PONG 4");
+}
+
+TEST(ConnectionSet, FrameOverTheBoundClosesTheConnection) {
+  std::vector<std::string> got;
+  std::string closed_because;
+  rpc::ConnectionSet net(
+      [&](ConnId, const std::string&, const std::string& body) {
+        got.push_back(body);
+      },
+      [&](ConnId, const std::string& reason) { closed_because = reason; });
+  std::string error;
+  ASSERT_TRUE(net.Listen(&error)) << error;
+  rpc::Client::ConnectOptions copts;
+  copts.framing = rpc::FramingKind::kBinary;
+  copts.recv_timeout_ms = 5'000;
+  rpc::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", net.port(), &error, copts));
+  // One good frame, then a header announcing a body one byte over 1 MiB:
+  // the good frame is delivered, and the connection ends on the header
+  // alone, before any of the oversized body is buffered.
+  ASSERT_TRUE(client.SendLine("1 VOTE 5"));
+  const std::uint32_t len =
+      static_cast<std::uint32_t>(8 + rpc::ConnectionSet::kMaxFrameBytes + 1);
+  std::string header(4, '\0');
+  for (int i = 0; i < 4; ++i) {
+    header[static_cast<std::size_t>(i)] = static_cast<char>(len >> (8 * i));
+  }
+  header += std::string(8, '\0');  // id 0
+  ASSERT_TRUE(client.SendRaw(header));
+  ASSERT_TRUE(PollUntil(net, [&] { return !closed_because.empty(); }));
+  EXPECT_EQ(got, std::vector<std::string>{"VOTE 5"});
+  EXPECT_NE(closed_because.find("exceeds"), std::string::npos)
+      << closed_because;
+  std::string line;
+  EXPECT_FALSE(client.ReadLine(&line));  // the server closed its end
 }
 
 // ---- LatencyHistogram::Merge edge cases ------------------------------------
