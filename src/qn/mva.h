@@ -7,13 +7,18 @@
 // queue-length work is O(K * Q * prod_k (N_k + 1)) for K chains, plus the
 // per-chain residence sums over all M centers. The CARAT site models have
 // at most six chains with populations <= 4 and Q <= 3, so this is tiny.
-// The sweep walks the lattice level by level (|n| = 1, 2, ...) from an
-// immutable plan shared by every workspace solving the same population
-// vector and Q. It is compiled for the shape model::BuildSiteNetworks
-// builds, M = 6 centers with Q = 2 queueing (CPU, DISK), wherever the
-// queueing centers sit. Every other network, a site with a separate log
-// disk included, runs the same sweep sized at run time. Only the loop
-// bounds differ and no sum is reordered, so both paths give the same bits.
+// The sweep walks the lattice level by level (|n| = 1, 2, ...) and, within
+// a level, chain by chain: chain k's group is the level's states with
+// n_k > 0, whose rows it adds chain k's term to. It follows an immutable
+// plan shared by every workspace solving the same population vector and Q.
+// It is compiled for the shape model::BuildSiteNetworks builds, M = 6
+// centers with Q = 2 queueing (CPU, DISK), wherever the queueing centers
+// sit, and takes a group's states two at a time, one per lane of a 16-byte
+// vector (GCC/Clang vector extensions: SSE2 on x86-64, NEON on aarch64).
+// Every other network, a site with a separate log disk included, runs the
+// same walk one state at a time, sized at run time. Each lane performs the
+// scalar operations in the scalar order and no sum is reordered, so both
+// paths give the same bits.
 // SchweitzerMva implements the Schweitzer-Bard fixed-point approximation for
 // larger populations; the model solver falls back to it automatically above
 // a state-count threshold.
@@ -31,6 +36,7 @@
 #define CARAT_QN_MVA_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "qn/network.h"
@@ -55,11 +61,37 @@ enum class ExactSweep {
   kCompiled6x2,  ///< compiled: 6 centers, 2 of them queueing
 };
 
-/// The exact kernel's walk over one joint population lattice: its states in
-/// level order and, for each state, the chains it steps (defined in mva.cc).
-/// Immutable once built, and shared by every workspace solving a lattice of
-/// the same population vector and queueing-center count.
-struct LatticePlan;
+/// The exact kernel's walk over one joint population lattice of the chains'
+/// populations and Q queueing centers. Immutable once built, and shared by
+/// every workspace solving a lattice of the same population vector and Q.
+/// Only ExactMvaInPlace builds one; it is public so tests can check it.
+///
+/// The lattice rows are the states in level order (level |n| = 0, 1, ...,
+/// lexicographic within a level): row 0 is the empty population, the last
+/// row the full one, and one scratch row follows it. Level L >= 1 holds one
+/// group per chain with a nonzero population, chain ascending, and the
+/// groups are stored level by level. Chain k's group lists the level's
+/// states n with n_k > 0, lexicographic, each as an item: n's row, the row
+/// of n - e_k (a row of level L - 1) and n_k. The items are stored two to a
+/// pair, the walk's unit; a group of odd length ends with a padding item, a
+/// copy of its last item whose row is the scratch row.
+struct LatticePlan {
+  struct Group {
+    std::uint32_t chain;  ///< k
+    std::uint32_t end;    ///< one past the group's last pair
+  };
+  struct ItemPair {
+    std::uint32_t row[2];   ///< lattice offsets of the rows of n (row * Q)
+    std::uint32_t pred[2];  ///< lattice offsets of the rows of n - e_k
+    double count[2];        ///< n_k
+  };
+  /// The key: the chains' populations and the queueing-center count.
+  std::vector<int> populations;
+  std::size_t num_queueing = 0;
+  /// A group's pairs start at the previous group's end (0 for the first).
+  std::vector<Group> groups;
+  std::vector<ItemPair> pairs;
+};
 
 /// Reusable buffers for the in-place solvers. All vectors grow to the
 /// largest network shape seen and are then reused; repeated solves of
@@ -91,14 +123,14 @@ struct MvaWorkspace {
   std::vector<double> qkm;
 
   // Scratch: exact-MVA joint-population lattice (queueing centers only, one
-  // row per state in the plan's level order), per-chain throughputs,
+  // row per state in the plan's level order, then the scratch row the
+  // padding items write), per-chain throughputs,
   // flattened per-(chain, center) residence times, the per-center queueing
   // multiplier mask of the Schweitzer sweep (1.0 for queueing centers, 0.0
   // for delay centers, which hoists the CenterKind branch out of the inner
-  // loops), per-center queue totals, the exact sweep's per-chain blocks
-  // (residence row, queueing demands, think time), and the indices of the
-  // queueing centers (the exact lattice's columns).
-  std::vector<double> q, x, residence, qmul, qsum, chain_block;
+  // loops), per-center queue totals, and the indices of the queueing
+  // centers (the exact lattice's columns).
+  std::vector<double> q, x, residence, qmul, qsum;
   std::vector<std::size_t> qcenters;
 };
 

@@ -660,6 +660,81 @@ TEST(ExactMvaReference, ZeroPopulationNetworkMatches) {
 constexpr CenterKind kQ = CenterKind::kQueueing;
 constexpr CenterKind kD = CenterKind::kDelay;
 
+// Population vectors that give the walk's edge cases: groups of odd length
+// (a padded last pair) and one-item groups, which every single-chain
+// lattice and every last level has; chains of population 0 between
+// populated ones, which have no groups; and the paper's site shapes.
+const std::vector<std::vector<int>> kWalkPopulations = {
+    {1},          {5},       {3, 0, 2, 0, 1}, {0, 2, 0, 0, 3},
+    {4, 4},       {2, 2, 2}, {1, 1, 1, 1, 1, 1}, {2, 2, 1, 1, 1, 1},
+    {0, 0, 1, 0}, {3, 1, 0, 2}};
+
+TEST(ExactMvaReference, ChainMajorWalkMatchesFullLatticeOnEveryLayout) {
+  struct Shape {
+    std::vector<CenterKind> kinds;
+    ExactSweep sweep;
+  };
+  // The 15 placements of 2 queueing centers among 6, each compiled, and
+  // runtime-sized shapes: (6, 3), (7, 2), (3, 2) and (4, 1).
+  std::vector<Shape> shapes;
+  for (std::size_t a = 0; a < 6; ++a) {
+    for (std::size_t b = a + 1; b < 6; ++b) {
+      std::vector<CenterKind> kinds(6, CenterKind::kDelay);
+      kinds[a] = kinds[b] = CenterKind::kQueueing;
+      shapes.push_back({kinds, ExactSweep::kCompiled6x2});
+    }
+  }
+  ASSERT_EQ(shapes.size(), 15u);
+  shapes.push_back({{kQ, kD, kQ, kD, kQ, kD}, ExactSweep::kRuntime});
+  shapes.push_back({{kD, kQ, kD, kD, kQ, kD, kD}, ExactSweep::kRuntime});
+  shapes.push_back({{kQ, kQ, kD}, ExactSweep::kRuntime});
+  shapes.push_back({{kD, kD, kQ, kD}, ExactSweep::kRuntime});
+
+  util::Rng rng(20261020);
+  MvaWorkspace ws;
+  std::size_t odd_groups = 0, one_item_groups = 0, runs = 0;
+  for (const Shape& shape : shapes) {
+    for (const std::vector<int>& populations : kWalkPopulations) {
+      for (int variant = 0; variant < 3; ++variant) {
+        ClosedNetwork net = MakeRandomNetwork({shape.kinds, populations}, &rng);
+        if (variant != 0) {
+          // The last populated chain gets zero demand everywhere and zero
+          // think time: every quotient of its groups is masked to +0.0.
+          // Variant 2 uses -0.0, which Validate accepts: its totals and
+          // denominators are zeros of either sign.
+          const double zero = variant == 1 ? 0.0 : -0.0;
+          for (std::size_t k = net.chains.size(); k-- > 0;) {
+            if (net.chains[k].population == 0) continue;
+            net.chains[k].think_time = zero;
+            std::fill(net.chains[k].demands.begin(),
+                      net.chains[k].demands.end(), zero);
+            break;
+          }
+        }
+        std::string err;
+        ASSERT_TRUE(ExactMvaInPlace(net, &ws, 1u << 22, &err)) << err;
+        EXPECT_EQ(ws.exact_sweep, shape.sweep);
+        EXPECT_TRUE(SameSolutionBits(ws.solution, ReferenceExactMva(net)))
+            << "shape " << runs / (3 * kWalkPopulations.size())
+            << ", populations " << testing::PrintToString(populations)
+            << ", variant " << variant;
+        ++runs;
+        std::uint32_t begin = 0;
+        const std::uint32_t scratch =
+            static_cast<std::uint32_t>(ws.q.size() - ws.qcenters.size());
+        for (const LatticePlan::Group& g : ws.plan->groups) {
+          const bool padded = ws.plan->pairs[g.end - 1].row[1] == scratch;
+          odd_groups += padded;
+          one_item_groups += padded && g.end - begin == 1;
+          begin = g.end;
+        }
+      }
+    }
+  }
+  EXPECT_GT(odd_groups, 0u);
+  EXPECT_GT(one_item_groups, 0u);
+}
+
 TEST(ExactMvaPlan, SwitchingShapesMatchesReference) {
   // (6, 2) takes the compiled sweep, (6, 3) the runtime one.
   const std::vector<CenterKind> q2 = {kQ, kQ, kD, kD, kD, kD};
@@ -811,6 +886,129 @@ TEST(ExactMvaPlan, WarmSolvesOfPaperSiteShapesAllocateNothing) {
     EXPECT_EQ(adopter.exact_sweep, ExactSweep::kCompiled6x2) << shape.name;
     EXPECT_TRUE(SameSolutionBits(adopter.solution, ReferenceExactMva(net)))
         << shape.name;
+  }
+}
+
+// Rebuilds every state from the plan alone: row 0 is the empty population,
+// and an item of chain k with predecessor row p names the state of p plus
+// e_k. Checks that every (state, stepping chain) pair appears in exactly one
+// group, with its n_k, at the level its group stands for; that the groups
+// go level by level, chain ascending; that a level's rows are contiguous
+// and lexicographic; and that only a group's last item may be padding.
+::testing::AssertionResult PlanCoversEveryStepOnce(const LatticePlan& plan,
+                                                   std::size_t num_states) {
+  const std::size_t num_chains = plan.populations.size();
+  const std::size_t q = plan.num_queueing;
+  std::vector<std::uint32_t> stepping;  // chains with n_k > 0
+  std::size_t max_level = 0;
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    if (plan.populations[k] == 0) continue;
+    stepping.push_back(static_cast<std::uint32_t>(k));
+    max_level += static_cast<std::size_t>(plan.populations[k]);
+  }
+  if (plan.groups.size() != max_level * stepping.size())
+    return ::testing::AssertionFailure() << "group count";
+  const std::uint32_t scratch = static_cast<std::uint32_t>(num_states * q);
+  // state[row] and level[row]; row 0 is known, the others are found.
+  std::vector<std::vector<int>> state(num_states);
+  std::vector<int> level(num_states, -1);
+  state[0].assign(num_chains, 0);
+  level[0] = 0;
+  std::vector<std::vector<bool>> seen(num_states,
+                                      std::vector<bool>(num_chains, false));
+  std::size_t steps = 0;
+  std::uint32_t begin = 0;
+  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+    const LatticePlan::Group& group = plan.groups[g];
+    const int group_level = static_cast<int>(g / stepping.size()) + 1;
+    const std::uint32_t k = group.chain;
+    if (k != stepping[g % stepping.size()])
+      return ::testing::AssertionFailure() << "group " << g << " chain " << k;
+    if (group.end <= begin)
+      return ::testing::AssertionFailure() << "group " << g << " is empty";
+    for (std::uint32_t p = begin; p < group.end; ++p) {
+      for (int lane = 0; lane < 2; ++lane) {
+        const std::uint32_t row = plan.pairs[p].row[lane];
+        const std::uint32_t pred = plan.pairs[p].pred[lane];
+        const double count = plan.pairs[p].count[lane];
+        if (row == scratch) {
+          if (lane != 1 || p + 1 != group.end ||
+              pred != plan.pairs[p].pred[0] || count != plan.pairs[p].count[0])
+            return ::testing::AssertionFailure()
+                   << "group " << g << ": misplaced padding";
+          continue;
+        }
+        if (row % q != 0 || pred % q != 0 || row / q >= num_states ||
+            pred / q >= num_states)
+          return ::testing::AssertionFailure() << "group " << g << ": offset";
+        const std::size_t r = row / q, rp = pred / q;
+        if (level[rp] != group_level - 1)
+          return ::testing::AssertionFailure()
+                 << "group " << g << ": predecessor not one level below";
+        std::vector<int> n = state[rp];
+        ++n[k];
+        if (n[k] > plan.populations[k] || count != n[k])
+          return ::testing::AssertionFailure() << "group " << g << ": n_k";
+        if (level[r] == -1) {
+          state[r] = n;
+          level[r] = group_level;
+        } else if (state[r] != n) {
+          return ::testing::AssertionFailure()
+                 << "row " << r << " names two states";
+        }
+        if (seen[r][k])
+          return ::testing::AssertionFailure()
+                 << "row " << r << " steps chain " << k << " twice";
+        seen[r][k] = true;
+        ++steps;
+      }
+    }
+    begin = group.end;
+  }
+  if (begin != plan.pairs.size())
+    return ::testing::AssertionFailure() << "pairs past the last group";
+  // Every state appears once, with all its nonzero chains, level by level
+  // and lexicographic (last chain most significant) within a level.
+  std::size_t want_steps = 0;
+  for (std::size_t r = 1; r < num_states; ++r) {
+    if (level[r] == -1)
+      return ::testing::AssertionFailure() << "row " << r << " never written";
+    if (level[r] < level[r - 1])
+      return ::testing::AssertionFailure() << "row " << r << " out of level";
+    if (level[r] == level[r - 1] &&
+        !std::lexicographical_compare(state[r - 1].rbegin(),
+                                      state[r - 1].rend(), state[r].rbegin(),
+                                      state[r].rend()))
+      return ::testing::AssertionFailure() << "row " << r << " out of order";
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if ((state[r][k] > 0) != seen[r][k])
+        return ::testing::AssertionFailure()
+               << "row " << r << " chain " << k << " missing or extra";
+      want_steps += state[r][k] > 0;
+    }
+  }
+  if (steps != want_steps)
+    return ::testing::AssertionFailure() << "step count";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ExactMvaPlan, EveryStepAppearsInExactlyOneGroup) {
+  util::Rng rng(20261021);
+  std::vector<std::vector<int>> populations = kWalkPopulations;
+  populations.push_back({0, 0});  // one state: no groups at all
+  populations.push_back({6, 1, 3});
+  for (const std::vector<CenterKind>& kinds :
+       {std::vector<CenterKind>{kQ, kQ, kD, kD, kD, kD},
+        std::vector<CenterKind>{kQ, kD, kQ, kQ}}) {
+    for (const std::vector<int>& pops : populations) {
+      MvaWorkspace ws;
+      const ClosedNetwork net = MakeRandomNetwork({kinds, pops}, &rng);
+      ASSERT_TRUE(ExactMvaInPlace(net, &ws));
+      std::size_t states = 0;
+      ASSERT_TRUE(JointLatticeStates(net, 1u << 22, &states));
+      EXPECT_TRUE(PlanCoversEveryStepOnce(*ws.plan, states))
+          << testing::PrintToString(pops) << ", Q = " << ws.qcenters.size();
+    }
   }
 }
 
