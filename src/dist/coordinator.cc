@@ -296,6 +296,7 @@ class Coordinator {
   /// A site's control link closing before its REPORT means the site died:
   /// the run has failed, and the first such site is named.
   void OnClose(ConnId conn, const std::string& reason) {
+    net_.Close(conn);  // a site's EOF leaves its connection open for output
     const int site = SiteOf(conn);
     if (site < 0) return;
     SiteState& state = states_[static_cast<std::size_t>(site)];

@@ -103,6 +103,7 @@ class SiteDaemon {
   }
 
   void OnClose(ConnId conn, const std::string& reason) {
+    net_.Close(conn);  // a peer's EOF leaves its connection open for output
     if (conn == control_) {
       Fail("coordinator link lost: " + reason);
       return;

@@ -4,18 +4,23 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace carat::rpc {
 
 namespace {
 
-constexpr ConnectionSet::ConnId kListenId = 0;  ///< connection ids start at 1
+// epoll tags besides connection ids, which start at 1.
+constexpr ConnectionSet::ConnId kListenId = 0;
+constexpr ConnectionSet::ConnId kWakeId =
+    std::numeric_limits<ConnectionSet::ConnId>::max();
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -33,44 +38,73 @@ bool ParseAddress(const std::string& host, std::uint16_t port,
 }  // namespace
 
 ConnectionSet::ConnectionSet(FrameHandler on_frame, CloseHandler on_close)
+    : ConnectionSet(std::move(on_frame), std::move(on_close), Options{}) {}
+
+ConnectionSet::ConnectionSet(FrameHandler on_frame, CloseHandler on_close,
+                             Options options)
     : on_frame_(std::move(on_frame)),
       on_close_(std::move(on_close)),
-      epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {}
+      options_(std::move(options)),
+      epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeId;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+}
 
 ConnectionSet::~ConnectionSet() {
   for (auto& [id, conn] : conns_) ::close(conn->fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
 bool ConnectionSet::Listen(std::string* error) {
+  return Listen(kListenHost, 0, error);
+}
+
+bool ConnectionSet::Listen(const std::string& host, std::uint16_t port,
+                           std::string* error) {
   sockaddr_in addr;
-  ParseAddress(kListenHost, 0, &addr);
+  if (!ParseAddress(host, port, &addr)) {
+    *error = "not a numeric IPv4 listen address: '" + host + "'";
+    return false;
+  }
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    *error = Errno("socket");
+    return false;
+  }
   int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = kListenId;
-  if (fd < 0) {
-    *error = Errno("socket");
+  const char* failed = nullptr;
+  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) != 0 ||
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+    failed = "setsockopt SO_REUSEPORT";
   } else if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-                 0 ||
-             ::listen(fd, 128) != 0 ||
-             ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) !=
+             0) {
+    failed = "bind";
+  } else if (::listen(fd, 128) != 0) {
+    failed = "listen";
+  } else if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) !=
                  0 ||
              ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    *error = Errno("listen");
-    ::close(fd);
-  } else {
-    listen_fd_ = fd;
-    port_ = ntohs(bound.sin_port);
-    return true;
+    failed = "listen setup";
   }
-  return false;
+  if (failed != nullptr) {
+    *error = Errno(failed);
+    ::close(fd);
+    return false;
+  }
+  listen_fd_ = fd;
+  port_ = ntohs(bound.sin_port);
+  return true;
 }
 
 ConnectionSet::ConnId ConnectionSet::Dial(const std::string& host,
@@ -105,7 +139,7 @@ ConnectionSet::ConnId ConnectionSet::Dial(const std::string& host,
   conn->out.push_back(kBinaryFramingByte);
   conn->connecting = connecting;
   if (connecting) {
-    SetWantWrite(id, conn, true);
+    UpdateInterest(id, conn);
   } else {
     Flush(id, conn);  // a failure is reported by the next Poll
   }
@@ -130,6 +164,7 @@ ConnectionSet::ConnId ConnectionSet::Add(int fd, bool dialed) {
   }
   auto conn = std::make_unique<Conn>();
   conn->fd = fd;
+  conn->events = EPOLLIN;
   if (dialed) {
     conn->negotiated = true;
     conn->framing = Framing::Create(FramingKind::kBinary);
@@ -160,10 +195,38 @@ void ConnectionSet::Close(ConnId id) {
   conns_.erase(it);
 }
 
+void ConnectionSet::Finish(ConnId id) {
+  Conn* conn = Find(id);
+  if (conn == nullptr) return;
+  conn->reading = false;
+  conn->finishing = true;
+  conn->told = true;
+  if (conn->out.empty() && !conn->connecting) {
+    Close(id);
+  } else {
+    UpdateInterest(id, conn);
+  }
+}
+
+void ConnectionSet::Wake() {
+  const std::uint64_t one = 1;
+  // EAGAIN means the counter is already nonzero: the wait ends anyway.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
 void ConnectionSet::Fail(ConnId id, std::string reason) {
-  if (Find(id) == nullptr) return;
+  Conn* conn = Find(id);
+  if (conn == nullptr) return;
+  const bool told = conn->told;
   Close(id);
-  failed_.emplace_back(id, std::move(reason));
+  if (!told) failed_.emplace_back(id, std::move(reason));
+}
+
+void ConnectionSet::Report(ConnId id, Conn* conn, const std::string& reason) {
+  conn->reading = false;
+  conn->told = true;
+  UpdateInterest(id, conn);
+  on_close_(id, reason);
 }
 
 bool ConnectionSet::Flush(ConnId id, Conn* conn) {
@@ -184,17 +247,24 @@ bool ConnectionSet::Flush(ConnId id, Conn* conn) {
     }
   }
   conn->out.erase(0, sent);
-  SetWantWrite(id, conn, !conn->out.empty());
+  if (conn->finishing && conn->out.empty()) {
+    Close(id);
+  } else {
+    UpdateInterest(id, conn);
+  }
   return true;
 }
 
-void ConnectionSet::SetWantWrite(ConnId id, Conn* conn, bool want) {
-  if (conn->want_write == want) return;
+void ConnectionSet::UpdateInterest(ConnId id, Conn* conn) {
+  const std::uint32_t want =
+      (conn->reading ? EPOLLIN : 0u) |
+      (conn->connecting || !conn->out.empty() ? EPOLLOUT : 0u);
+  if (conn->events == want) return;
   epoll_event ev{};
-  ev.events = want ? EPOLLIN | EPOLLOUT : EPOLLIN;
+  ev.events = want;
   ev.data.u64 = id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-  conn->want_write = want;
+  conn->events = want;
 }
 
 void ConnectionSet::Accept() {
@@ -205,48 +275,51 @@ void ConnectionSet::Accept() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return;  // EAGAIN: the backlog is empty
     }
-    Add(fd, /*dialed=*/false);
+    const ConnId id = Add(fd, /*dialed=*/false);
+    if (id != 0 && options_.on_accept) options_.on_accept(id);
   }
 }
 
-bool ConnectionSet::Read(ConnId id) {
-  Conn* conn = Find(id);
+void ConnectionSet::Read(ConnId id, Conn* conn) {
   char chunk[65536];
   ssize_t n;
   do {
     n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
-    if (errno == EAGAIN) return true;
-    Fail(id, Errno("recv"));
-    return false;
+    if (errno != EAGAIN) Fail(id, Errno("recv"));
+    return;
   }
   conn->in.append(chunk, static_cast<std::size_t>(n));
+  std::string error;
   if (!conn->negotiated && !conn->in.empty()) {
-    const bool binary = conn->in[0] == kBinaryFramingByte;
+    const bool hello = conn->in[0] == kBinaryFramingByte;
+    const bool binary = hello && options_.accept_binary;
     if (binary) conn->in.erase(0, 1);
     conn->framing =
         Framing::Create(binary ? FramingKind::kBinary : FramingKind::kText);
     conn->negotiated = true;
+    if (hello && !binary) error = kBinaryRefused;
   }
   std::vector<Framing::Message> messages;
-  std::string decode_error;
-  const bool ok = !conn->negotiated ||
-                  conn->framing->Decode(&conn->in, kMaxFrameBytes, &messages,
-                                        &decode_error);
+  const bool ok = error.empty() &&
+                  (!conn->negotiated ||
+                   conn->framing->Decode(&conn->in, options_.max_frame_bytes,
+                                         &messages, &error));
   for (const Framing::Message& m : messages) {
     on_frame_(id, m.id, m.body);
-    if (Find(id) == nullptr) return false;  // the handler closed it
+    conn = Find(id);
+    if (conn == nullptr || !conn->reading) return;  // the handler ended it
   }
   if (!ok) {
-    Fail(id, "bad frame: " + decode_error);
-    return false;
+    conn->in.clear();
+    Report(id, conn, error);
+    conn = Find(id);
+    if (conn != nullptr && !conn->finishing) Close(id);
+  } else if (n == 0) {
+    conn->in.clear();  // a torn frame is dropped
+    Report(id, conn, kClosedByPeer);
   }
-  if (n == 0) {
-    Fail(id, "closed by peer");
-    return false;
-  }
-  return true;
 }
 
 void ConnectionSet::OnReady(ConnId id, std::uint32_t events) {
@@ -263,9 +336,16 @@ void ConnectionSet::OnReady(ConnId id, std::uint32_t events) {
     if ((events & EPOLLOUT) == 0) return;
     conn->connecting = false;
   }
-  if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
-    if (!Read(id)) return;
+  if (!conn->reading) {
+    if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+      // Reading stopped, and the peer is gone: the output cannot go out.
+      Fail(id, "connection reset");
+      return;
+    }
+  } else if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
+    Read(id, conn);
     conn = Find(id);
+    if (conn == nullptr) return;
   }
   if ((events & EPOLLOUT) != 0) Flush(id, conn);
 }
@@ -288,10 +368,15 @@ bool ConnectionSet::Poll(Clock::time_point deadline) {
     const int n = ::epoll_pwait2(epoll_fd_, events, 64, timeout, nullptr);
     if (n < 0) return errno == EINTR;
     for (int i = 0; i < n; ++i) {
-      if (events[i].data.u64 == kListenId) {
+      const ConnId tag = events[i].data.u64;
+      if (tag == kWakeId) {
+        std::uint64_t count = 0;
+        [[maybe_unused]] const ssize_t r =
+            ::read(wake_fd_, &count, sizeof(count));
+      } else if (tag == kListenId) {
         Accept();
       } else {
-        OnReady(events[i].data.u64, events[i].events);
+        OnReady(tag, events[i].events);
       }
     }
   }

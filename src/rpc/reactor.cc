@@ -1,17 +1,7 @@
 #include "rpc/reactor.h"
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -20,89 +10,45 @@ namespace carat::rpc {
 
 namespace {
 
-// epoll_event.data.u64 tags; connection ids start at 2.
-constexpr std::uint64_t kListenTag = 0;
-constexpr std::uint64_t kWakeTag = 1;
-
 /// Longest accepted request id; a longer token is answered under the
 /// unattributable id "?" (the frame itself is already length-bounded).
 constexpr std::size_t kMaxIdBytes = 64;
 
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
 }  // namespace
 
-Reactor::Reactor(TcpServer* server, std::size_t index)
-    : server_(server), index_(index) {}
-
-Reactor::~Reactor() {
-  Join();
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+Reactor::Reactor(TcpServer* server) : server_(server) {
+  const TcpServer::Options& options = server_->options();
+  ConnectionSet::Options net;
+  net.max_frame_bytes = options.max_line_bytes;
+  net.accept_binary = options.enable_binary_framing;
+  net.on_accept = [this](ConnId conn) { OnAccept(conn); };
+  net_ = std::make_unique<ConnectionSet>(
+      [this](ConnId conn, const std::string& id, const std::string& body) {
+        OnFrame(conn, id, body);
+      },
+      [this](ConnId conn, const std::string& reason) {
+        OnClose(conn, reason);
+      },
+      std::move(net));
 }
 
-bool Reactor::Start(int listen_fd, std::string* error) {
-  listen_fd_ = listen_fd;
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) {
-    *error = std::string("epoll_create1: ") + std::strerror(errno);
-    return false;
-  }
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) {
-    *error = std::string("eventfd: ") + std::strerror(errno);
-    return false;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kWakeTag;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-    *error = std::string("epoll_ctl wake: ") + std::strerror(errno);
-    return false;
-  }
-  if (listen_fd_ >= 0) {
-    ev.events = EPOLLIN;
-    ev.data.u64 = kListenTag;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
-      *error = std::string("epoll_ctl listen: ") + std::strerror(errno);
-      return false;
-    }
-  }
+Reactor::~Reactor() { Join(); }
+
+bool Reactor::Start(std::uint16_t port, std::string* error) {
+  if (!net_->Listen(server_->options().host, port, error)) return false;
+  port_ = net_->port();
   loop_ = std::thread(&Reactor::Loop, this);
   return true;
 }
 
 void Reactor::BeginDrain() {
-  draining_.store(true, std::memory_order_release);
-  Wake();
+  std::lock_guard<std::mutex> lock(mu_);
+  draining_ = true;
+  if (net_ != nullptr) net_->Wake();
 }
 
 void Reactor::Join() {
   if (loop_.joinable()) loop_.join();
-}
-
-void Reactor::Adopt(int fd) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!draining_.load(std::memory_order_relaxed)) {
-      adopted_.push_back(fd);
-      fd = -1;
-    }
-  }
-  if (fd >= 0) {
-    ::close(fd);  // draining: no new connections
-    return;
-  }
-  Wake();
 }
 
 ServerStats Reactor::StatsSnapshot() const {
@@ -115,399 +61,154 @@ void Reactor::MergeLatency(LatencyHistogram* into) const {
   into->Merge(latency_);
 }
 
-void Reactor::Wake() {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  // EAGAIN means the counter is already nonzero: the loop will wake.
+void Reactor::Count(std::uint64_t ServerStats::*counter) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++(stats_.*counter);
 }
 
 void Reactor::Loop() {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-  const int idle_timeout_ms = server_->options().idle_timeout_ms;
   for (;;) {
-    int timeout_ms = -1;
-    bool exit_loop = false;
+    bool draining = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (draining_.load(std::memory_order_acquire)) {
-        if (listen_fd_ >= 0) {
-          ::close(listen_fd_);  // closing deregisters it from epoll
-          listen_fd_ = -1;
-        }
-        for (const int fd : adopted_) ::close(fd);
-        adopted_.clear();
-        // Exit once every response has been flushed. The global in-flight
-        // count (not just this reactor's) must reach zero first: a pool
-        // worker holds a reactor's mutex while posting, so observing zero
-        // under the mutex proves no worker will touch this reactor again.
-        bool flushed =
-            server_->inflight_.load(std::memory_order_acquire) == 0;
-        for (const auto& [id, conn] : conns_) {
-          if (conn->inflight != 0 || conn->out_pos < conn->out.size()) {
-            flushed = false;
-          }
-          UpdateInterest(id, conn.get());  // drops read interest
-        }
-        if (flushed) {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          for (const auto& [id, conn] : conns_) {
-            ::close(conn->fd);
-            ++stats_.connections_closed;
-          }
-          stats_.active_connections = 0;
-          conns_.clear();
-          exit_loop = true;
-        }
-        timeout_ms = 100;  // belt and braces; completions also Wake()
-      } else if (idle_timeout_ms > 0) {
-        const Clock::time_point now = Clock::now();
-        for (const auto& [id, conn] : conns_) {
-          if (conn->inflight != 0) continue;
-          const auto deadline =
-              conn->last_active + std::chrono::milliseconds(idle_timeout_ms);
-          const auto remaining =
-              std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                    now)
-                  .count();
-          const int rem_ms =
-              static_cast<int>(std::clamp<long long>(remaining, 0, 60'000));
-          timeout_ms = timeout_ms < 0 ? rem_ms : std::min(timeout_ms, rem_ms);
-        }
-      }
+      delivering_.swap(posted_);
+      draining = draining_;
     }
-    if (exit_loop) break;
-
-    const int ready = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
-    if (ready < 0 && errno != EINTR) break;
-
-    std::lock_guard<std::mutex> lock(mu_);
-    const bool draining = draining_.load(std::memory_order_acquire);
-    for (int i = 0; i < ready; ++i) {
-      const std::uint64_t tag = events[i].data.u64;
-      const std::uint32_t re = events[i].events;
-      if (tag == kWakeTag) {
-        std::uint64_t drained = 0;
-        [[maybe_unused]] const ssize_t n =
-            ::read(wake_fd_, &drained, sizeof(drained));
-        continue;
-      }
-      if (tag == kListenTag) {
-        if (!draining && listen_fd_ >= 0) AcceptReady();
-        continue;
-      }
-      auto it = conns_.find(tag);
-      if (it == conns_.end()) continue;  // closed earlier this batch
-      if (re & (EPOLLERR)) {
-        CloseConn(tag);
-        continue;
-      }
-      if ((re & EPOLLIN) && !draining) {
-        ReadReady(tag);
-        it = conns_.find(tag);
-        if (it == conns_.end()) continue;
-      }
-      if (re & EPOLLHUP) {
-        // The peer closed both directions: responses are undeliverable, so
-        // once reads have drained (or during a drain) drop the connection
-        // instead of spinning on the level-triggered HUP.
-        if (it->second->read_closed || draining) {
-          CloseConn(tag);
-          continue;
-        }
-      }
-      if (re & EPOLLOUT) MarkDirty(tag, it->second.get());
+    for (const Posted& posted : delivering_) Deliver(posted);
+    delivering_.clear();
+    Clock::time_point deadline = Clock::time_point::max();
+    if (draining) {
+      if (!drain_began_) StartDrain();
+      // Every answer this reactor dispatched has been taken from posted_,
+      // so no worker touches it again, and every connection is written out
+      // and closed.
+      if (outstanding_ == 0 && net_->size() == 0) break;
+    } else {
+      deadline = SweepIdle();
     }
-
-    // Connections handed off by the accepting reactor (fallback mode).
-    if (!adopted_.empty()) {
-      std::vector<int> adopted;
-      adopted.swap(adopted_);
-      for (const int fd : adopted) {
-        if (draining) {
-          ::close(fd);
-        } else {
-          AddConn(fd);
-        }
-      }
-    }
-
-    // Settle connections with fresh output (worker posts, EPOLLOUT) or
-    // fresh close conditions: flush, then close or re-arm interest.
-    while (!dirty_.empty()) {
-      std::vector<std::uint64_t> dirty;
-      dirty.swap(dirty_);
-      for (const std::uint64_t id : dirty) SettleConn(id);
-    }
-
-    if (!draining && idle_timeout_ms > 0) {
-      const Clock::time_point now = Clock::now();
-      std::vector<std::uint64_t> sweep;
-      sweep.reserve(conns_.size());
-      for (const auto& [id, conn] : conns_) sweep.push_back(id);
-      for (const std::uint64_t id : sweep) {
-        const auto it = conns_.find(id);
-        if (it == conns_.end()) continue;
-        Conn* conn = it->second.get();
-        if (conn->inflight == 0 && conn->out_pos >= conn->out.size() &&
-            now - conn->last_active >=
-                std::chrono::milliseconds(idle_timeout_ms)) {
-          {
-            std::lock_guard<std::mutex> slock(stats_mu_);
-            ++stats_.idle_disconnects;
-          }
-          CloseConn(id);
-        }
-      }
-    }
+    if (!net_->Poll(deadline)) break;  // epoll itself failed
   }
-  // Normally a no-op (the drain path closes everything); covers the
-  // epoll-failure exit so no descriptor outlives the loop.
-  std::lock_guard<std::mutex> lock(mu_);
   {
     std::lock_guard<std::mutex> slock(stats_mu_);
-    for (const auto& [id, conn] : conns_) {
-      ::close(conn->fd);
-      ++stats_.connections_closed;
-    }
+    stats_.connections_closed += conns_.size();
     stats_.active_connections = 0;
   }
   conns_.clear();
-  for (const int fd : adopted_) ::close(fd);
-  adopted_.clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  net_.reset();  // closes the listen socket and anything left open
 }
 
-void Reactor::AcceptReady() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or a transient error: nothing to accept
-    if (server_->single_acceptor_) {
-      const std::size_t target = server_->NextHandoffTarget();
-      if (target != index_) {
-        // One-directional lock edge: only the accepting reactor ever takes
-        // another reactor's mutex, so the order stays acyclic.
-        server_->reactors_[target]->Adopt(fd);
-        continue;
-      }
-    }
-    AddConn(fd);
+void Reactor::StartDrain() {
+  drain_began_ = true;
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const ConnId id = it->first;
+    Conn& conn = (it++)->second;
+    conn.reading = false;
+    Settle(id, conn);
   }
 }
 
-void Reactor::AddConn(int fd) {
-  SetNonBlocking(fd);
-  SetNoDelay(fd);
-  auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
-  conn->last_active = Clock::now();
-  conn->events = EPOLLIN;
-  const std::uint64_t id = next_conn_id_++;
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = id;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    ::close(fd);
+Reactor::Clock::time_point Reactor::SweepIdle() {
+  const int timeout_ms = server_->options().idle_timeout_ms;
+  if (timeout_ms <= 0) return Clock::time_point::max();
+  const auto timeout = std::chrono::milliseconds(timeout_ms);
+  const Clock::time_point now = Clock::now();
+  Clock::time_point next = Clock::time_point::max();
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const ConnId id = it->first;
+    const Conn& conn = (it++)->second;
+    if (conn.inflight != 0) continue;
+    if (now - conn.last_active < timeout) {
+      next = std::min(next, conn.last_active + timeout);
+      continue;
+    }
+    Count(&ServerStats::idle_disconnects);
+    net_->Finish(id);
+    Forget(id);
+  }
+  return next;
+}
+
+void Reactor::OnAccept(ConnId conn) {
+  if (drain_began_) {
+    net_->Finish(conn);  // draining: no new connections
     return;
   }
-  conns_.emplace(id, std::move(conn));
+  conns_[conn].last_active = Clock::now();
   std::lock_guard<std::mutex> slock(stats_mu_);
   ++stats_.connections_accepted;
   ++stats_.active_connections;
 }
 
-void Reactor::ReadReady(std::uint64_t conn_id) {
-  Conn* conn = conns_.at(conn_id).get();
-  char buf[4096];
-  bool saw_eof = false;
-  const std::size_t max_body = server_->options().max_line_bytes;
-  for (;;) {
-    const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
-    if (n > 0) {
-      conn->in.append(buf, static_cast<std::size_t>(n));
-      conn->last_active = Clock::now();
-      // Decode (or reject) before buffering further; level-triggered epoll
-      // re-reports whatever remains in the socket.
-      if (conn->in.size() > max_body + 16) break;
-      continue;
-    }
-    if (n == 0) {
-      saw_eof = true;
-    } else if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-      // drained for now
-    } else {
-      CloseConn(conn_id);
-      return;
-    }
-    break;
-  }
-
-  // Framing negotiation: the connection's first byte selects binary (0x00)
-  // or text (anything else; no text id may begin with a NUL).
-  if (!conn->negotiated && !conn->in.empty()) {
-    if (conn->in[0] == kBinaryFramingByte) {
-      if (server_->options().enable_binary_framing) {
-        conn->framing = Framing::Create(FramingKind::kBinary);
-        conn->in.erase(0, 1);
-        conn->negotiated = true;
-      } else {
-        conn->framing = Framing::Create(FramingKind::kText);
-        conn->negotiated = true;
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.parse_errors;
-        }
-        Respond(conn_id, "?", "ERROR binary framing disabled");
-        conn->in.clear();
-        conn->read_closed = true;
-        conn->close_after_flush = true;
-      }
-    } else {
-      conn->framing = Framing::Create(FramingKind::kText);
-      conn->negotiated = true;
-    }
-  }
-
-  if (conn->negotiated && !conn->read_closed) {
-    std::vector<Framing::Message> messages;
-    std::string decode_error;
-    const bool decoded =
-        conn->framing->Decode(&conn->in, max_body, &messages, &decode_error);
-    for (Framing::Message& message : messages) {
-      HandleMessage(conn_id, std::move(message));
-      if (conns_.find(conn_id) == conns_.end()) return;  // closed underneath
-      if (conn->read_closed) break;
-    }
-    if (!decoded && !conn->read_closed) {
-      FrameError(conn_id, conn, decode_error);
-    }
-  }
-
-  if (saw_eof) {
-    // Torn frame: whatever partial frame remains is discarded. The
-    // connection stays up until in-flight responses have been flushed.
-    conn->in.clear();
-    conn->read_closed = true;
-  }
-  MarkDirty(conn_id, conn);
-}
-
-void Reactor::FrameError(std::uint64_t conn_id, Conn* conn,
-                         const std::string& error) {
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.frames_oversized;
-  }
-  Respond(conn_id, "?", "ERROR " + error);
-  conn->in.clear();
-  conn->read_closed = true;
-  conn->close_after_flush = true;
-}
-
-bool Reactor::FlushConn(Conn* conn) {
-  while (conn->out_pos < conn->out.size()) {
-    const ssize_t n =
-        ::send(conn->fd, conn->out.data() + conn->out_pos,
-               conn->out.size() - conn->out_pos, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->out_pos += static_cast<std::size_t>(n);
-      conn->last_active = Clock::now();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-      return true;  // kernel buffer full; EPOLLOUT will resume
-    }
-    return false;  // broken pipe or a hard error
-  }
-  conn->out.clear();
-  conn->out_pos = 0;
-  return true;
-}
-
-void Reactor::CloseConn(std::uint64_t conn_id) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  ::close(it->second->fd);  // closing deregisters the fd from epoll
-  conns_.erase(it);
+void Reactor::Forget(ConnId id) {
+  conns_.erase(id);
   std::lock_guard<std::mutex> slock(stats_mu_);
   ++stats_.connections_closed;
   --stats_.active_connections;
-  // In-flight solves for this connection keep running; their responses are
-  // dropped in PostResponse when the id no longer resolves.
 }
 
-void Reactor::SettleConn(std::uint64_t conn_id) {
-  const auto it = conns_.find(conn_id);
+void Reactor::Settle(ConnId id, const Conn& conn) {
+  if (conn.reading || conn.inflight != 0) return;
+  net_->Finish(id);
+  Forget(id);
+}
+
+void Reactor::OnClose(ConnId conn, const std::string& reason) {
+  const auto it = conns_.find(conn);
   if (it == conns_.end()) return;
-  Conn* conn = it->second.get();
-  conn->dirty = false;
-  if (conn->out_pos < conn->out.size() && !FlushConn(conn)) {
-    CloseConn(conn_id);
+  if (reason == ConnectionSet::kClosedByPeer) {
+    // The peer may still read: answer what is in flight, then finish. A
+    // torn frame is dropped without an answer.
+    it->second.reading = false;
+    Settle(conn, it->second);
     return;
   }
-  const bool flushed = conn->out_pos >= conn->out.size();
-  if ((conn->read_closed || conn->close_after_flush) && conn->inflight == 0 &&
-      flushed) {
-    CloseConn(conn_id);
-    return;
+  // A bad frame is reported while the connection can still be written, so
+  // it is answered with an unattributable ERROR before the close; answers
+  // still in flight on it are dropped. A failed connection is gone already,
+  // and the Send fails.
+  if (net_->Send(conn, "?", "ERROR " + reason)) {
+    Count(reason == ConnectionSet::kBinaryRefused
+              ? &ServerStats::parse_errors
+              : &ServerStats::frames_oversized);
+    net_->Finish(conn);
   }
-  UpdateInterest(conn_id, conn);
+  Forget(conn);
 }
 
-void Reactor::UpdateInterest(std::uint64_t conn_id, Conn* conn) {
-  std::uint32_t want = 0;
-  if (!draining_.load(std::memory_order_relaxed) && !conn->read_closed) {
-    want |= EPOLLIN;
-  }
-  if (conn->out_pos < conn->out.size()) want |= EPOLLOUT;
-  if (want == conn->events) return;
-  epoll_event ev{};
-  ev.events = want;
-  ev.data.u64 = conn_id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-  conn->events = want;
+void Reactor::Deliver(const Posted& posted) {
+  --outstanding_;
+  const auto it = conns_.find(posted.conn);
+  if (it == conns_.end()) return;  // the connection ended first
+  Conn& conn = it->second;
+  --conn.inflight;
+  conn.last_active = Clock::now();
+  net_->Send(posted.conn, posted.id, posted.body);
+  Settle(posted.conn, conn);
 }
 
-void Reactor::MarkDirty(std::uint64_t conn_id, Conn* conn) {
-  if (conn->dirty) return;
-  conn->dirty = true;
-  dirty_.push_back(conn_id);
-}
-
-void Reactor::Respond(std::uint64_t conn_id, const std::string& id,
-                      const std::string& body) {
+void Reactor::OnFrame(ConnId conn_id, const std::string& id,
+                      const std::string& message) {
   const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  Conn* conn = it->second.get();
-  conn->framing->Encode(id, body, &conn->out);
-  conn->last_active = Clock::now();
-  MarkDirty(conn_id, conn);
-}
-
-void Reactor::HandleMessage(std::uint64_t conn_id, Framing::Message message) {
-  Conn* conn = conns_.at(conn_id).get();
-  const std::string id = std::move(message.id);
+  if (it == conns_.end() || !it->second.reading) return;  // draining
+  Conn& conn = it->second;
+  conn.last_active = Clock::now();
   if (id.size() > kMaxIdBytes) {
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.parse_errors;
-    }
-    Respond(conn_id, "?", "ERROR request id exceeds " +
-                              std::to_string(kMaxIdBytes) + " bytes");
+    Count(&ServerStats::parse_errors);
+    net_->Send(conn_id, "?", "ERROR request id exceeds " +
+                                   std::to_string(kMaxIdBytes) + " bytes");
     return;
   }
-  std::istringstream in(message.body);
+  std::istringstream in(message);
   std::vector<std::string> tokens;
   for (std::string tok; in >> tok;) tokens.push_back(std::move(tok));
   if (tokens.empty()) {
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.parse_errors;
-    }
-    Respond(conn_id, id, "ERROR empty request");
+    Count(&ServerStats::parse_errors);
+    net_->Send(conn_id, id, "ERROR empty request");
     return;
   }
   if (tokens[0] == "STATS") {
-    Respond(conn_id, id, server_->BuildStatsBody());
+    net_->Send(conn_id, id, server_->BuildStatsBody());
     return;
   }
 
@@ -521,11 +222,8 @@ void Reactor::HandleMessage(std::uint64_t conn_id, Framing::Message message) {
       char* end = nullptr;
       deadline_ms = std::strtod(value, &end);
       if (*value == '\0' || *end != '\0' || deadline_ms < 0) {
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.parse_errors;
-        }
-        Respond(conn_id, id, "ERROR bad value in '" + token + "'");
+        Count(&ServerStats::parse_errors);
+        net_->Send(conn_id, id, "ERROR bad value in '" + token + "'");
         return;
       }
       continue;
@@ -538,27 +236,19 @@ void Reactor::HandleMessage(std::uint64_t conn_id, Framing::Message message) {
   model::ModelInput input;
   std::string error;
   if (!serve::ParseQuery(body, &query, &input, &error)) {
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.parse_errors;
-    }
-    Respond(conn_id, id, "ERROR " + error);
+    Count(&ServerStats::parse_errors);
+    net_->Send(conn_id, id, "ERROR " + error);
     return;
   }
 
   if (!server_->TryAdmit()) {
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.requests_rejected;
-    }
-    Respond(conn_id, id, "BUSY");
+    Count(&ServerStats::requests_rejected);
+    net_->Send(conn_id, id, "BUSY");
     return;
   }
-  ++conn->inflight;
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.requests_submitted;
-  }
+  ++conn.inflight;
+  ++outstanding_;
+  Count(&ServerStats::requests_submitted);
 
   const Clock::time_point enqueued = Clock::now();
   const bool has_deadline = deadline_ms > 0.0;
@@ -609,13 +299,8 @@ void Reactor::HandleMessage(std::uint64_t conn_id, Framing::Message message) {
   });
 }
 
-void Reactor::PostResponse(std::uint64_t conn_id, const std::string& id,
-                           const std::string& body, Clock::time_point enqueued,
-                           bool timed_out) {
-  // The whole body runs under mu_, Wake() included: a drain observing the
-  // global in-flight count at zero under mu_ is therefore guaranteed no
-  // worker will touch this reactor afterwards.
-  std::lock_guard<std::mutex> lock(mu_);
+void Reactor::PostResponse(ConnId conn, std::string id, std::string body,
+                           Clock::time_point enqueued, bool timed_out) {
   {
     std::lock_guard<std::mutex> slock(stats_mu_);
     if (timed_out) {
@@ -627,15 +312,15 @@ void Reactor::PostResponse(std::uint64_t conn_id, const std::string& id,
       latency_.Record(static_cast<std::uint64_t>(micros.count()));
     }
   }
-  const auto it = conns_.find(conn_id);
-  if (it != conns_.end()) {
-    Conn* conn = it->second.get();
-    --conn->inflight;
-    conn->framing->Encode(id, body, &conn->out);
-    MarkDirty(conn_id, conn);
-  }
+  // The admission slot is released under mu_ too: once the loop thread has
+  // taken this answer, this worker touches neither the reactor nor the
+  // server again, so a drained server may be destroyed.
+  std::lock_guard<std::mutex> lock(mu_);
+  posted_.push_back(Posted{conn, std::move(id), std::move(body)});
+  // The loop takes the whole queue per wake-up, so only the first answer
+  // after a take needs to wake it.
+  if (posted_.size() == 1 && net_ != nullptr) net_->Wake();
   server_->ReleaseAdmission();
-  Wake();
 }
 
 }  // namespace carat::rpc

@@ -1,27 +1,27 @@
-// One event-loop shard of rpc::TcpServer: a thread owning a private epoll
-// instance, a wake eventfd, and the connections assigned to it. N reactors
-// share the listen port via SO_REUSEPORT (each holds its own listen fd), or
-// — when that is unavailable — reactor 0 accepts and hands descriptors
-// round-robin to the others through Adopt(). A connection lives its whole
-// life on one reactor; solver work still fans out to the shared
-// exec::ThreadPool, whose workers post responses back to the owning
-// reactor.
+// One event-loop shard of rpc::TcpServer: a thread that owns one
+// rpc::ConnectionSet, the connection type the distributed runtime's links
+// use too. The set does the socket, epoll, framing and buffer work; the
+// reactor keeps request handling, the answers pool workers post back, the
+// idle-connection clock, the drain rule and its own counters. N reactors
+// listen on one port through SO_REUSEPORT and the kernel spreads incoming
+// connections across them; a connection lives its whole life on one
+// reactor. Solver work fans out to the shared exec::ThreadPool, whose
+// workers post answers back to the reactor that admitted the request.
 //
-// Locking (kept cycle-free across reactors):
-//   mu_        guards the connection table, adopted-fd queue and dirty
-//              list. Held by this reactor's thread, by pool workers posting
-//              responses, and briefly by reactor 0 when handing off an
-//              accepted fd (a one-directional edge: only the acceptor locks
-//              another reactor's mu_).
+// Locking:
+//   mu_        guards the posted-answer queue, plus the drain flag and the
+//              set handle that cross-thread Wake calls read. Held briefly
+//              by this reactor's thread, by pool workers posting answers
+//              and by BeginDrain; nothing else is acquired under it except
+//              the server's admission atomic.
 //   stats_mu_  leaf mutex guarding the counters and latency histogram.
 //              Never held while acquiring anything else, so any thread —
 //              including another reactor building an aggregated STATS
-//              response while holding its own mu_ — may snapshot it.
+//              answer — may snapshot it.
 
 #ifndef CARAT_RPC_REACTOR_H_
 #define CARAT_RPC_REACTOR_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "rpc/framing.h"
+#include "rpc/connection_set.h"
 #include "rpc/latency_histogram.h"
 #include "rpc/tcp_server.h"
 
@@ -40,15 +40,16 @@ namespace carat::rpc {
 
 class Reactor {
  public:
-  Reactor(TcpServer* server, std::size_t index);
+  explicit Reactor(TcpServer* server);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Takes ownership of `listen_fd` (-1 when this reactor only receives
-  /// handed-off connections) and spawns the loop thread.
-  bool Start(int listen_fd, std::string* error);
+  /// Listens on the server's host at `port` (0: ephemeral; siblings pass
+  /// the first reactor's port) and spawns the loop thread.
+  bool Start(std::uint16_t port, std::string* error);
+  std::uint16_t port() const { return port_; }
 
   /// Signals the drain: stop accepting and reading, finish admitted
   /// requests, flush, close. Returns immediately; Join() waits.
@@ -56,10 +57,6 @@ class Reactor {
 
   /// Joins the loop thread if running. Callers serialize via the server.
   void Join();
-
-  /// Hands an accepted descriptor to this reactor (the single-acceptor
-  /// fallback). Takes ownership of `fd`; closes it when draining.
-  void Adopt(int fd);
 
   /// Counter snapshot (leaf mutex only; safe from any thread).
   ServerStats StatsSnapshot() const;
@@ -69,56 +66,52 @@ class Reactor {
 
  private:
   using Clock = std::chrono::steady_clock;
+  using ConnId = ConnectionSet::ConnId;
 
   struct Conn {
-    int fd = -1;
-    std::unique_ptr<Framing> framing;  ///< set once negotiated
-    bool negotiated = false;
-    std::string in;           ///< bytes read, not yet decoded into frames
-    std::string out;          ///< response bytes not yet written
-    std::size_t out_pos = 0;  ///< written prefix of `out`
-    std::uint32_t events = 0; ///< current epoll interest mask
     std::size_t inflight = 0;
-    bool read_closed = false;  ///< EOF seen or frame error: no more reads
-    bool close_after_flush = false;
-    bool dirty = false;  ///< queued in dirty_ for a flush/close sweep
+    bool reading = true;  ///< false once the peer stopped or the drain began
     Clock::time_point last_active;
   };
 
+  /// An answer a pool worker hands to the loop thread.
+  struct Posted {
+    ConnId conn;
+    std::string id;
+    std::string body;
+  };
+
   void Loop();
-  void AcceptReady();
-  void AddConn(int fd);
-  void ReadReady(std::uint64_t conn_id);
-  bool FlushConn(Conn* conn);  ///< false when the connection broke
-  void CloseConn(std::uint64_t conn_id);
-  /// Flushes pending output and closes the connection if it is finished
-  /// (read side closed, nothing in flight, everything flushed); otherwise
-  /// refreshes the epoll interest mask.
-  void SettleConn(std::uint64_t conn_id);
-  void UpdateInterest(std::uint64_t conn_id, Conn* conn);
-  void MarkDirty(std::uint64_t conn_id, Conn* conn);
-  void HandleMessage(std::uint64_t conn_id, Framing::Message message);
-  void FrameError(std::uint64_t conn_id, Conn* conn, const std::string& error);
-  void Respond(std::uint64_t conn_id, const std::string& id,
-               const std::string& body);
-  void PostResponse(std::uint64_t conn_id, const std::string& id,
-                    const std::string& body, Clock::time_point enqueued,
-                    bool timed_out);
-  void Wake();
+  void OnAccept(ConnId conn);
+  void OnFrame(ConnId conn, const std::string& id, const std::string& body);
+  void OnClose(ConnId conn, const std::string& reason);
+  void Deliver(const Posted& posted);
+  /// Finishes a connection that takes no more requests once nothing is in
+  /// flight on it.
+  void Settle(ConnId id, const Conn& conn);
+  void Forget(ConnId id);
+  void StartDrain();
+  /// Finishes connections idle past the timeout; returns the next idle
+  /// deadline (time_point::max() when none).
+  Clock::time_point SweepIdle();
+  void Count(std::uint64_t ServerStats::*counter);
+  void PostResponse(ConnId conn, std::string id, std::string body,
+                    Clock::time_point enqueued, bool timed_out);
 
   TcpServer* const server_;
-  const std::size_t index_;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
   std::thread loop_;
-  std::atomic<bool> draining_{false};
+
+  // Loop thread only.
+  std::unordered_map<ConnId, Conn> conns_;
+  std::size_t outstanding_ = 0;  ///< dispatched, answer not yet delivered
+  bool drain_began_ = false;
+  std::vector<Posted> delivering_;
 
   std::mutex mu_;
-  std::uint64_t next_conn_id_ = 2;  ///< 0 = listen tag, 1 = wake tag
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-  std::vector<int> adopted_;          ///< handed-off fds awaiting AddConn
-  std::vector<std::uint64_t> dirty_;  ///< conns with new output to settle
+  std::unique_ptr<ConnectionSet> net_;  ///< reset when the loop ends
+  std::vector<Posted> posted_;
+  bool draining_ = false;
 
   mutable std::mutex stats_mu_;  ///< leaf: counters + histogram only
   ServerStats stats_;

@@ -1,82 +1,11 @@
 #include "rpc/tcp_server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "rpc/reactor.h"
 
 namespace carat::rpc {
-
-namespace {
-
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// Creates a bound, listening, nonblocking socket on `addr`. With
-/// `reuseport`, SO_REUSEPORT is required: if the kernel refuses it,
-/// `*reuseport_failed` is set so the caller can fall back to the
-/// single-acceptor mode instead of reporting a hard error.
-int MakeListenSocket(const sockaddr_in& addr, bool reuseport,
-                     bool* reuseport_failed, std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return -1;
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      *error = std::string("setsockopt SO_REUSEPORT: ") + std::strerror(errno);
-      *reuseport_failed = true;
-      ::close(fd);
-      return -1;
-    }
-#else
-    *error = "SO_REUSEPORT not available";
-    *reuseport_failed = true;
-    ::close(fd);
-    return -1;
-#endif
-  }
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    *error = std::string("bind: ") + std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  if (::listen(fd, 128) != 0) {
-    *error = std::string("listen: ") + std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  SetNonBlocking(fd);
-  return fd;
-}
-
-std::uint16_t LocalPort(int fd, std::string* error) {
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    *error = std::string("getsockname: ") + std::strerror(errno);
-    return 0;
-  }
-  return ntohs(bound.sin_port);
-}
-
-}  // namespace
 
 TcpServer::TcpServer(Options options) : options_(std::move(options)) {}
 
@@ -96,83 +25,22 @@ bool TcpServer::Start(std::string* error) {
     return false;
   }
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  const std::string host =
-      options_.host == "localhost" ? "127.0.0.1" : options_.host;
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    *error = "not a numeric IPv4 listen address: '" + options_.host + "'";
-    return false;
+  // All reactors exist before any loop runs, so STATS may walk the list.
+  for (std::size_t i = 0; i < options_.reactors; ++i) {
+    reactors_.push_back(std::make_unique<Reactor>(this));
   }
-
-  const std::size_t n = options_.reactors;
-  std::vector<int> listen_fds(n, -1);
-  single_acceptor_ = options_.force_single_acceptor || n == 1;
-
-  if (!single_acceptor_) {
-    // SO_REUSEPORT sharding: every reactor binds its own socket on the
-    // shared port and the kernel spreads connections across them.
-    bool reuseport_failed = false;
-    listen_fds[0] = MakeListenSocket(addr, /*reuseport=*/true,
-                                     &reuseport_failed, error);
-    if (listen_fds[0] < 0) {
-      if (!reuseport_failed) return false;
-      single_acceptor_ = true;  // fall back below
-    } else {
-      const std::uint16_t bound = LocalPort(listen_fds[0], error);
-      if (bound == 0) {
-        ::close(listen_fds[0]);
-        return false;
-      }
-      addr.sin_port = htons(bound);  // siblings must join the same group
-      for (std::size_t i = 1; i < n; ++i) {
-        bool sibling_failed = false;
-        listen_fds[i] =
-            MakeListenSocket(addr, /*reuseport=*/true, &sibling_failed, error);
-        if (listen_fds[i] < 0) {
-          for (const int fd : listen_fds) {
-            if (fd >= 0) ::close(fd);
-          }
-          return false;
-        }
-      }
-      port_ = bound;
-    }
-  }
-  if (single_acceptor_) {
-    // One listen socket on reactor 0; accepted fds are handed round-robin
-    // to the other reactors.
-    listen_fds.assign(n, -1);
-    listen_fds[0] =
-        MakeListenSocket(addr, /*reuseport=*/false, nullptr, error);
-    if (listen_fds[0] < 0) return false;
-    port_ = LocalPort(listen_fds[0], error);
-    if (port_ == 0) {
-      ::close(listen_fds[0]);
-      return false;
-    }
-  }
-
-  reactors_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    reactors_.push_back(std::make_unique<Reactor>(this, i));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    // The reactor owns its fd from here on (its destructor closes it even
-    // when Start fails before the loop thread spawns).
-    if (!reactors_[i]->Start(listen_fds[i], error)) {
-      listen_fds[i] = -1;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (listen_fds[j] >= 0) ::close(listen_fds[j]);
-      }
-      for (std::size_t j = 0; j < i; ++j) reactors_[j]->BeginDrain();
-      for (std::size_t j = 0; j < i; ++j) reactors_[j]->Join();
+  // The first reactor binds the requested port; its siblings join it.
+  std::uint16_t port = options_.port;
+  for (const auto& reactor : reactors_) {
+    if (!reactor->Start(port, error)) {
+      for (const auto& r : reactors_) r->BeginDrain();
+      for (const auto& r : reactors_) r->Join();
       reactors_.clear();
       return false;
     }
-    listen_fds[i] = -1;
+    port = reactor->port();
   }
+  port_ = port;
 
   std::lock_guard<std::mutex> lock(join_mu_);
   started_ = true;
@@ -233,11 +101,6 @@ bool TcpServer::TryAdmit() {
 
 void TcpServer::ReleaseAdmission() {
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-std::size_t TcpServer::NextHandoffTarget() {
-  return next_handoff_.fetch_add(1, std::memory_order_relaxed) %
-         reactors_.size();
 }
 
 std::string TcpServer::BuildStatsBody() const {

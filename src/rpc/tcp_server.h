@@ -26,13 +26,11 @@
 // query produces byte-identical result lines on every front-end.
 //
 // Architecture: `--reactors N` event-loop threads (rpc::Reactor), each
-// owning a private epoll instance and its own connections. Sharding is by
-// SO_REUSEPORT — every reactor binds its own listen socket on the shared
-// port and the kernel spreads incoming connections across them. Where
-// SO_REUSEPORT is unavailable (or Options::force_single_acceptor is set,
-// which the tests use), reactor 0 owns the single listen socket and hands
-// accepted descriptors round-robin to the other reactors over their wake
-// eventfds. A connection lives its whole life on one reactor.
+// owning one rpc::ConnectionSet (the connection type the distributed
+// runtime uses too) with its own epoll instance and connections. Sharding
+// is by SO_REUSEPORT: every reactor binds its own listen socket on the
+// shared port and the kernel spreads incoming connections across them. A
+// connection lives its whole life on one reactor.
 //
 // Hardening, in the way an inference front-end would be hardened:
 //   - admission control: at most `max_inflight` admitted-but-unanswered
@@ -44,6 +42,9 @@
 //     answers `TIMEOUT`);
 //   - idle-connection timeouts: connections with no traffic and nothing in
 //     flight for `idle_timeout_ms` are closed;
+//   - bounded output: a connection whose unsent answers pass
+//     ConnectionSet::kMaxOutboundBytes (its client stopped reading) is
+//     closed, and the other connections are served on;
 //   - oversized frames (a text line or binary payload longer than
 //     `max_line_bytes`, or a malformed binary length) are answered with an
 //     ERROR and the connection is closed; torn frames (EOF mid-frame) are
@@ -54,10 +55,11 @@
 //
 // Threading: each reactor thread owns its sockets' I/O; admitted requests
 // are dispatched to the borrowed exec::ThreadPool, whose workers solve
-// synchronously through serve::SolverService::SolveSync and post the
-// response back to the owning reactor. Counters and histograms live behind
-// per-reactor leaf mutexes so STATS can aggregate across reactors from any
-// reactor thread without lock cycles. See DESIGN.md §9.
+// synchronously through serve::SolverService::SolveSync, queue the answer
+// for the owning reactor and wake it (ConnectionSet::Wake). Counters and
+// histograms live behind per-reactor leaf mutexes so STATS can aggregate
+// across reactors from any reactor thread without lock cycles. See
+// DESIGN.md §9.
 
 #ifndef CARAT_RPC_TCP_SERVER_H_
 #define CARAT_RPC_TCP_SERVER_H_
@@ -108,8 +110,8 @@ class TcpServer {
     /// SolverService::SolveSync, so the pool's FIFO queue is the dispatch
     /// queue and its size is the service's solve concurrency.
     exec::ThreadPool* pool = nullptr;
-    /// Event-loop threads. Each reactor owns an epoll instance and (with
-    /// SO_REUSEPORT) its own listen socket on the shared port.
+    /// Event-loop threads. Each reactor owns an epoll instance and its own
+    /// SO_REUSEPORT listen socket on the shared port.
     std::size_t reactors = 1;
     /// Admission bound: admitted-but-unanswered requests (across all
     /// reactors) past this answer BUSY. Must be >= 1.
@@ -123,9 +125,6 @@ class TcpServer {
     /// binary hello is answered with a text ERROR and the connection is
     /// closed (strict text-only deployments: carat_served --framing=text).
     bool enable_binary_framing = true;
-    /// Testing hook: skip SO_REUSEPORT sharding and exercise the
-    /// single-acceptor round-robin handoff fallback.
-    bool force_single_acceptor = false;
   };
 
   explicit TcpServer(Options options);
@@ -159,10 +158,6 @@ class TcpServer {
   /// over the merged per-reactor histograms.
   double LatencyPercentileMs(double percentile) const;
 
-  /// True when the SO_REUSEPORT fallback (single acceptor + round-robin
-  /// fd handoff) is active. Valid after Start.
-  bool single_acceptor() const { return single_acceptor_; }
-
   const Options& options() const { return options_; }
 
  private:
@@ -173,23 +168,17 @@ class TcpServer {
   bool TryAdmit();
   void ReleaseAdmission();
 
-  /// Round-robin target for the single-acceptor handoff fallback.
-  std::size_t NextHandoffTarget();
-
   /// The body (without the request id) of a STATS response: aggregate
   /// counters, service counters, merged percentiles, and the per-reactor
   /// breakdown. Touches only per-reactor leaf stats mutexes and the
-  /// service mutex, so any reactor thread may call it while holding its
-  /// own connection mutex.
+  /// service mutex, so any reactor thread may call it.
   std::string BuildStatsBody() const;
 
   Options options_;
   std::uint16_t port_ = 0;
   bool started_ = false;
-  bool single_acceptor_ = false;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::atomic<std::size_t> inflight_{0};
-  std::atomic<std::size_t> next_handoff_{0};
   std::mutex join_mu_;  ///< serializes the Shutdown join
 };
 

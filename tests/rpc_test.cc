@@ -1,12 +1,12 @@
 // Loopback integration tests for the network serving front-end (src/rpc):
 // the epoll multi-reactor TcpServer, the per-connection framing negotiation
 // (text and binary), the blocking Client, the single-threaded
-// ConnectionSet the distributed testbed runs on, and the log-linear
-// LatencyHistogram. Concurrency-sensitive paths (admission, deadlines,
-// graceful drain, multi-client interleaving) are made deterministic with the
-// same gate-the-pool trick serve_test uses: plug the worker pool with a
-// blocking task so admitted requests sit in the dispatch queue until the
-// test releases them.
+// ConnectionSet that both the server's reactors and the distributed testbed
+// run on, and the log-linear LatencyHistogram. Concurrency-sensitive paths
+// (admission, deadlines, graceful drain, multi-client interleaving) are made
+// deterministic with the same gate-the-pool trick serve_test uses: plug the
+// worker pool with a blocking task so admitted requests sit in the dispatch
+// queue until the test releases them.
 //
 // The CARAT_TEST_REACTORS environment variable (default 1) sets the reactor
 // count for every test that does not pin its own — CI runs the suite at 1
@@ -588,34 +588,6 @@ TEST(TcpServer, DrainUnderBurstLoadAnswersEveryAdmittedRequest) {
   EXPECT_EQ(stats.active_connections, 0u);
 }
 
-TEST(TcpServer, SingleAcceptorFallbackSpreadsConnectionsRoundRobin) {
-  exec::ThreadPool pool(1);
-  serve::SolverService service(ServiceOptions(&pool));
-  rpc::TcpServer::Options opts = ServerOptions(&service, &pool);
-  opts.reactors = 3;
-  opts.force_single_acceptor = true;
-  rpc::TcpServer server(std::move(opts));
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  EXPECT_TRUE(server.single_acceptor());
-
-  // Sequential connections with a round trip each: the handoff is
-  // round-robin, so 6 connections land 2 on each of the 3 reactors.
-  std::vector<rpc::Client> clients(6);
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    ASSERT_TRUE(ConnectTo(&clients[i], server));
-    std::string response;
-    ASSERT_TRUE(clients[i].Request(std::to_string(i) + " mb4 4", &response));
-    EXPECT_NE(response.find(",ok,"), std::string::npos) << response;
-  }
-  const std::vector<rpc::ServerStats> per = server.ReactorStats();
-  ASSERT_EQ(per.size(), 3u);
-  for (std::size_t r = 0; r < per.size(); ++r) {
-    EXPECT_EQ(per[r].connections_accepted, 2u) << "reactor " << r;
-  }
-  EXPECT_EQ(server.stats().connections_accepted, 6u);
-}
-
 TEST(TcpServer, OversizedFrameIsRejectedAndConnectionClosed) {
   exec::ThreadPool pool(1);
   serve::SolverService service(ServiceOptions(&pool));
@@ -699,7 +671,6 @@ TEST(TcpServer, StatsVerbReportsLiveCountersWithReactorBreakdown) {
   serve::SolverService service(ServiceOptions(&pool));
   rpc::TcpServer::Options opts = ServerOptions(&service, &pool);
   opts.reactors = 2;
-  opts.force_single_acceptor = true;  // deterministic placement
   rpc::TcpServer server(std::move(opts));
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
@@ -754,6 +725,105 @@ TEST(TcpServer, ShutdownIsIdempotentAndSafeFromManyThreads) {
   }
   for (std::thread& t : threads) t.join();
   server.Shutdown();  // and once more after it has fully stopped
+}
+
+TEST(TcpServer, NonNumericListenHostIsRejected) {
+  exec::ThreadPool pool(1);
+  serve::SolverService service(ServiceOptions(&pool));
+  rpc::TcpServer::Options opts = ServerOptions(&service, &pool);
+  opts.host = "example.invalid";
+  rpc::TcpServer server(std::move(opts));
+  std::string error;
+  EXPECT_FALSE(server.Start(&error));
+  EXPECT_EQ(error, "not a numeric IPv4 listen address: 'example.invalid'");
+}
+
+TEST(TcpServer, HalfClosedClientStillReceivesEveryAdmittedAnswer) {
+  // A client that half-closes after pipelining still hears every admitted
+  // answer, then a clean EOF: the connection drains its in-flight answers
+  // before it closes.
+  exec::ThreadPool pool(1);
+  serve::SolverService service(ServiceOptions(&pool));
+  rpc::TcpServer server(ServerOptions(&service, &pool));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  pool.Submit([gate] { gate.wait(); });
+
+  rpc::Client client;
+  ASSERT_TRUE(ConnectTo(&client, server));
+  constexpr int kRequests = 3;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(client.SendLine("h" + std::to_string(i) + " mb4 " +
+                                std::to_string(4 + i)));
+  }
+  client.CloseSend();
+  WaitForSubmitted(server, kRequests);
+  // Let the server see the EOF while all three are still in flight.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release.set_value();
+
+  const auto start = std::chrono::steady_clock::now();
+  int got = 0;
+  std::string response;
+  while (client.ReadLine(&response)) {
+    EXPECT_EQ(response.rfind("h", 0), 0u) << response;
+    EXPECT_NE(response.find(",ok,"), std::string::npos) << response;
+    ++got;
+  }
+  EXPECT_EQ(got, kRequests);
+  // The read ended on the server's close, not on the 30 s receive timeout.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_EQ(server.stats().requests_completed,
+            static_cast<std::uint64_t>(kRequests));
+}
+
+TEST(TcpServer, NonReadingClientIsCutOffAtTheOutboundBound) {
+  // One client pipelines far more STATS answers than the loopback socket
+  // buffers plus ConnectionSet::kMaxOutboundBytes hold and never reads. The
+  // server must close that connection, not buffer without bound, and keep
+  // answering everybody else meanwhile.
+  exec::ThreadPool pool(1);
+  serve::SolverService service(ServiceOptions(&pool));
+  rpc::TcpServer server(ServerOptions(&service, &pool));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  rpc::Client other;
+  ASSERT_TRUE(ConnectTo(&other, server));
+  std::string response;
+  ASSERT_TRUE(other.Request("o STATS", &response));
+
+  rpc::Client stalled;
+  ASSERT_TRUE(ConnectTo(&stalled, server));
+  std::string flood;
+  for (int i = 0; i < 100'000; ++i) flood += "s STATS\n";
+  // The send ends when the server has read it all or closed the connection.
+  std::thread sender([&] { stalled.SendRaw(flood); });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int answered = 0;
+  while (server.stats().connections_closed == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (!other.Request("o" + std::to_string(answered) + " STATS",
+                       &response)) {
+      ADD_FAILURE() << "the other client went unanswered";
+      break;
+    }
+    EXPECT_EQ(response.rfind("o" + std::to_string(answered) + " STATS ", 0),
+              0u)
+        << response;
+    ++answered;
+  }
+  sender.join();
+  EXPECT_EQ(server.stats().connections_closed, 1u)
+      << "the non-reading client was never cut off";
+  // The other connection is unharmed.
+  ASSERT_TRUE(other.Request("z STATS", &response));
+  EXPECT_EQ(response.rfind("z STATS ", 0), 0u) << response;
 }
 
 // ---- Client robustness -----------------------------------------------------
@@ -1051,6 +1121,22 @@ TEST(ConnectionSet, FrameOverTheBoundClosesTheConnection) {
       << closed_because;
   std::string line;
   EXPECT_FALSE(client.ReadLine(&line));  // the server closed its end
+}
+
+TEST(ConnectionSet, WakeFromAnotherThreadEndsAWaitWithoutDeadline) {
+  rpc::ConnectionSet net(
+      [](ConnId, const std::string&, const std::string&) {}, IgnoreClose);
+  std::atomic<bool> woken{false};
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    woken.store(true);
+    net.Wake();
+  });
+  // Nothing but the Wake can end this wait (an EINTR return waits again).
+  while (!woken.load()) {
+    ASSERT_TRUE(net.Poll(std::chrono::steady_clock::time_point::max()));
+  }
+  waker.join();
 }
 
 // ---- LatencyHistogram::Merge edge cases ------------------------------------

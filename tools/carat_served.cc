@@ -160,13 +160,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "carat_served: listening on %s:%u (%zu workers, %zu "
-               "reactor%s%s)\n",
+               "reactor%s)\n",
                host.c_str(), static_cast<unsigned>(server.port()), pool.size(),
                server.options().reactors,
-               server.options().reactors == 1 ? "" : "s",
-               server.single_acceptor() && server.options().reactors > 1
-                   ? ", single-acceptor fallback"
-                   : "");
+               server.options().reactors == 1 ? "" : "s");
 
   if (::pipe(g_signal_pipe) != 0) {
     std::fprintf(stderr, "carat_served: pipe failed\n");
