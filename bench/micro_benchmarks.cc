@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "carat/testbed.h"
+#include "cc/cc.h"
 #include "lock/lock_manager.h"
 #include "mb8_site_network.h"
 #include "model/solver.h"
@@ -83,32 +84,75 @@ void BM_ModelSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelSolve)->Arg(4)->Arg(12)->Arg(20);
 
-// Arg 0: a coordinator chain with every path live, which runs the compiled
-// elimination schedule end to end. Arg 1: the abort path unreachable
-// (pd = 0, pra = 0), where partial pivoting swaps rows and the schedule
-// hands over to the dense loop at the lost pivot.
-void BM_VisitCounts(benchmark::State& state) {
-  model::TransitionInputs in;
-  if (state.range(0) == 0) {
-    in.local_requests = 10;
-    in.remote_requests = 5;
-    in.io_per_request = 4.0;
-    in.pb = 0.05;
-    in.pd = 0.01;
-    in.pra = 0.01;
-  } else {
-    in.local_requests = 4;
-    in.io_per_request = 2.96472;
-    in.pb = 0.39027354242965029;
+// A cold solve of each paper workload at n = 8 under 2PL and the queue
+// backend, on a reused (warm) arena, so nothing is allocated: the
+// per-iteration cost by shape is the time over the `iterations` counter.
+void BM_ModelSolveShape(benchmark::State& state, workload::WorkloadSpec spec,
+                        cc::BackendKind backend) {
+  model::ModelInput input = spec.ToModelInput();
+  input.cc_backend = backend;
+  const model::CaratModel model(input);
+  const model::SolverOptions options;
+  model::SolveArena arena;
+  model::ModelSolution out;
+  for (auto _ : state) {
+    model.SolveInto(options, &arena, nullptr, &out, nullptr);
+    benchmark::DoNotOptimize(out.iterations);
   }
+  state.counters["iterations"] = out.iterations;
+}
+const bool kSolveShapesRegistered = [] {
+  const std::pair<const char*, workload::WorkloadSpec> workloads[] = {
+      {"lb8", workload::MakeLB8(8)},
+      {"mb4", workload::MakeMB4(8)},
+      {"mb8", workload::MakeMB8(8)},
+      {"ub6", workload::MakeUB6(8)}};
+  const std::pair<const char*, cc::BackendKind> backends[] = {
+      {"2pl", cc::BackendKind::k2PL}, {"queue", cc::BackendKind::kQueue}};
+  for (const auto& [wl, spec] : workloads) {
+    for (const auto& [name, backend] : backends) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_ModelSolveShape/") + wl + "/" + name).c_str(),
+          BM_ModelSolveShape, spec, backend);
+    }
+  }
+  return true;
+}();
+
+// One input per compiled swap sequence (model/transition.h), in list order:
+// the local/coordinator kind's swap-free run (Arg 0, a coordinator with
+// every path live) and its continuations at LW, RW, LW and RW, DMIO, DMIO
+// and RW (Args 1-5), then the slave kind's swap-free run and its
+// continuations at RW, LW and DMIO (Args 6-9). The swaps happen where the
+// abort path is unreachable (pd = 0 with pra = 0 or no remote requests).
+struct VisitCountsCase {
+  model::TxnType type;
+  model::TransitionInputs in;
+};
+constexpr VisitCountsCase kVisitCountsCases[] = {
+    {model::TxnType::kDUC, {10, 5, 4.0, 0.05, 0.01, 0.01}},
+    {model::TxnType::kDUC, {4, 0, 2.96472, 0.39027354242965029, 0.0, 0.0}},
+    {model::TxnType::kDUC, {9, 9, 4.0, 0.0, 0.0, 0.0}},
+    {model::TxnType::kLU, {17, 0, 4.0, 0.062447160950123738, 0.0, 0.0}},
+    {model::TxnType::kLRO, {18, 0, 4.0, 0.0, 0.0, 0.0}},
+    {model::TxnType::kDUC, {14, 0, 1.1310517211042406, 0.0, 0.0, 0.0}},
+    {model::TxnType::kDUS, {9, 0, 4.0, 0.0, 0.0, 0.0}},
+    {model::TxnType::kDUS, {8, 0, 4.0, 0.0, 0.0, 0.0}},
+    {model::TxnType::kDUS, {0, 0, 5.5, 0.015, 0.0, 0.0}},
+    {model::TxnType::kDUS, {0, 0, 4.0, 0.0, 0.0, 0.0}},
+};
+constexpr int kNumVisitCountsCases = std::size(kVisitCountsCases);
+
+void BM_VisitCounts(benchmark::State& state) {
+  const VisitCountsCase& c = kVisitCountsCases[state.range(0)];
+  model::TransitionInputs in = c.in;
   model::VisitCounts v;
   for (auto _ : state) {
     benchmark::DoNotOptimize(in);
-    benchmark::DoNotOptimize(
-        model::SolveVisitCounts(model::TxnType::kDUC, in, &v));
+    benchmark::DoNotOptimize(model::SolveVisitCounts(c.type, in, &v));
   }
 }
-BENCHMARK(BM_VisitCounts)->Arg(0)->Arg(1);
+BENCHMARK(BM_VisitCounts)->DenseRange(0, kNumVisitCountsCases - 1);
 
 void BM_Yao(benchmark::State& state) {
   for (auto _ : state) {

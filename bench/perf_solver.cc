@@ -12,14 +12,20 @@
 //      as it is, and with one zero-demand delay center appended, which
 //      sends it down the runtime-sized sweep without changing a bit. The
 //      throughputs must be identical and the compiled sweep at least 1.5x
-//      the runtime one; this gate too is armed on every host.
+//      the runtime one; this gate too is armed on every host, and
+//   4. the visit-count solve (Eq. 1) on a lost-pivot input, where partial
+//      pivoting swaps rows and a compiled continuation takes over, against
+//      a swap-free input, single-threaded: the lost-pivot solve must run
+//      within 1.5x of the swap-free one (median of interleaved rounds,
+//      armed on every host).
 //
 // Results land in BENCH_solver.json (cwd) so successive PRs can track the
 // numbers. Usage: perf_solver [--jobs N] [--out FILE]
 //
 // Note: the thread-sweep speedup is bounded by the host's core count; its
 // gate (>= 1.5x) arms only when the host has >= 4 hardware threads. The
-// compiled-sweep gate is thread-independent and always armed.
+// compiled-sweep and visit-count gates are thread-independent and always
+// armed.
 
 #include <atomic>
 #include <chrono>
@@ -36,6 +42,7 @@
 #include "exec/thread_pool.h"
 #include "mb8_site_network.h"
 #include "model/solver.h"
+#include "model/transition.h"
 #include "qn/mva.h"
 #include "workload/spec.h"
 
@@ -224,6 +231,60 @@ SweepBench BenchCompiledSweep() {
   return out;
 }
 
+// Visit counts on a swap-free input (a coordinator with every path live)
+// and on a lost-pivot input (the abort path unreachable, so rounding makes
+// partial pivoting swap rows at LW, then TC and CWC), timed in interleaved
+// rounds.
+struct VisitCountsBench {
+  double compiled_ns = 0.0;
+  double lost_pivot_ns = 0.0;
+  double ratio = 0.0;  // median over rounds of lost-pivot / compiled
+  bool ok = false;     // both inputs solved
+};
+
+VisitCountsBench BenchVisitCounts() {
+  using carat::model::TransitionInputs;
+  using carat::model::TxnType;
+  const TransitionInputs compiled_in{10, 5, 4.0, 0.05, 0.01, 0.01};
+  const TransitionInputs lost_in{4, 0, 2.96472, 0.39027354242965029, 0.0,
+                                 0.0};
+  carat::model::VisitCounts v{};
+  VisitCountsBench out;
+  constexpr int kReps = 15;
+  constexpr int kCallsPerRep = 20000;
+  std::vector<double> compiled_ns, lost_ns, ratios;
+  bool solved = true;
+  std::atomic<double> sink{0.0};
+  const auto time = [&](const TransitionInputs& in) {
+    TransitionInputs x = in;
+    double acc = 0.0;
+    const Clock::time_point start = Clock::now();
+    for (int i = 0; i < kCallsPerRep; ++i) {
+      // Keeps the input opaque, so no call folds into the next.
+      asm volatile("" : : "r"(&x) : "memory");
+      solved = carat::model::SolveVisitCounts(TxnType::kDUC, x, &v) && solved;
+      acc += v[1];
+    }
+    const double ns = ElapsedMs(start) * 1e6 / kCallsPerRep;
+    sink.store(acc, std::memory_order_relaxed);
+    return ns;
+  };
+  for (int rep = 0; rep < kReps; ++rep) {
+    compiled_ns.push_back(time(compiled_in));
+    lost_ns.push_back(time(lost_in));
+    ratios.push_back(lost_ns.back() / compiled_ns.back());
+  }
+  const auto median = [](std::vector<double>* v) {
+    std::sort(v->begin(), v->end());
+    return (*v)[v->size() / 2];
+  };
+  out.compiled_ns = median(&compiled_ns);
+  out.lost_pivot_ns = median(&lost_ns);
+  out.ratio = median(&ratios);
+  out.ok = solved;
+  return out;
+}
+
 template <typename Solve>
 MvaBench BenchMva(const Solve& solve, int iterations) {
   MvaBench out;
@@ -335,6 +396,9 @@ int main(int argc, char** argv) {
   // ---- Compiled vs runtime-sized exact sweep (gate armed on every host). ---
   const SweepBench sweep = BenchCompiledSweep();
 
+  // ---- Lost-pivot vs swap-free visit counts (gate armed on every host). ----
+  const VisitCountsBench visits = BenchVisitCounts();
+
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -372,6 +436,13 @@ int main(int argc, char** argv) {
                "    \"took_both_paths\": %s,\n"
                "    \"identical_throughput\": %s,\n"
                "    \"allocs_per_call_warm\": %llu\n"
+               "  },\n"
+               "  \"visit_counts\": {\n"
+               "    \"compiled_ns\": %.1f,\n"
+               "    \"lost_pivot_ns\": %.1f,\n"
+               "    \"lost_pivot_ratio\": %.3f,\n"
+               "    \"ratio_gate_armed\": true,\n"
+               "    \"solved\": %s\n"
                "  }\n"
                "}\n",
                hw, jobs, kSweepReps, serial_ms, parallel_ms, speedup,
@@ -383,7 +454,9 @@ int main(int argc, char** argv) {
                sweep.compiled_us, sweep.runtime_us, sweep.speedup,
                sweep.took_both_paths ? "true" : "false",
                sweep.identical ? "true" : "false",
-               static_cast<unsigned long long>(sweep.allocs_per_call));
+               static_cast<unsigned long long>(sweep.allocs_per_call),
+               visits.compiled_ns, visits.lost_pivot_ns, visits.ratio,
+               visits.ok ? "true" : "false");
   std::fclose(f);
 
   std::printf(
@@ -405,6 +478,11 @@ int main(int argc, char** argv) {
       sweep.compiled_us, sweep.runtime_us, sweep.speedup,
       sweep.took_both_paths ? "yes" : "NO", sweep.identical ? "yes" : "NO",
       static_cast<unsigned long long>(sweep.allocs_per_call));
+  std::printf(
+      "visit counts (1 thread): swap-free %.1f ns, lost pivot %.1f ns, "
+      "ratio %.2fx, solved=%s\n",
+      visits.compiled_ns, visits.lost_pivot_ns, visits.ratio,
+      visits.ok ? "yes" : "NO");
   if (!identical) return 1;
   if (exact.allocs_per_call != 0 || approx.allocs_per_call != 0) {
     std::fprintf(stderr, "FAIL: warm-workspace MVA solve allocated\n");
@@ -432,6 +510,13 @@ int main(int argc, char** argv) {
                  "FAIL: compiled exact sweep speedup %.2fx < 1.5x over the "
                  "runtime-sized sweep\n",
                  sweep.speedup);
+    return 1;
+  }
+  if (!visits.ok || visits.ratio > 1.5) {
+    std::fprintf(stderr,
+                 "FAIL: lost-pivot visit counts at %.2fx the swap-free solve "
+                 "(> 1.5x) or unsolved\n",
+                 visits.ratio);
     return 1;
   }
   return 0;

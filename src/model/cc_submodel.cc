@@ -10,15 +10,18 @@ namespace {
 // sequence StepLockModel ran before the backend split: pass 1 computes the
 // undamped Pb / P_lw / RLT per type, pass 2 reads them back for Pd and R_LW.
 // Nothing here may be reordered — the solver's 2PL fixed point is pinned
-// bitwise by the pre-backend fingerprints.
+// bitwise by the pre-backend fingerprints. The blocker shares are the lock
+// model's own expressions, evaluated once per site instead of once per use
+// (every submodel below shares them the same way).
 void Solve2PL(SiteLockInputs& li,
               const std::array<CcClassInputs, kNumTxnTypes>& cls,
               CcSiteOutputs* out) {
+  const BlockerShares shares(li);
   std::array<double, kNumTxnTypes> rlt{};
   for (TxnType t : kAllTxnTypes) {
     const CcClassInputs& c = cls[Index(t)];
     if (!c.present) continue;
-    out->pb[Index(t)] = BlockingProbability(li, t);
+    out->pb[Index(t)] = BlockingProbability(li, shares, t);
     out->plw[Index(t)] =
         BlockAtLeastOnceProbability(out->pb[Index(t)], c.nlk);
     rlt[Index(t)] = MeanBlockingTime(c.nlk, c.rexec);
@@ -26,8 +29,8 @@ void Solve2PL(SiteLockInputs& li,
   li.block_prob_per_execution = out->plw;
   for (TxnType t : kAllTxnTypes) {
     if (!cls[Index(t)].present) continue;
-    out->pd[Index(t)] = DeadlockVictimProbability(li, t);
-    out->r_lw[Index(t)] = LockWaitDelay(li, t, rlt);
+    out->pd[Index(t)] = DeadlockVictimProbability(li, shares, t);
+    out->r_lw[Index(t)] = LockWaitDelay(shares, t, rlt);
   }
 }
 
@@ -40,11 +43,12 @@ void Solve2PL(SiteLockInputs& li,
 void SolveRestart(SiteLockInputs& li,
                   const std::array<CcClassInputs, kNumTxnTypes>& cls,
                   double die_prob, double backoff_ms, CcSiteOutputs* out) {
+  const BlockerShares shares(li);
   std::array<double, kNumTxnTypes> rlt{};
   for (TxnType t : kAllTxnTypes) {
     const CcClassInputs& c = cls[Index(t)];
     if (!c.present) continue;
-    out->pb[Index(t)] = BlockingProbability(li, t);
+    out->pb[Index(t)] = BlockingProbability(li, shares, t);
     out->plw[Index(t)] =
         BlockAtLeastOnceProbability(out->pb[Index(t)], c.nlk);
     rlt[Index(t)] = MeanBlockingTime(c.nlk, c.rexec);
@@ -56,7 +60,7 @@ void SolveRestart(SiteLockInputs& li,
     // A dying conflict costs one restart backoff; a surviving one (wait-die
     // only) queues like 2PL.
     out->r_lw[Index(t)] = die_prob * backoff_ms +
-                          (1.0 - die_prob) * LockWaitDelay(li, t, rlt);
+                          (1.0 - die_prob) * LockWaitDelay(shares, t, rlt);
   }
 }
 
@@ -80,11 +84,12 @@ void SolveRestart(SiteLockInputs& li,
 void SolveQueue(SiteLockInputs& li,
                 const std::array<CcClassInputs, kNumTxnTypes>& cls,
                 CcSiteOutputs* out) {
+  const BlockerShares shares(li);
   std::array<double, kNumTxnTypes> rlt{};
   for (TxnType t : kAllTxnTypes) {
     const CcClassInputs& c = cls[Index(t)];
     if (!c.present) continue;
-    out->pb[Index(t)] = BlockingProbability(li, t);
+    out->pb[Index(t)] = BlockingProbability(li, shares, t);
     out->plw[Index(t)] =
         BlockAtLeastOnceProbability(out->pb[Index(t)], c.nlk);
     rlt[Index(t)] = 0.5 * std::max(c.rs - c.lw, 0.0);
@@ -97,7 +102,7 @@ void SolveQueue(SiteLockInputs& li,
     const double expected_conflicts = c.nlk * out->pb[Index(t)];
     out->r_lw[Index(t)] =
         expected_conflicts > 0.0
-            ? out->plw[Index(t)] * LockWaitDelay(li, t, rlt) /
+            ? out->plw[Index(t)] * LockWaitDelay(shares, t, rlt) /
                   expected_conflicts
             : 0.0;
   }

@@ -61,10 +61,30 @@ double AverageLocksHeld(double nlk, double sigma, double pa, double rs,
   return 0.5 * nlk * numer / denom;  // Eq. 14
 }
 
+BlockerShares::BlockerShares(const SiteLockInputs& in) {
+  for (TxnType t : kAllTxnTypes) {
+    const double denom = BlockableLockMass(in, t);
+    mass[Index(t)] = denom;
+    for (TxnType s : kAllTxnTypes) {
+      double& share = pb[Index(t)][Index(s)];
+      share = 0.0;
+      if (!CanBeBlockedBy(t, s) || denom <= 0.0) continue;
+      double held = in.population[Index(s)] * in.locks_held[Index(s)];
+      if (s == t) held -= in.locks_held[Index(t)];
+      share = std::max(held, 0.0) / denom;
+    }
+  }
+}
+
 double BlockingProbability(const SiteLockInputs& in, TxnType t) {
+  return BlockingProbability(in, BlockerShares(in), t);
+}
+
+double BlockingProbability(const SiteLockInputs& in,
+                           const BlockerShares& shares, TxnType t) {
   if (in.num_granules <= 0.0) return 0.0;
   const double pb =
-      in.contention_factor * BlockableLockMass(in, t) / in.num_granules;
+      in.contention_factor * shares.mass[Index(t)] / in.num_granules;
   return std::clamp(pb, 0.0, 1.0);
 }
 
@@ -75,24 +95,24 @@ double BlockAtLeastOnceProbability(double pb, double nlk) {
 }
 
 double BlockerTypeProbability(const SiteLockInputs& in, TxnType t, TxnType s) {
-  if (!CanBeBlockedBy(t, s)) return 0.0;
-  const double denom = BlockableLockMass(in, t);
-  if (denom <= 0.0) return 0.0;
-  double mass = in.population[Index(s)] * in.locks_held[Index(s)];
-  if (s == t) mass -= in.locks_held[Index(t)];
-  return std::max(mass, 0.0) / denom;
+  return BlockerShares(in).pb[Index(t)][Index(s)];
 }
 
 double DeadlockVictimProbability(const SiteLockInputs& in, TxnType t) {
+  return DeadlockVictimProbability(in, BlockerShares(in), t);
+}
+
+double DeadlockVictimProbability(const SiteLockInputs& in,
+                                 const BlockerShares& shares, TxnType t) {
   const double nt = in.population[Index(t)];
   if (nt <= 0.0) return 0.0;
   double pd = 0.0;
   for (TxnType s : kAllTxnTypes) {
-    const double pb_ts = BlockerTypeProbability(in, t, s);
+    const double pb_ts = shares.pb[Index(t)][Index(s)];
     if (pb_ts <= 0.0) continue;
     const double s_blocked = in.block_prob_per_execution[Index(s)];
     if (s_blocked <= 0.0) continue;
-    const double pb_st = BlockerTypeProbability(in, s, t);
+    const double pb_st = shares.pb[Index(s)][Index(t)];
     if (pb_st <= 0.0) continue;
     pd += pb_ts * s_blocked * pb_st / nt;
   }
@@ -110,9 +130,14 @@ double MeanBlockingTime(double nlk_blocker, double blocker_execution_ms) {
 
 double LockWaitDelay(const SiteLockInputs& in, TxnType t,
                      const std::array<double, kNumTxnTypes>& rlt) {
+  return LockWaitDelay(BlockerShares(in), t, rlt);
+}
+
+double LockWaitDelay(const BlockerShares& shares, TxnType t,
+                     const std::array<double, kNumTxnTypes>& rlt) {
   double delay = 0.0;
   for (TxnType s : kAllTxnTypes) {
-    delay += BlockerTypeProbability(in, t, s) * rlt[Index(s)];  // Eq. 20
+    delay += shares.pb[Index(t)][Index(s)] * rlt[Index(s)];  // Eq. 20
   }
   return delay;
 }

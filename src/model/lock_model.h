@@ -46,11 +46,24 @@ struct SiteLockInputs {
   double contention_factor = 1.0;
 };
 
+/// One site's blocking shares, each type's blockable lock mass (the Eq. 15
+/// denominator) computed once: pb[t][s] is BlockerTypeProbability(in, t, s)
+/// and mass[t] the mass BlockingProbability(in, t) scales, bit for bit. The
+/// overloads below that take it return what their plain forms return; the
+/// CC submodels build it once per site and iteration.
+struct BlockerShares {
+  explicit BlockerShares(const SiteLockInputs& in);
+  std::array<std::array<double, kNumTxnTypes>, kNumTxnTypes> pb{};
+  std::array<double, kNumTxnTypes> mass{};
+};
+
 /// Pb(t,i) (Eq. 15, mode-consistent form): probability one lock request of a
 /// type-t transaction is blocked. Shared requests conflict only with
 /// exclusive holders (the update types); exclusive requests conflict with
 /// every holder. A transaction never blocks on its own locks.
 double BlockingProbability(const SiteLockInputs& in, TxnType t);
+double BlockingProbability(const SiteLockInputs& in,
+                           const BlockerShares& shares, TxnType t);
 
 /// P_lw(t,i) (Eq. 16): probability a type-t execution blocks at least once.
 double BlockAtLeastOnceProbability(double pb, double nlk);
@@ -66,6 +79,8 @@ double BlockerTypeProbability(const SiteLockInputs& in, TxnType t, TxnType s);
 /// i.e. the blocker s must itself be blocked, and its blocker must be this
 /// very transaction. First-order in Pb, mode-aware through PB.
 double DeadlockVictimProbability(const SiteLockInputs& in, TxnType t);
+double DeadlockVictimProbability(const SiteLockInputs& in,
+                                 const BlockerShares& shares, TxnType t);
 
 /// Blocking ratio BR(t) (Eq. 19) = (2 N_lk + 1) / (6 N_lk), approximately
 /// 1/3: the expected remaining lock-holding time of the blocker as a
@@ -79,6 +94,8 @@ double MeanBlockingTime(double nlk_blocker, double blocker_execution_ms);
 /// R_LW(t,i) (Eq. 20): mean lock-wait delay per blocked request, combining
 /// the blocker-type distribution with the per-type blocking times.
 double LockWaitDelay(const SiteLockInputs& in, TxnType t,
+                     const std::array<double, kNumTxnTypes>& rlt);
+double LockWaitDelay(const BlockerShares& shares, TxnType t,
                      const std::array<double, kNumTxnTypes>& rlt);
 
 }  // namespace carat::model

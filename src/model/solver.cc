@@ -1,8 +1,10 @@
 #include "model/solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "cc/cc.h"
 #include "model/cc_submodel.h"
@@ -72,70 +74,82 @@ struct SiteNetwork {
 // coupling state O(classes) instead of the old O(sites^2) lists and — when
 // collapsing — makes a whole fixed-point iteration O(classes).
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t FnvHash(const std::string& s) {
-  std::uint64_t h = kFnvOffset;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
+// Calls f(a.x, b.x) for every SiteParams field the solver reads (the
+// display name is excluded). Two sites are replicas exactly when every pair
+// holds the same bits.
+template <class F>
+void ForEachSolverField(const SiteParams& a, const SiteParams& b, F&& f) {
+  f(a.num_granules, b.num_granules);
+  f(a.records_per_granule, b.records_per_granule);
+  f(a.block_io_ms, b.block_io_ms);
+  f(a.separate_log_disk, b.separate_log_disk);
+  f(a.think_time_ms, b.think_time_ms);
+  f(a.hot_data_fraction, b.hot_data_fraction);
+  f(a.hot_access_fraction, b.hot_access_fraction);
+  f(a.buffer_blocks, b.buffer_blocks);
+  f(a.dm_pool_size, b.dm_pool_size);
+  for (std::size_t k = 0; k < a.classes.size(); ++k) {
+    const ClassParams& x = a.classes[k];
+    const ClassParams& y = b.classes[k];
+    f(x.population, y.population);
+    f(x.local_requests, y.local_requests);
+    f(x.remote_requests, y.remote_requests);
+    f(x.records_per_request, y.records_per_request);
+    f(x.u_cpu_ms, y.u_cpu_ms);
+    f(x.tm_cpu_ms, y.tm_cpu_ms);
+    f(x.dm_cpu_ms, y.dm_cpu_ms);
+    f(x.lr_cpu_ms, y.lr_cpu_ms);
+    f(x.dmio_cpu_ms, y.dmio_cpu_ms);
+    f(x.dmio_disk_ms, y.dmio_disk_ms);
+    f(x.dmio_read_ios, y.dmio_read_ios);
+    f(x.dmio_write_ios, y.dmio_write_ios);
+    f(x.init_cpu_ms, y.init_cpu_ms);
+    f(x.tc_cpu_ms, y.tc_cpu_ms);
+    f(x.tcio_force_writes, y.tcio_force_writes);
+    f(x.ta_fixed_cpu_ms, y.ta_fixed_cpu_ms);
+    f(x.ta_cpu_per_granule_ms, y.ta_cpu_per_granule_ms);
+    f(x.taio_ios_per_granule, y.taio_ios_per_granule);
+    f(x.unlock_cpu_per_lock_ms, y.unlock_cpu_per_lock_ms);
   }
+}
+
+// A field's bits: a double's representation, an integer's value.
+template <class T>
+std::uint64_t FieldBits(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<std::uint64_t>(static_cast<double>(v));
+  } else {
+    return static_cast<std::uint64_t>(v);
+  }
+}
+
+bool SameSolverFields(const SiteParams& a, const SiteParams& b) {
+  bool same = true;
+  ForEachSolverField(a, b, [&](auto x, auto y) {
+    same = same && FieldBits(x) == FieldBits(y);
+  });
+  return same;
+}
+
+// FNV-1a over the field bits, one field per step. It only prefilters
+// SameSolverFields, which decides, so its spread is all that matters.
+std::uint64_t SolverFieldHash(const SiteParams& site) {
+  std::uint64_t h = 1469598103934665603ull;
+  ForEachSolverField(site, site, [&](auto x, auto) {
+    h = (h ^ FieldBits(x)) * 1099511628211ull;
+  });
   return h;
 }
 
-void AppendRaw(const void* p, std::size_t n, std::string* out) {
-  out->append(static_cast<const char*>(p), n);
-}
-void AppendF64(double v, std::string* out) { AppendRaw(&v, sizeof(v), out); }
-void AppendI64(long long v, std::string* out) { AppendRaw(&v, sizeof(v), out); }
-
-// Canonical byte image of every SiteParams field the solver reads. Two sites
-// are replicas exactly when their blobs match byte for byte.
-void AppendSiteBlob(const SiteParams& site, std::string* blob) {
-  AppendI64(site.num_granules, blob);
-  AppendI64(site.records_per_granule, blob);
-  AppendF64(site.block_io_ms, blob);
-  blob->push_back(site.separate_log_disk ? '\1' : '\0');
-  AppendF64(site.think_time_ms, blob);
-  AppendF64(site.hot_data_fraction, blob);
-  AppendF64(site.hot_access_fraction, blob);
-  AppendI64(site.buffer_blocks, blob);
-  AppendI64(site.dm_pool_size, blob);
-  for (const ClassParams& c : site.classes) {
-    AppendI64(c.population, blob);
-    AppendI64(c.local_requests, blob);
-    AppendI64(c.remote_requests, blob);
-    AppendI64(c.records_per_request, blob);
-    AppendF64(c.u_cpu_ms, blob);
-    AppendF64(c.tm_cpu_ms, blob);
-    AppendF64(c.dm_cpu_ms, blob);
-    AppendF64(c.lr_cpu_ms, blob);
-    AppendF64(c.dmio_cpu_ms, blob);
-    AppendF64(c.dmio_disk_ms, blob);
-    AppendF64(c.dmio_read_ios, blob);
-    AppendF64(c.dmio_write_ios, blob);
-    AppendF64(c.init_cpu_ms, blob);
-    AppendF64(c.tc_cpu_ms, blob);
-    AppendF64(c.tcio_force_writes, blob);
-    AppendF64(c.ta_fixed_cpu_ms, blob);
-    AppendF64(c.ta_cpu_per_granule_ms, blob);
-    AppendF64(c.taio_ios_per_granule, blob);
-    AppendF64(c.unlock_cpu_per_lock_ms, blob);
-  }
-}
-
-// One site-class partition plus its detection scratch. Class ids are dense
-// and ordered by first occurrence, so on an input of pairwise-distinct sites
-// class k IS site k. Every vector and per-class blob keeps its capacity
-// across solves: re-partitioning a same-size input allocates nothing warm.
+// One site-class partition. Class ids are dense and ordered by first
+// occurrence, so on an input of pairwise-distinct sites class k IS site k.
+// Every vector keeps its capacity across solves: re-partitioning a same-size
+// input allocates nothing warm.
 struct ClassPartition {
   std::vector<std::size_t> class_of_site;  // site -> class
   std::vector<std::size_t> rep_site;       // class -> first member
   std::vector<double> class_count;         // class -> member count
-  std::vector<std::uint64_t> hashes;       // class -> blob hash (prefilter)
-  std::vector<std::string> blobs;          // class -> canonical param blob
-  std::string site_blob;                   // per-site scratch
+  std::vector<std::uint64_t> hashes;       // class -> field hash (prefilter)
   // Spec renumbering scratch: (raw id, dense id) pairs, scanned linearly.
   std::vector<std::pair<std::size_t, std::size_t>> id_map;
 
@@ -148,15 +162,9 @@ struct ClassPartition {
     class_count.clear();
     hashes.clear();
   }
-  // Registers site i as the representative of a new class whose blob is the
-  // current site_blob. assign() into a retained slot keeps string capacity.
+  // Registers site i as the representative of a new class.
   std::size_t AddClass(std::size_t i, std::uint64_t hash) {
     const std::size_t cls = rep_site.size();
-    if (cls < blobs.size()) {
-      blobs[cls].assign(site_blob);
-    } else {
-      blobs.push_back(site_blob);
-    }
     hashes.push_back(hash);
     rep_site.push_back(i);
     class_count.push_back(0.0);
@@ -167,12 +175,11 @@ struct ClassPartition {
 void DetectClasses(const ModelInput& input, ClassPartition* part) {
   part->Clear(input.sites.size());
   for (std::size_t i = 0; i < input.sites.size(); ++i) {
-    part->site_blob.clear();
-    AppendSiteBlob(input.sites[i], &part->site_blob);
-    const std::uint64_t h = FnvHash(part->site_blob);
+    const std::uint64_t h = SolverFieldHash(input.sites[i]);
     std::size_t cls = part->num_classes();
     for (std::size_t k = 0; k < part->num_classes(); ++k) {
-      if (part->hashes[k] == h && part->blobs[k] == part->site_blob) {
+      if (part->hashes[k] == h &&
+          SameSolverFields(input.sites[part->rep_site[k]], input.sites[i])) {
         cls = k;
         break;
       }
@@ -218,7 +225,6 @@ bool ApplySiteClassSpec(const ModelInput& input, const SiteClassSpec& spec,
       }
     }
     if (cls == part->num_classes()) {
-      part->site_blob.clear();
       cls = part->AddClass(i, 0);
       part->id_map.emplace_back(raw, cls);
     } else if (!SamePresence(input.sites[i],
@@ -402,6 +408,13 @@ void InitWorkloadInvariants(const ModelInput& input,
                             std::vector<SiteState>* st) {
   for (std::size_t i : units) {
     const SiteParams& site = input.sites[i];
+    // Yao's count depends on the site and the selection alone, and a site's
+    // chains often select alike (the paper's workloads give every local
+    // chain one size and every distributed chain another), so each distinct
+    // selection is counted once.
+    std::array<long long, kNumTxnTypes> selections{};
+    std::array<double, kNumTxnTypes> counts{};
+    std::size_t known = 0;
     for (TxnType t : kAllTxnTypes) {
       const ClassParams& c = site.Class(t);
       ClassState& cs = (*st)[i].cls[Index(t)];
@@ -414,10 +427,17 @@ void InitWorkloadInvariants(const ModelInput& input,
       // skew-aware) and lock_ratio rescales the per-LR blocking chance.
       if (c.local_requests > 0) {
         cs.q = c.records_per_request;
-        cs.nlk = YaoExpectedBlocksSkewed(
-            site.total_records(), site.num_granules,
-            static_cast<long long>(c.local_requests) * c.records_per_request,
-            SkewOf(site));
+        const long long selected =
+            static_cast<long long>(c.local_requests) * c.records_per_request;
+        std::size_t k = 0;
+        while (k < known && selections[k] != selected) ++k;
+        if (k == known) {
+          selections[known] = selected;
+          counts[known++] = YaoExpectedBlocksSkewed(
+              site.total_records(), site.num_granules, selected,
+              SkewOf(site));
+        }
+        cs.nlk = counts[k];
         const double accesses =
             static_cast<double>(c.local_requests) * c.records_per_request;
         cs.lock_ratio = accesses > 0 ? cs.nlk / accesses : 1.0;
@@ -1020,41 +1040,60 @@ struct Accelerator {
     ++fallback;
   }
 
+  // The lower triangle of the M x M weighted normal equations,
+  // a[p][q] = sum_j (w_j dF_pj)(w_j dF_qj) and rhs[p] = sum_j (w_j dF_pj)(w_j f_j),
+  // in one pass over j. Each sum has its own accumulator and adds its terms
+  // in j order, so each is the serial sum bit for bit.
+  template <int M>
+  void NormalEquations(double (*a)[kAndersonDepth], double* rhs) const {
+    double sum_a[M][M] = {};
+    double sum_rhs[M] = {};
+    for (std::size_t j = 0; j < weighted; ++j) {
+      double wd[M];
+      for (int p = 0; p < M; ++p) wd[p] = w[j] * df[p * weighted + j];
+      const double wf = w[j] * f[j];
+      for (int p = 0; p < M; ++p) {
+        for (int q = 0; q <= p; ++q) sum_a[p][q] += wd[p] * wd[q];
+        sum_rhs[p] += wd[p] * wf;
+      }
+    }
+    for (int p = 0; p < M; ++p) {
+      for (int q = 0; q <= p; ++q) a[p][q] = sum_a[p][q];
+      rhs[p] = sum_rhs[p];
+    }
+  }
+
   // x <- g - dG gamma with gamma from the weighted normal equations plus a
   // 1e-12 * trace ridge; gamma = 0 (the plain step) when they degenerate.
   void AndersonStep() {
-    const int m = columns;
+    switch (columns) {
+      case 0: AndersonStep<0>(); break;
+      case 1: AndersonStep<1>(); break;
+      case 2: AndersonStep<2>(); break;
+      default: AndersonStep<kAndersonDepth>(); break;
+    }
+  }
+
+  // AndersonStep over M = columns stored differences.
+  template <int M>
+  void AndersonStep() {
     double gamma[kAndersonDepth] = {};
-    if (m > 0) {
+    if constexpr (M > 0) {
       double a[kAndersonDepth][kAndersonDepth] = {};
       double rhs[kAndersonDepth] = {};
-      for (int p = 0; p < m; ++p) {
-        const double* dp = df.data() + p * weighted;
-        for (int q = 0; q <= p; ++q) {
-          const double* dq = df.data() + q * weighted;
-          double sum = 0.0;
-          for (std::size_t j = 0; j < weighted; ++j) {
-            sum += (w[j] * dp[j]) * (w[j] * dq[j]);
-          }
-          a[p][q] = sum;
-        }
-        double sum = 0.0;
-        for (std::size_t j = 0; j < weighted; ++j) {
-          sum += (w[j] * dp[j]) * (w[j] * f[j]);
-        }
-        rhs[p] = sum;
-      }
+      NormalEquations<M>(a, rhs);
       double trace = 0.0;
-      for (int p = 0; p < m; ++p) trace += a[p][p];
-      for (int p = 0; p < m; ++p) a[p][p] += 1e-12 * trace;
-      if (!SolveSmallSpd(m, a, rhs, gamma)) {
-        std::fill(gamma, gamma + m, 0.0);
+      for (int p = 0; p < M; ++p) trace += a[p][p];
+      for (int p = 0; p < M; ++p) a[p][p] += 1e-12 * trace;
+      if (!SolveSmallSpd(M, a, rhs, gamma)) {
+        std::fill(gamma, gamma + M, 0.0);
       }
       ++accelerated;
     }
-    for (std::size_t j = 0; j < x.size(); ++j) {
+    const std::size_t n = x.size();
+    for (std::size_t j = 0; j < n; ++j) {
       double v = g[j];
-      for (int p = 0; p < m; ++p) v -= gamma[p] * dg[p * x.size() + j];
+      for (int p = 0; p < M; ++p) v -= gamma[p] * dg[p * n + j];
       x[j] = v;
     }
   }
@@ -1116,7 +1155,7 @@ struct Accelerator {
     }
     Clamp();
     f_prev.swap(f);
-    g_prev = g;
+    g_prev.swap(g);  // the next GatherState refills g
     prev_norm = norm;
     has_prev = true;
   }

@@ -112,16 +112,18 @@ TEST(VisitCounts, RowsOfTransitionMatrixAreStochastic) {
 }
 
 // ---- Reference: the dense elimination. --------------------------------------
-// SolveVisitCounts runs an elimination schedule compiled from the Table 1
+// SolveVisitCounts runs elimination schedules compiled from the Table 1
 // structure. This is the dense loop whose results it must reproduce, kept
 // test-local as the bit-level reference: a 15x15 Gaussian elimination with
-// partial pivoting over (I - P^T) V = P_UT. It counts its row swaps so the
-// tests can prove they reach both the compiled path and the lost-pivot
-// fallback. The test target is built with -ffp-contract=off like
-// carat_model, so no FMA contraction can differ between the two
-// translation units.
+// partial pivoting over (I - P^T) V = P_UT. It counts its row swaps, and
+// reports them as (column, pivot row) pairs when `sequence` is set, so the
+// tests can prove which compiled sequences and fallbacks they reach. The
+// test target is built with -ffp-contract=off like carat_model, so no FMA
+// contraction can differ between the two translation units.
+using SwapSequence = std::vector<std::pair<int, int>>;
+
 bool ReferenceVisitCounts(const TransitionMatrix& p, VisitCounts* v,
-                          int* swaps) {
+                          int* swaps, SwapSequence* sequence = nullptr) {
   constexpr int kUt = Index(Phase::kUT);
   constexpr std::size_t n = kNumPhases - 1;
   auto unknown = [](int phase) { return phase < kUt ? phase : phase - 1; };
@@ -142,6 +144,7 @@ bool ReferenceVisitCounts(const TransitionMatrix& p, VisitCounts* v,
   }
 
   *swaps = 0;
+  if (sequence != nullptr) sequence->clear();
   for (std::size_t col = 0; col < n; ++col) {
     std::size_t pivot = col;
     double best = std::fabs(a[col * n + col]);
@@ -155,6 +158,9 @@ bool ReferenceVisitCounts(const TransitionMatrix& p, VisitCounts* v,
     if (best < 1e-14) return false;
     if (pivot != col) {
       ++*swaps;
+      if (sequence != nullptr) {
+        sequence->emplace_back(static_cast<int>(col), static_cast<int>(pivot));
+      }
       for (std::size_t c = col; c < n; ++c)
         std::swap(a[col * n + c], a[pivot * n + c]);
       std::swap(b[col], b[pivot]);
@@ -298,6 +304,97 @@ TEST(VisitCountsReference, PinnedLostPivotCase) {
     int n = 0;
     EXPECT_TRUE(MatchesReference(type, in, &n));
     EXPECT_EQ(n, 3);
+  }
+}
+
+// The compiled sequence of `type`'s kind that equals `seq`, or -1.
+int CompiledSequence(TxnType type, const SwapSequence& seq) {
+  const auto find = [&](const auto& listed) {
+    for (std::size_t i = 0; i < listed.size(); ++i) {
+      SwapSequence swaps;
+      for (int k = 0; k < listed[i].size; ++k) {
+        swaps.emplace_back(listed[i].swaps[k].col, listed[i].swaps[k].row);
+      }
+      if (swaps == seq) return static_cast<int>(i);
+    }
+    return -1;
+  };
+  return IsSlave(type) ? find(kSlavePivots) : find(kLocalOrCoordinatorPivots);
+}
+
+std::string Describe(const SwapSequence& seq) {
+  std::string out;
+  for (const auto& [col, row] : seq) {
+    out += "(" + std::string(Name(kAllPhases[col + 1])) + "," +
+           std::string(Name(kAllPhases[row + 1])) + ")";
+  }
+  return out.empty() ? "none" : out;
+}
+
+TEST(VisitCountsReference, QueueBackendInputsStayOnCompiledSequences) {
+  // The queue backend's Pd is always 0, so the abort path is unreachable
+  // unless a remote wait can abort (pra > 0 with remote requests): the
+  // inputs that swap rows most. Every swap sequence the dense loop takes on
+  // them must be one SolveVisitCounts runs as compiled code; if the Table 1
+  // structure changes, the failure names the new sequence.
+  util::Rng rng(20261020);
+  std::array<int, kLocalOrCoordinatorPivots.size()> lc_hits{};
+  std::array<int, kSlavePivots.size()> slave_hits{};
+  for (int trial = 0; trial < 12000; ++trial) {
+    const TxnType type = kAllTxnTypes[trial % kNumTxnTypes];
+    TransitionInputs in;
+    in.local_requests = static_cast<int>(rng() % 21);
+    in.remote_requests = IsCoordinator(type) ? static_cast<int>(rng() % 9) : 0;
+    in.io_per_request = 0.5 + 8.0 * rng.NextDouble();
+    in.pb = rng.NextDouble() < 0.1 ? 0.0 : rng.NextDouble();
+    in.pd = 0.0;
+    in.pra = (trial / kNumTxnTypes) % 2 == 0 ? 0.0 : rng.NextDouble();
+    VisitCounts want{};
+    int swaps = 0;
+    SwapSequence seq;
+    ASSERT_TRUE(ReferenceVisitCounts(BuildTransitionMatrix(type, in), &want,
+                                     &swaps, &seq));
+    const int compiled = CompiledSequence(type, seq);
+    ASSERT_GE(compiled, 0) << "type " << Name(type) << " l="
+                           << in.local_requests << " r=" << in.remote_requests
+                           << " q=" << in.io_per_request << " pb=" << in.pb
+                           << " pra=" << in.pra
+                           << " swaps uncompiled: " << Describe(seq);
+    (IsSlave(type) ? slave_hits[compiled] : lc_hits[compiled]) += 1;
+    int unused = 0;
+    ASSERT_TRUE(MatchesReference(type, in, &unused)) << "trial " << trial;
+  }
+  // The swap-free run and the common continuations all ran.
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_GT(lc_hits[i], 0) << i;
+  for (int hits : slave_hits) EXPECT_GT(hits, 0);
+}
+
+TEST(VisitCountsReference, PinnedInputsTakeEachCompiledSequence) {
+  // One input per listed sequence, each run as compiled code.
+  const std::pair<TxnType, TransitionInputs> pinned[] = {
+      {TxnType::kDUC, {10, 5, 4.0, 0.05, 0.01, 0.01}},
+      {TxnType::kDUC, {4, 0, 2.96472, 0.39027354242965029, 0.0, 0.0}},
+      {TxnType::kDUC, {9, 9, 4.0, 0.0, 0.0, 0.0}},
+      {TxnType::kLU, {17, 0, 4.0, 0.062447160950123738, 0.0, 0.0}},
+      {TxnType::kLRO, {18, 0, 4.0, 0.0, 0.0, 0.0}},
+      {TxnType::kDUC, {14, 0, 1.1310517211042406, 0.0, 0.0, 0.0}},
+      {TxnType::kDUS, {9, 0, 4.0, 0.0, 0.0, 0.0}},
+      {TxnType::kDUS, {8, 0, 4.0, 0.0, 0.0, 0.0}},
+      {TxnType::kDUS, {0, 0, 5.5, 0.015, 0.0, 0.0}},
+      {TxnType::kDUS, {0, 0, 4.0, 0.0, 0.0, 0.0}},
+  };
+  constexpr int kWant[] = {0, 1, 2, 3, 4, 5, 0, 1, 2, 3};
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    const auto& [type, in] = pinned[i];
+    VisitCounts want{};
+    int swaps = 0;
+    SwapSequence seq;
+    ASSERT_TRUE(ReferenceVisitCounts(BuildTransitionMatrix(type, in), &want,
+                                     &swaps, &seq));
+    EXPECT_EQ(CompiledSequence(type, seq), kWant[i])
+        << "input " << i << " swaps " << Describe(seq);
+    int unused = 0;
+    EXPECT_TRUE(MatchesReference(type, in, &unused)) << "input " << i;
   }
 }
 
