@@ -581,66 +581,6 @@ bool CheckGranuleInvariance(const Scenario& s, const CheckOptions& opts,
   return true;
 }
 
-// --- rule: batch lanes vs scalar -------------------------------------------
-
-// Four same-shape variants of the scenario (the shape key pins site count,
-// chain presence and log-disk layout; costs, populations, granules and think
-// times are all free).
-std::vector<ModelInput> SameShapeVariants(const ModelInput& base) {
-  std::vector<ModelInput> lanes;
-  lanes.push_back(base);
-
-  ModelInput costs = base;
-  for (SiteParams& site : costs.sites)
-    for (TxnType t : model::kAllTxnTypes) {
-      ClassParams& c = site.Class(t);
-      c.u_cpu_ms *= 1.5;
-      c.dm_cpu_ms *= 1.5;
-      c.dmio_cpu_ms *= 1.5;
-    }
-  lanes.push_back(std::move(costs));
-
-  ModelInput env = base;
-  for (SiteParams& site : env.sites) {
-    site.num_granules *= 2;
-    site.think_time_ms += 5.0;
-  }
-  lanes.push_back(std::move(env));
-
-  ModelInput pops = base;
-  for (SiteParams& site : pops.sites)
-    for (TxnType t : model::kAllTxnTypes)
-      if (site.Class(t).population > 0) site.Class(t).population += 1;
-  lanes.push_back(std::move(pops));
-  return lanes;
-}
-
-bool CheckBatchLaneIdentity(const Scenario& s, const CheckOptions& opts,
-                            std::string* detail, bool* applicable) {
-  *applicable = true;
-  const std::vector<ModelInput> lanes = SameShapeVariants(s.input);
-  const std::size_t width = lanes.size();
-
-  std::vector<const ModelInput*> in_ptrs;
-  std::vector<ModelSolution> outs(width);
-  std::vector<ModelSolution*> out_ptrs;
-  for (std::size_t w = 0; w < width; ++w) {
-    in_ptrs.push_back(&lanes[w]);
-    out_ptrs.push_back(&outs[w]);
-  }
-  model::CaratModel::SolveBatchInto(in_ptrs.data(), width, opts.solver,
-                                    nullptr, nullptr, out_ptrs.data());
-  for (std::size_t w = 0; w < width; ++w) {
-    const ModelSolution scalar = SolveModel(lanes[w], opts.solver);
-    if (ModelSolutionFingerprint(outs[w]) != ModelSolutionFingerprint(scalar)) {
-      *detail = "batch lane " + std::to_string(w) +
-                " differs from the scalar solve";
-      return false;
-    }
-  }
-  return true;
-}
-
 // --- rule: sharded testbed vs serial ---------------------------------------
 
 bool CheckShardIdentity(const Scenario& s, const CheckOptions& opts,
@@ -674,13 +614,23 @@ bool CheckShardIdentity(const Scenario& s, const CheckOptions& opts,
 bool CheckServeIdentity(const Scenario& s, const CheckOptions& opts,
                         std::string* detail, bool* applicable) {
   *applicable = true;
+  // The scenario plus three same-shape variants (the shape key pins site
+  // count, chain presence and log-disk layout; costs and think times are
+  // free), so the base shape's group fills one block of
+  // Options::batch_lane_width queries: one task solving them in turn on one
+  // arena.
   std::vector<ModelInput> queries;
   queries.push_back(s.input);
-  {
+  for (const double factor : {1.5, 2.0}) {
     ModelInput costs = s.input;
     for (SiteParams& site : costs.sites)
-      for (TxnType t : model::kAllTxnTypes) site.Class(t).u_cpu_ms *= 1.5;
+      for (TxnType t : model::kAllTxnTypes) site.Class(t).u_cpu_ms *= factor;
     queries.push_back(std::move(costs));
+  }
+  {
+    ModelInput think = s.input;
+    for (SiteParams& site : think.sites) site.think_time_ms += 5.0;
+    queries.push_back(std::move(think));
   }
   if (s.input.sites.size() >= 2) {
     // Rotation usually changes the per-site presence pattern, exercising the
@@ -701,7 +651,6 @@ bool CheckServeIdentity(const Scenario& s, const CheckOptions& opts,
   sopts.threads = 2;
   sopts.use_cache = false;
   sopts.warm_start = false;
-  sopts.batch_lane_width = 2;
   sopts.solver = opts.solver;
   serve::SolverService service(sopts);
 
@@ -1085,7 +1034,6 @@ const char* RuleName(Rule r) {
     case Rule::kModelDemandScaling: return "model-demand-scaling";
     case Rule::kLockMassScaling: return "lock-mass-scaling";
     case Rule::kGranuleInvariance: return "granule-invariance";
-    case Rule::kBatchLaneIdentity: return "batch-lane-identity";
     case Rule::kShardIdentity: return "shard-identity";
     case Rule::kServeIdentity: return "serve-identity";
     case Rule::kExactVsSchweitzer: return "exact-vs-schweitzer";
@@ -1133,8 +1081,6 @@ bool CheckRule(const Scenario& s, Rule rule, const CheckOptions& opts,
       return CheckLockMassScaling(s, opts, detail, applicable);
     case Rule::kGranuleInvariance:
       return CheckGranuleInvariance(s, opts, detail, applicable);
-    case Rule::kBatchLaneIdentity:
-      return CheckBatchLaneIdentity(s, opts, detail, applicable);
     case Rule::kShardIdentity:
       return CheckShardIdentity(s, opts, detail, applicable);
     case Rule::kServeIdentity:

@@ -6,7 +6,7 @@
 // stated next to its enum value and falls into four policy classes:
 //
 //   A  bit-exact        alternate code paths contracted to byte identity
-//                       (batch lanes, shards, serving, pow-of-two scaling)
+//                       (shards, serving, pow-of-two scaling)
 //   B  analytic FP      same math, different rounding order (permutation,
 //                       chain split); tight relative tolerances
 //   C  approximation    exact MVA vs Schweitzer-Bard; wide documented bound
@@ -53,9 +53,6 @@ enum class Rule : int {
   /// excluded because the hot region is a granule-count-dependent number
   /// of blocks.)
   kGranuleInvariance,
-  /// A: SolveBatchInto lane w is byte-identical to a scalar solve of lane
-  /// w's input.
-  kBatchLaneIdentity,
   /// A: the sharded testbed kernel is byte-identical to serial at any shard
   /// count.
   kShardIdentity,
@@ -87,11 +84,11 @@ enum class Rule : int {
   kBackendShardIdentity,
 };
 
-inline constexpr int kNumRules = 15;
+inline constexpr int kNumRules = 14;
 inline constexpr std::array<Rule, kNumRules> kAllRules = {
     Rule::kSitePermutation, Rule::kChainSplit,       Rule::kQnDemandScaling,
     Rule::kModelDemandScaling, Rule::kLockMassScaling, Rule::kGranuleInvariance,
-    Rule::kBatchLaneIdentity, Rule::kShardIdentity,  Rule::kServeIdentity,
+    Rule::kShardIdentity,  Rule::kServeIdentity,
     Rule::kExactVsSchweitzer, Rule::kModelVsTestbed, Rule::kClassReplication,
     Rule::kBackendAgreement, Rule::kBackendDominance,
     Rule::kBackendShardIdentity,

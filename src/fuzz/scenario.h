@@ -54,8 +54,8 @@ bool Parse(const std::string& text, Scenario* out, std::string* error = nullptr)
 
 /// Bit-exact digest of a ModelSolution (doubles as hex bit patterns), the
 /// solver-side counterpart of carat::TestbedResultFingerprint. Equal
-/// fingerprints iff byte-identical solutions; the batch-lane and serving
-/// identity oracles compare these.
+/// fingerprints iff byte-identical solutions; the serving and other
+/// bit-exact identity oracles compare these.
 std::string ModelSolutionFingerprint(const model::ModelSolution& s);
 
 }  // namespace carat::fuzz

@@ -56,9 +56,9 @@ struct SiteState {
   double log_q = 0.0;
 };
 
-// Per-site MVA network of one lane, built once per shape and updated in
-// place each fixed-point iteration (only the chain demands change). Its MVA
-// workspace is the lane's own qn::MvaWorkspace for the unit in the arena.
+// Per-site MVA network of one solve unit, built once per shape and updated
+// in place each fixed-point iteration (only the chain demands change). Its
+// MVA workspace is the unit's qn::MvaWorkspace in the arena.
 struct SiteNetwork {
   qn::ClosedNetwork net;
   std::size_t cpu = 0, disk = 0, log_disk = 0;
@@ -389,12 +389,8 @@ void BuildShapeKey(const ModelInput& input, const ClassPartition& part,
 }
 
 // ---- Fixed-point building blocks. -----------------------------------------
-// One scenario's solve is a sequence of these per-scenario steps plus the
-// per-site MVA solves. SolveBatchInto, the one solve loop, runs each step
-// and each MVA solve per lane, on that lane's own state and MVA workspaces,
-// so lane w's floating-point op sequence is exactly a one-lane solve's —
-// that is why a batch solve is bit-identical per lane to SolveInto, which
-// is the one-lane call.
+// One scenario's solve is a sequence of these steps plus the per-site MVA
+// solves, driven by CaratModel::SolveOne on the arena's state.
 //
 // Every step takes `units`: the sites the fixed point actually iterates —
 // all of them flat, one representative per class when collapsing. Identical
@@ -664,8 +660,8 @@ void StepDurations(const ModelInput& input, const SolverOptions& options,
 
 // (5) CC submodel: conflict / restart quantities for the configured backend
 // (Eqs. 15-20 for 2PL; model/cc_submodel.h for the others). The step writes
-// the undamped new values; the per-lane mixing step that follows the pass
-// (MixStep) is shared by every backend, so they all converge alike.
+// the undamped new values; the mixing step that follows the pass
+// (Accelerator::Step) is shared by every backend, so they all converge alike.
 void StepLockModel(const ModelInput& input,
                    const std::vector<std::size_t>& units,
                    std::vector<SiteState>* st) {
@@ -941,7 +937,7 @@ bool SolveSmallSpd(int m, double (*a)[kAndersonDepth], const double* b,
   return true;
 }
 
-// One lane's safeguarded depth-3 type-II Anderson iteration with beta = 1
+// A safeguarded depth-3 type-II Anderson iteration with beta = 1
 // (Walker & Ni, "Anderson Acceleration for Fixed-Point Iterations", SIAM J.
 // Numer. Anal. 49(4), 2011):
 //
@@ -951,7 +947,7 @@ bool SolveSmallSpd(int m, double (*a)[kAndersonDepth], const double* b,
 // over the last kAndersonDepth differences dF / dG of consecutive residuals
 // and map values. When the weighted max-norm residual rises, the safeguard
 // clears the history and takes the damped step x + damping * f instead.
-// After kResetBudget such resets the lane keeps the damped step until its
+// After kResetBudget such resets the solve keeps the damped step until its
 // residual has fallen kRearmFactor below the one at which the budget ran
 // out; then it gets a new budget. Every buffer keeps its capacity across
 // solves, so a warm arena allocates nothing.
@@ -1265,46 +1261,28 @@ void ResetSolution(ModelSolution* out) {
 
 }  // namespace
 
-// Cross-solve state of SolveBatchInto: everything whose size depends only on
-// the shape and the lane count. Per-lane solve state plus one MVA workspace
-// per (unit, lane); site_ws[u * lanes + w] retains lane w's Schweitzer queue
-// lengths at unit u across solves. `shape`
-// records the signature the buffers were built for; the scratch strings are
-// persistent so re-deriving the signature of the next input allocates
-// nothing.
+// Cross-solve state of a solve: everything whose size depends only on the
+// shape. One solve state plus one MVA workspace per unit; site_ws[u] retains
+// unit u's Schweitzer queue lengths across solves. `shape` records the
+// signature the buffers were built for; the scratch string is persistent so
+// re-deriving the signature of the next input allocates nothing.
 struct SolveArena::Impl {
   std::string shape;
   std::string shape_scratch;
-  std::string lane_scratch;
-
-  struct Lane {
-    std::vector<SiteState> st;
-    std::vector<SiteNetwork> nets;
-    std::vector<double> prev_x;
-    Accelerator acc;
-    double alpha = 0.0;
-    bool active = false;     // still iterating
-    bool failed = false;     // input rejected or a solve step failed
-    bool converged = false;
-    int iterations = 0;
-  };
-  std::vector<Lane> lanes;
   ClassPartition part;
-  ClassPartition lane_part;
   std::vector<std::size_t> units;
   std::vector<std::size_t> state_order;  // units in state-vector order
   ClassCoupling coupling;
-  // [unit * lanes + lane]: the lane's MVA workspace for the unit, and the
-  // error of its MVA solve in the current iteration (site_failed set).
+  std::vector<SiteState> st;
+  std::vector<SiteNetwork> nets;
+  std::vector<double> prev_x;
+  Accelerator acc;
   std::vector<qn::MvaWorkspace> site_ws;
-  std::vector<std::string> site_error;
-  std::vector<unsigned char> site_failed;
 
-  // Drops lane w's retained Schweitzer queue lengths at every unit, so its
-  // next solve starts from the even-spread guess like a fresh arena's.
-  void InvalidateWarm(std::size_t w, std::size_t lanes) {
-    for (std::size_t i = w; i < site_ws.size(); i += lanes)
-      site_ws[i].qkm.clear();
+  // Drops the retained Schweitzer queue lengths at every unit, so the next
+  // solve starts from the even-spread guess like a fresh arena's.
+  void InvalidateWarm() {
+    for (qn::MvaWorkspace& ws : site_ws) ws.qkm.clear();
   }
 };
 
@@ -1363,8 +1341,7 @@ ModelSolution CaratModel::Solve(const SolverOptions& options,
 void CaratModel::SolveInto(const SolverOptions& options, SolveArena* arena,
                            const WarmStart* warm, ModelSolution* out,
                            WarmStart* warm_out) const {
-  const ModelInput* input = &input_;
-  SolveBatchInto(&input, 1, options, arena, &warm, &out, &warm_out);
+  SolveOne(input_, options, arena, warm, out, warm_out);
 }
 
 void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
@@ -1374,67 +1351,40 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
                                 const WarmStart* const* seeds,
                                 ModelSolution* const* outs,
                                 WarmStart* const* warm_outs) {
-  if (lanes == 0) return;
   std::optional<SolveArena> local_arena;
-  if (arena == nullptr) local_arena.emplace();
-  SolveArena::Impl& ar =
-      arena != nullptr ? *arena->impl_ : *local_arena->impl_;
-
-  // ---- Per-lane validation and shape agreement. ----------------------------
-  // Lane 0's shape (presence + class partition + collapse mode) defines the
-  // block; a lane that fails input validation, has a malformed class spec or
-  // disagrees on shape is failed up front and never solved. (The serving
-  // layer groups queries by SolveShapeKey, so mismatches never occur
-  // there.) The partition drives the class-aggregated coupling sums; with
-  // collapse_site_classes it also shrinks the solved set to one
-  // representative per class, expanded back after convergence.
-  const std::size_t num_sites = inputs[0]->sites.size();
-  std::string spec_error;
-  const bool spec_ok =
-      EffectivePartition(*inputs[0], options, &ar.part, &spec_error);
-  if (!spec_ok) {
-    // Lane 0's spec is malformed; the block still needs a well-defined
-    // reference partition, so fall back to detection (lane 0 itself is
-    // failed below like any other bad-spec lane).
-    DetectClasses(*inputs[0], &ar.part);
+  if (arena == nullptr) arena = &local_arena.emplace();
+  for (std::size_t w = 0; w < lanes; ++w) {
+    SolveOne(*inputs[w], options, arena,
+             seeds != nullptr ? seeds[w] : nullptr, outs[w],
+             warm_outs != nullptr ? warm_outs[w] : nullptr);
   }
-  BuildShapeKey(*inputs[0], ar.part, &ar.shape_scratch);
+}
+
+void CaratModel::SolveOne(const ModelInput& input,
+                          const SolverOptions& options, SolveArena* arena,
+                          const WarmStart* warm, ModelSolution* out,
+                          WarmStart* warm_out) {
+  std::optional<SolveArena> local_arena;
+  if (arena == nullptr) arena = &local_arena.emplace();
+  SolveArena::Impl& ar = *arena->impl_;
+
+  // ---- Validation and shape. -----------------------------------------------
+  // The shape signature is the presence pattern, the class partition and
+  // the collapse mode. The partition drives the class-aggregated coupling
+  // sums; with collapse_site_classes it also shrinks the solved set to one
+  // representative per class, expanded back after convergence.
+  ResetSolution(out);
+  if (!input.Validate(&out->error) ||
+      !EffectivePartition(input, options, &ar.part, &out->error)) {
+    out->sites.clear();
+    return;
+  }
+  out->ok = true;
+  const std::size_t num_sites = input.sites.size();
   const bool collapse =
       options.collapse_site_classes && ar.part.num_classes() < num_sites;
+  BuildShapeKey(input, ar.part, &ar.shape_scratch);
   ar.shape_scratch.push_back(collapse ? '\1' : '\0');
-  std::size_t reference = lanes;  // first valid lane
-  for (std::size_t w = 0; w < lanes; ++w) {
-    ResetSolution(outs[w]);
-    if (!inputs[w]->Validate(&outs[w]->error)) {
-      outs[w]->sites.clear();
-      continue;
-    }
-    if (w == 0) {
-      // Lane 0 was partitioned above and defines the shape; not repeating
-      // the partition is measurable on short warm one-lane solves.
-      if (!spec_ok) {
-        outs[0]->error = spec_error;
-        outs[0]->sites.clear();
-        continue;
-      }
-    } else {
-      if (!EffectivePartition(*inputs[w], options, &ar.lane_part,
-                              &outs[w]->error)) {
-        outs[w]->sites.clear();
-        continue;
-      }
-      BuildShapeKey(*inputs[w], ar.lane_part, &ar.lane_scratch);
-      ar.lane_scratch.push_back(collapse ? '\1' : '\0');
-      if (ar.lane_scratch != ar.shape_scratch) {
-        outs[w]->error = "batch lanes differ in model shape";
-        outs[w]->sites.clear();
-        continue;
-      }
-    }
-    outs[w]->ok = true;
-    if (reference == lanes) reference = w;
-  }
-  if (reference == lanes) return;  // every lane rejected
 
   // ---- Solve units. --------------------------------------------------------
   // The sites the fixed point iterates: all of them flat, one representative
@@ -1452,206 +1402,136 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
   const std::size_t num_units = units.size();
   BuildStateOrder(ar.part, units, &ar.state_order);
 
+  std::vector<SiteState>& st = ar.st;
+  st.assign(num_sites, SiteState{});
+  InitWorkloadInvariants(input, units, &st);
+
   // ---- Shape-keyed arena state. --------------------------------------------
   // The per-unit networks, the class coupling, the MVA workspaces and every
-  // other shape-sized buffer are rebuilt only when the block's shape
-  // signature (presence + partition + collapse mode) or its lane count
+  // other shape-sized buffer are rebuilt only when the shape signature
   // differs from the arena's; same-shape re-solves just rewrite populations
-  // and demands in place and allocate nothing.
-  if (ar.shape != ar.shape_scratch || ar.lanes.size() != lanes) {
-    ar.shape = ar.shape_scratch;
-    ar.lanes.resize(lanes);
-    // Presence flags drive the chain layout; derive them from the reference
-    // lane (all valid lanes agree by shape).
-    std::vector<SiteState> ref_st(num_sites);
-    InitWorkloadInvariants(*inputs[reference], units, &ref_st);
-    for (std::size_t w = 0; w < lanes; ++w) {
-      BuildSiteNetworks(*inputs[reference], ref_st, units, &ar.lanes[w].nets);
-    }
-    BuildClassCoupling(*inputs[reference], ar.part, &ar.coupling);
+  // and demands in place and allocate nothing. The presence flags in `st`
+  // drive the chain layout. The arena takes the new key only once the
+  // rebuild is complete, so a rebuild cut short by an exception is redone.
+  if (ar.shape != ar.shape_scratch) {
+    BuildSiteNetworks(input, st, units, &ar.nets);
+    BuildClassCoupling(input, ar.part, &ar.coupling);
     // Fresh workspaces: the retained queue lengths of another shape must
     // not leak into this one.
-    ar.site_ws.assign(num_units * lanes, qn::MvaWorkspace{});
-    ar.site_error.resize(num_units * lanes);
-    ar.site_failed.resize(num_units * lanes);
+    ar.site_ws.assign(num_units, qn::MvaWorkspace{});
+    ar.shape = ar.shape_scratch;
   }
 
-  // ---- Per-lane solve state, seeding and refresh. --------------------------
+  // ---- Solve state, seeding and refresh. -----------------------------------
   // Alpha is fixed input unless the Ethernet model is enabled, in which case
   // it is re-derived from the model's own message rate each iteration (the
   // two-level coupling of Section 3). A compatible seed initializes the
-  // lane's state variables (Pb, Pd, Pra, the synchronization delays, alpha
-  // under the Ethernet model and the retained per-site Schweitzer queue
-  // lengths) from a neighbor's converged values. A cold lane drops its
-  // retained queue lengths so its trajectory is bit-identical to a
-  // fresh-arena solve (the other lanes' workspaces keep theirs). Each lane's
-  // accelerator then starts from the seeded (or zero) state; alpha is part
-  // of that state only under the Ethernet model.
-  const auto alpha_ptr = [&](SolveArena::Impl::Lane& lane) {
-    return options.ethernet.has_value() ? &lane.alpha : nullptr;
-  };
-  std::size_t remaining = 0;
-  for (std::size_t w = 0; w < lanes; ++w) {
-    SolveArena::Impl::Lane& lane = ar.lanes[w];
-    lane.converged = false;
-    lane.iterations = 0;
-    lane.failed = !outs[w]->ok;
-    lane.active = !lane.failed;
-    if (lane.failed) {
-      ar.InvalidateWarm(w, lanes);
-      continue;
-    }
-    ++remaining;
-    lane.st.assign(num_sites, SiteState{});
-    InitWorkloadInvariants(*inputs[w], units, &lane.st);
-    RefreshSolveState(*inputs[w], units, &lane.nets);
-    lane.alpha = inputs[w]->comm_delay_ms;
-    lane.prev_x.assign(num_units * kNumTxnTypes, 0.0);
-    const WarmStart* seed = seeds != nullptr ? seeds[w] : nullptr;
-    const bool seeded = seed != nullptr && seed->CompatibleWith(*inputs[w]);
-    outs[w]->warm_started = seeded;
-    if (seeded) {
-      if (options.ethernet.has_value()) lane.alpha = seed->comm_delay_ms;
-      SeedClassStates(*seed, units, &lane.st);
-    } else {
-      ar.InvalidateWarm(w, lanes);
-    }
-    // The weighted prefix: alpha and the class representatives' entries.
-    std::size_t weighted = alpha_ptr(lane) != nullptr ? 1 : 0;
-    for (std::size_t k = 0; k < ar.part.num_classes(); ++k) {
-      for (const ClassState& cs : lane.st[ar.state_order[k]].cls) {
-        if (cs.present) weighted += kNumStateFields;
-      }
-    }
-    GatherState(lane.st, ar.state_order, alpha_ptr(lane), &lane.acc.x);
-    lane.acc.Start(weighted, alpha_ptr(lane) != nullptr, options.damping);
+  // state variables (Pb, Pd, Pra, the synchronization delays, alpha under
+  // the Ethernet model and the retained per-site Schweitzer queue lengths)
+  // from a neighbor's converged values. A cold solve drops the retained
+  // queue lengths so its trajectory is bit-identical to a fresh-arena
+  // solve. The accelerator then starts from the seeded (or zero) state;
+  // alpha is part of that state only under the Ethernet model.
+  RefreshSolveState(input, units, &ar.nets);
+  double alpha = input.comm_delay_ms;
+  double* const alpha_ptr = options.ethernet.has_value() ? &alpha : nullptr;
+  ar.prev_x.assign(num_units * kNumTxnTypes, 0.0);
+  const bool seeded = warm != nullptr && warm->CompatibleWith(input);
+  out->warm_started = seeded;
+  if (seeded) {
+    if (alpha_ptr != nullptr) alpha = warm->comm_delay_ms;
+    SeedClassStates(*warm, units, &st);
+  } else {
+    ar.InvalidateWarm();
   }
-
-  // ---- Lockstep fixed-point iteration (Section 6). -------------------------
-  // Each active lane advances through the same step sequence, solving its
-  // site networks on its own MVA workspaces. A lane that meets the tolerance
-  // or fails drops out and does no further work, so its results and its
-  // retained MVA state are exactly those of a one-lane solve.
-  for (int iteration = 1;
-       iteration <= options.max_iterations && remaining > 0; ++iteration) {
-    // (1) Visit counts with the current Pb / Pd / Pra; (2) sigma, P_a, N_s.
-    for (std::size_t w = 0; w < lanes; ++w) {
-      SolveArena::Impl::Lane& lane = ar.lanes[w];
-      if (!lane.active) continue;
-      // High-contention inputs can make even the damped fallback step
-      // oscillate; shrinking its damping factor over time restores
-      // convergence.
-      if (iteration % 100 == 0)
-        lane.acc.damping = std::max(lane.acc.damping * 0.5, 0.02);
-      if (!StepVisitCounts(*inputs[w], units, &lane.st)) {
-        outs[w]->error = "visit-count system singular";
-        outs[w]->ok = false;
-        outs[w]->sites.clear();
-        lane.active = false;
-        lane.failed = true;
-        --remaining;
-        continue;
-      }
-      StepAbortChain(*inputs[w], options, ar.part, ar.coupling, units,
-                     &lane.st);
+  // The weighted prefix: alpha and the class representatives' entries.
+  std::size_t weighted = alpha_ptr != nullptr ? 1 : 0;
+  for (std::size_t k = 0; k < ar.part.num_classes(); ++k) {
+    for (const ClassState& cs : st[ar.state_order[k]].cls) {
+      if (cs.present) weighted += kNumStateFields;
     }
-    if (remaining == 0) break;
+  }
+  Accelerator& acc = ar.acc;
+  GatherState(st, ar.state_order, alpha_ptr, &acc.x);
+  acc.Start(weighted, alpha_ptr != nullptr, options.damping);
+
+  // ---- Fixed-point iteration (Section 6). ----------------------------------
+  bool converged = false;
+  int iterations = 0;
+  std::string mva_error;
+  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
+    // High-contention inputs can make even the damped fallback step
+    // oscillate; shrinking its damping factor over time restores
+    // convergence.
+    if (iteration % 100 == 0)
+      acc.damping = std::max(acc.damping * 0.5, 0.02);
+    // (1) Visit counts with the current Pb / Pd / Pra; (2) sigma, P_a, N_s.
+    if (!StepVisitCounts(input, units, &st)) {
+      out->error = "visit-count system singular";
+      out->ok = false;
+      out->sites.clear();
+      return;
+    }
+    StepAbortChain(input, options, ar.part, ar.coupling, units, &st);
 
     // (3) Demands (Eqs. 5-10) and the per-site MVA solves. The kernels resume
     // from the previous iteration's queue lengths: the fixed point moves the
     // demands only slightly per iteration, so large-population Schweitzer
     // sites converge in a few rounds. Finite inputs can still overflow a
     // demand to inf (or NaN) mid-solve, e.g. a communication delay near
-    // DBL_MAX; that network fails the kernel's validation, which fails its
-    // lane alone after the sweep.
+    // DBL_MAX; that network fails the kernel's validation, which fails the
+    // solve.
     for (std::size_t u = 0; u < num_units; ++u) {
       const std::size_t i = units[u];
-      for (std::size_t w = 0; w < lanes; ++w) {
-        SolveArena::Impl::Lane& lane = ar.lanes[w];
-        if (!lane.active) continue;
-        const std::size_t slot = u * lanes + w;
-        FillSiteDemands(inputs[w]->sites[i], &lane.st[i], &lane.nets[u]);
-        qn::MvaWorkspace& ws = ar.site_ws[slot];
-        const bool ok =
-            options.use_exact_mva
-                ? qn::SolveMvaInPlace(lane.nets[u].net, &ws, 1u << 20,
-                                      /*warm_start=*/true,
-                                      &ar.site_error[slot])
-                : qn::SchweitzerMvaInPlace(lane.nets[u].net, &ws,
-                                           /*tolerance=*/1e-9,
-                                           /*max_iterations=*/10000,
-                                           /*warm_start=*/true,
-                                           &ar.site_error[slot]);
-        ar.site_failed[slot] = ok ? 0 : 1;
-        if (ok) {
-          ReadSiteSolution(inputs[w]->sites[i], ws.solution, lane.nets[u],
-                           &lane.st[i]);
-        }
+      FillSiteDemands(input.sites[i], &st[i], &ar.nets[u]);
+      qn::MvaWorkspace& ws = ar.site_ws[u];
+      const bool ok =
+          options.use_exact_mva
+              ? qn::SolveMvaInPlace(ar.nets[u].net, &ws, 1u << 20,
+                                    /*warm_start=*/true, &mva_error)
+              : qn::SchweitzerMvaInPlace(ar.nets[u].net, &ws,
+                                         /*tolerance=*/1e-9,
+                                         /*max_iterations=*/10000,
+                                         /*warm_start=*/true, &mva_error);
+      if (!ok) {
+        out->error =
+            "MVA failed at site " + input.sites[i].name + ": " + mva_error;
+        out->ok = false;
+        out->sites.clear();
+        ar.InvalidateWarm();
+        return;
       }
+      ReadSiteSolution(input.sites[i], ws.solution, ar.nets[u], &st[i]);
     }
-    for (std::size_t w = 0; w < lanes; ++w) {
-      SolveArena::Impl::Lane& lane = ar.lanes[w];
-      if (!lane.active) continue;
-      for (std::size_t u = 0; u < num_units; ++u) {
-        const std::size_t slot = u * lanes + w;
-        if (ar.site_failed[slot] == 0) continue;
-        outs[w]->error = "MVA failed at site " +
-                         inputs[w]->sites[units[u]].name + ": " +
-                         ar.site_error[slot];
-        outs[w]->ok = false;
-        outs[w]->sites.clear();
-        lane.active = false;
-        lane.failed = true;
-        ar.InvalidateWarm(w, lanes);
-        --remaining;
-        break;
-      }
-    }
-    if (remaining == 0) break;
 
     // (4) Durations and locks held, (5) the CC submodel, (5b) the
     // Communication Network Model, (6) cross-site coupling — together T(x)
     // — then the mixing step and (7) the convergence test on throughputs.
-    for (std::size_t w = 0; w < lanes; ++w) {
-      SolveArena::Impl::Lane& lane = ar.lanes[w];
-      if (!lane.active) continue;
-      StepDurations(*inputs[w], options, units, &lane.st);
-      StepLockModel(*inputs[w], units, &lane.st);
-      if (options.ethernet.has_value()) {
-        StepEthernet(*inputs[w], options, ar.part, ar.coupling, lane.st,
-                     &lane.alpha);
-      }
-      StepCrossSiteCoupling(*inputs[w], ar.part, ar.coupling, lane.alpha,
-                            units, &lane.st);
-      GatherState(lane.st, ar.state_order, alpha_ptr(lane), &lane.acc.g);
-      lane.acc.Step();
-      ScatterState(lane.acc.x, ar.state_order, alpha_ptr(lane), &lane.st);
-      const double max_rel_delta =
-          ThroughputDelta(lane.st, units, &lane.prev_x);
-      lane.iterations = iteration;
-      if (iteration > 2 && max_rel_delta < options.tolerance) {
-        lane.converged = true;
-        lane.active = false;
-        --remaining;
-      }
+    StepDurations(input, options, units, &st);
+    StepLockModel(input, units, &st);
+    if (alpha_ptr != nullptr) {
+      StepEthernet(input, options, ar.part, ar.coupling, st, &alpha);
+    }
+    StepCrossSiteCoupling(input, ar.part, ar.coupling, alpha, units, &st);
+    GatherState(st, ar.state_order, alpha_ptr, &acc.g);
+    acc.Step();
+    ScatterState(acc.x, ar.state_order, alpha_ptr, &st);
+    const double max_rel_delta = ThroughputDelta(st, units, &ar.prev_x);
+    iterations = iteration;
+    if (iteration > 2 && max_rel_delta < options.tolerance) {
+      converged = true;
+      break;
     }
   }
 
-  // ---- Export and assemble per lane. ---------------------------------------
-  for (std::size_t w = 0; w < lanes; ++w) {
-    SolveArena::Impl::Lane& lane = ar.lanes[w];
-    if (lane.failed) continue;
-    if (collapse) ExpandClassStates(ar.part, &lane.st);
-    if (warm_outs != nullptr && warm_outs[w] != nullptr) {
-      ExportWarm(lane.st, lane.alpha, warm_outs[w]);
-    }
-    AssembleSolution(*inputs[w], lane.st, lane.converged,
-                     lane.converged ? lane.iterations
-                                    : options.max_iterations,
-                     lane.alpha, outs[w]);
-    outs[w]->accelerated_steps = lane.acc.accelerated;
-    outs[w]->fallback_steps = lane.acc.fallback;
-  }
+  // ---- Export and assemble. ------------------------------------------------
+  if (collapse) ExpandClassStates(ar.part, &st);
+  if (warm_out != nullptr) ExportWarm(st, alpha, warm_out);
+  AssembleSolution(input, st, converged,
+                   converged ? iterations : options.max_iterations, alpha,
+                   out);
+  out->accelerated_steps = acc.accelerated;
+  out->fallback_steps = acc.fallback;
 }
 
 }  // namespace carat::model

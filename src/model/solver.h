@@ -172,12 +172,11 @@ struct WarmStart {
   bool CompatibleWith(const ModelInput& input) const;
 };
 
-/// Reusable cross-solve state of CaratModel::SolveBatchInto (and so of
-/// SolveInto, its one-lane call): per-lane solve state plus the per-site MVA
-/// networks and workspaces. Keyed to the input's *shape* (SolveShapeKey) and
-/// the lane count; consecutive solves of same-shape inputs at the same lane
-/// count through one arena perform zero heap allocations once warm. An arena
-/// must not be used by two solves concurrently.
+/// Reusable cross-solve state of CaratModel::SolveInto: one solve state plus
+/// the per-site MVA networks and workspaces. Keyed to the input's *shape*
+/// (SolveShapeKey); consecutive solves of same-shape inputs through one arena
+/// perform zero heap allocations once warm, and a solve of another shape
+/// re-keys it. An arena must not be used by two solves concurrently.
 class SolveArena {
  public:
   SolveArena();
@@ -191,14 +190,14 @@ class SolveArena {
   std::unique_ptr<Impl> impl_;
 };
 
-/// SolveArena under the name some batch callers use.
+/// SolveArena under the name the benchmark harness uses.
 using BatchSolveArena = SolveArena;
 
 /// Canonical key of the solve-relevant *shape* of an input: site count,
 /// per-site chain presence and log-disk layout, plus the detected site-class
 /// partition (byte-identical sites grouped by first occurrence), so a
-/// collapsed 2-class input never shares arenas, warm seeds or batch lanes
-/// with an all-distinct input of the same presence pattern. Inputs with
+/// collapsed 2-class input never shares arena state or warm seeds with an
+/// all-distinct input of the same presence pattern. Inputs with
 /// equal shape keys can share a SolveArena and are candidates for
 /// warm-start seeding.
 std::string SolveShapeKey(const ModelInput& input);
@@ -223,25 +222,18 @@ class CaratModel {
   /// Allocation-free core: solves into caller-owned `out` reusing `arena`
   /// (nullptr uses a throwaway arena). With a warm arena of matching shape
   /// and a reused `out`, the whole solve performs zero heap allocations.
-  /// This is the one-lane call of SolveBatchInto.
+  /// An unseeded solve is bit-identical to a fresh-arena one whatever the
+  /// arena solved before; a seeded one also resumes the Schweitzer sites
+  /// from the queue lengths the arena's last solve left.
   void SolveInto(const SolverOptions& options, SolveArena* arena,
                  const WarmStart* warm, ModelSolution* out,
                  WarmStart* warm_out = nullptr) const;
 
-  /// The fixed-point driver. Advances `lanes` same-shape scenarios through
-  /// the fixed point together; each lane solves its site networks with the
-  /// scalar MVA kernels (qn/mva.h) on its own workspaces in the arena.
-  /// Lane w's ModelSolution is bit-identical to
-  /// `CaratModel(*inputs[w]).SolveInto(...)` with the same options and seed:
-  /// each lane executes exactly the one-lane step sequence. A lane that
-  /// converges or fails drops out while the others continue, and does no
-  /// further work, so the MVA state it leaves in the arena is exactly what a
-  /// one-lane solve leaves.
-  ///
-  /// `inputs` and `outs` are arrays of `lanes` pointers; `seeds` and
-  /// `warm_outs` may be nullptr (or hold per-lane nullptrs). All lanes must
-  /// share a SolveShapeKey — a mismatched lane fails with an error and does
-  /// not disturb its neighbors. `arena` may be nullptr for a throwaway.
+  /// A sweep: solves inputs[w] into outs[w] for w = 0 .. lanes-1, in order,
+  /// one SolveInto each through the one `arena` (nullptr uses a throwaway),
+  /// so lane w is exactly the SolveInto that follows lanes 0 .. w-1 on that
+  /// arena. Inputs may differ in shape (the arena re-keys). `seeds` and
+  /// `warm_outs` may be nullptr (or hold per-lane nullptrs).
   static void SolveBatchInto(const ModelInput* const* inputs,
                              std::size_t lanes, const SolverOptions& options,
                              SolveArena* arena,
@@ -252,6 +244,11 @@ class CaratModel {
   const ModelInput& input() const { return input_; }
 
  private:
+  /// The fixed-point driver behind SolveInto and SolveBatchInto.
+  static void SolveOne(const ModelInput& input, const SolverOptions& options,
+                       SolveArena* arena, const WarmStart* warm,
+                       ModelSolution* out, WarmStart* warm_out);
+
   ModelInput input_;
 };
 

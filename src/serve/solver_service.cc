@@ -97,8 +97,7 @@ std::vector<std::future<model::ModelSolution>> SolverService::SubmitBatch(
     const model::SolverOptions& solver) {
   std::vector<std::future<model::ModelSolution>> futures;
   futures.reserve(inputs.size());
-  const std::size_t width =
-      options_.batch_lane_width >= 2 ? options_.batch_lane_width : 1;
+  constexpr std::size_t width = Options::batch_lane_width;
 
   // Fresh queries (cache miss, not coalesced) grouped by solve shape,
   // preserving submission order within each group.
@@ -121,16 +120,16 @@ std::vector<std::future<model::ModelSolution>> SolverService::SubmitBatch(
     }
   }
 
-  // Cut each shape group into full lane blocks; the ragged remainder solves
-  // one lane per block. Scheduling happens outside the lock.
+  // Cut each shape group into full blocks; the ragged remainder solves one
+  // query per block. Scheduling happens outside the lock.
   for (const std::string* shape : group_order) {
     std::vector<Fresh>& group = groups[*shape];
     for (std::size_t pos = 0; pos < group.size();) {
-      const std::size_t lanes = group.size() - pos >= width ? width : 1;
+      const std::size_t size = group.size() - pos >= width ? width : 1;
       std::vector<Fresh> block(
           std::make_move_iterator(group.begin() + pos),
-          std::make_move_iterator(group.begin() + pos + lanes));
-      pos += lanes;
+          std::make_move_iterator(group.begin() + pos + size));
+      pos += size;
       pool_->Submit([this, shape = *shape, block = std::move(block),
                      solver]() mutable {
         RunBlock(shape, std::move(block), solver);
@@ -171,106 +170,69 @@ ServiceStats SolverService::stats() const {
   return snapshot;
 }
 
-std::unique_ptr<SolverService::Slot> SolverService::CheckOutSlot(
-    const std::string& pool_key) {
-  std::vector<std::unique_ptr<Slot>>& free = slots_[pool_key];
-  if (free.empty()) return std::make_unique<Slot>();
-  std::unique_ptr<Slot> slot = std::move(free.back());
-  free.pop_back();
-  return slot;
-}
-
-void SolverService::ReturnSlot(const std::string& pool_key,
-                               std::unique_ptr<Slot> slot) {
-  slots_[pool_key].push_back(std::move(slot));
-}
-
 void SolverService::RunBlock(const std::string& shape,
                              std::vector<Fresh> block,
                              const model::SolverOptions& solver) {
-  const std::size_t lanes = block.size();
-  std::vector<std::promise<model::ModelSolution>> waiters;
+  const std::size_t count = block.size();
+  std::size_t done = 0;  // queries published and no longer in flight
   try {
-    // Shape keys of different site counts differ in length, so appending a
-    // fixed-width lane count keeps pool keys unique.
-    std::string pool_key = shape;
-    pool_key.append(reinterpret_cast<const char*>(&lanes), sizeof(lanes));
-
+    std::unique_lock<std::mutex> lock(mu_);
     std::unique_ptr<Slot> slot;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      slot = CheckOutSlot(pool_key);
-      slot->outs.resize(lanes);
-      slot->seeds.resize(lanes);
-      slot->warm_outs.resize(lanes);
-      slot->features.resize(lanes);
-      slot->seed_ptrs.resize(lanes);
-      for (std::size_t w = 0; w < lanes; ++w) {
-        slot->features[w] = WarmFeature(block[w].input);
-        slot->seed_ptrs[w] =
-            warm_index_.Nearest(shape, slot->features[w], &slot->seeds[w])
-                ? &slot->seeds[w]
-                : nullptr;
-      }
+    std::vector<std::unique_ptr<Slot>>& free = slots_[shape];
+    if (free.empty()) {
+      slot = std::make_unique<Slot>();
+    } else {
+      slot = std::move(free.back());
+      free.pop_back();
     }
-    slot->in_ptrs.resize(lanes);
-    slot->out_ptrs.resize(lanes);
-    slot->warm_ptrs.resize(lanes);
-    for (std::size_t w = 0; w < lanes; ++w) {
-      slot->in_ptrs[w] = &block[w].input;
-      slot->out_ptrs[w] = &slot->outs[w];
-      slot->warm_ptrs[w] = &slot->warm_outs[w];
-    }
-
-    model::CaratModel::SolveBatchInto(slot->in_ptrs.data(), lanes, solver,
-                                      &slot->arena, slot->seed_ptrs.data(),
-                                      slot->out_ptrs.data(),
-                                      slot->warm_ptrs.data());
-
-    std::lock_guard<std::mutex> lock(mu_);
-    if (lanes > 1) {
+    if (count > 1) {
       ++stats_.batch_blocks;
-      stats_.batched += lanes;
+      stats_.batched += count;
     }
-    for (std::size_t w = 0; w < lanes; ++w) {
-      const model::ModelSolution& out = slot->outs[w];
+    while (done < count) {
+      Fresh& query = block[done];
+      // Looked up just before the solve, so the seed can come from an
+      // earlier query of the block.
+      const double feature = WarmFeature(query.input);
+      const bool seeded = warm_index_.Nearest(shape, feature, &slot->seed);
+      lock.unlock();
+      model::CaratModel(std::move(query.input))
+          .SolveInto(solver, &slot->arena, seeded ? &slot->seed : nullptr,
+                     &slot->out, &slot->warm_out);
+      lock.lock();
+
+      const model::ModelSolution& out = slot->out;
       if (out.ok) {
-        cache_.Put(block[w].key, out);
-        if (out.converged) {
-          warm_index_.Insert(shape, slot->features[w], slot->warm_outs[w]);
-        }
+        cache_.Put(query.key, out);
+        if (out.converged) warm_index_.Insert(shape, feature, slot->warm_out);
       }
       ++stats_.solved;
       if (out.warm_started) ++stats_.warm_started;
       stats_.total_iterations += static_cast<std::uint64_t>(out.iterations);
-
-      const auto it = pending_.find(block[w].key);
-      waiters = std::move(it->second);
+      const auto it = pending_.find(query.key);
+      std::vector<std::promise<model::ModelSolution>> waiters =
+          std::move(it->second);
       pending_.erase(it);
-      for (std::promise<model::ModelSolution>& p : waiters) {
-        p.set_value(out);
-      }
-      waiters.clear();
+      for (std::promise<model::ModelSolution>& p : waiters) p.set_value(out);
+
+      if (done + 1 == count) slots_[shape].push_back(std::move(slot));
+      ++done;
+      // Last touch of shared state: once in_flight_ hits zero the destructor
+      // may run, so nothing after the last query's decrement may use `this`.
+      if (--in_flight_ == 0) idle_cv_.notify_all();
     }
-    ReturnSlot(pool_key, std::move(slot));
-    // Last touch of shared state: once in_flight_ hits zero the destructor
-    // may run, so nothing below this point may use `this`.
-    in_flight_ -= lanes;
-    if (in_flight_ == 0) idle_cv_.notify_all();
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
     std::lock_guard<std::mutex> lock(mu_);
-    for (const Fresh& fresh : block) {
-      const auto it = pending_.find(fresh.key);
-      if (it == pending_.end()) continue;
-      waiters = std::move(it->second);
-      pending_.erase(it);
-      for (std::promise<model::ModelSolution>& p : waiters) {
+    for (std::size_t k = done; k < count; ++k) {
+      const auto it = pending_.find(block[k].key);
+      if (it == pending_.end()) continue;  // published before the throw
+      for (std::promise<model::ModelSolution>& p : it->second) {
         p.set_exception(error);
       }
-      waiters.clear();
+      pending_.erase(it);
     }
-    in_flight_ -= lanes;
+    in_flight_ -= count - done;
     if (in_flight_ == 0) idle_cv_.notify_all();
   }
 }

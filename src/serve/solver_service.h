@@ -7,17 +7,19 @@
 //   1. a keyed LRU solution cache (serve::CanonicalKey): repeated identical
 //      queries replay the stored solution without solving, and identical
 //      queries in flight at the same time are coalesced into one solve;
-//   2. SolveArena pools keyed by shape and lane count: repeated same-shape
-//      queries reuse the MVA networks/workspaces, so the warm steady state
-//      allocates nothing in the solver hot path;
+//   2. SolveArena pools keyed by shape: repeated same-shape queries reuse
+//      the MVA networks/workspaces, so the warm steady state allocates
+//      nothing in the solver hot path;
 //   3. a nearest-neighbor warm-start index (serve::WarmStartIndex): each new
 //      solve is seeded from the converged state of the cached neighbor with
 //      the closest parameters, cutting the fixed-point iteration count on
 //      sweep-shaped query streams.
 //
-// Every solve is a block of same-shape fresh queries, one lane each, solved
-// by CaratModel::SolveBatchInto: SubmitBatch cuts full lane blocks, and the
-// ragged remainder, Submit and SolveSync run one-lane blocks.
+// Every solve runs in a block of same-shape fresh queries, solved one after
+// another by CaratModel::SolveInto on one checked-out arena; each query's
+// answer is published the moment its own solve ends. SubmitBatch cuts full
+// blocks of Options::batch_lane_width queries per pool task, and the ragged
+// remainder, Submit and SolveSync run one-query blocks.
 //
 // Thread safety: every public method may be called concurrently. One mutex
 // guards the cache, warm index, arena pools, pending (coalescing) map and
@@ -56,11 +58,11 @@ struct ServiceStats {
   std::uint64_t total_iterations = 0;  ///< fixed-point iterations, summed
   std::uint64_t cache_evictions = 0;   ///< dropped for the entry/byte bound
   std::uint64_t cache_expirations = 0; ///< dropped past the cache ttl
-  std::uint64_t batched = 0;       ///< queries solved in multi-lane blocks
-  std::uint64_t batch_blocks = 0;  ///< multi-lane blocks executed
-  /// Submit/SubmitBatch queries that missed the cache but solved as one-lane
-  /// blocks because their shape group's remainder was smaller than a full
-  /// lane block (0 while batching is off).
+  std::uint64_t batched = 0;       ///< queries solved in multi-query blocks
+  std::uint64_t batch_blocks = 0;  ///< multi-query blocks executed
+  /// Submit/SubmitBatch queries that missed the cache but solved as
+  /// one-query blocks because their shape group's remainder was smaller
+  /// than a full block.
   std::uint64_t batch_scalar_tail = 0;
 };
 
@@ -85,14 +87,11 @@ class SolverService {
     /// Seed solves from the nearest converged neighbor. Off, every solve is
     /// cold and therefore bit-identical to CaratModel::Solve().
     bool warm_start = true;
-    /// Lane width for lockstep batch solving (SubmitBatch/SolveBatch): fresh
-    /// same-shape queries are grouped into blocks of exactly this many lanes
-    /// and advanced through the fixed point together by
-    /// CaratModel::SolveBatchInto, one arena per block; the ragged remainder
-    /// of each shape group solves in one-lane blocks. 0 or 1 disables
-    /// batching. Per-lane results are bit-identical either way, so this is
-    /// purely a throughput knob.
-    std::size_t batch_lane_width = 4;
+    /// Block size of SubmitBatch/SolveBatch: fresh same-shape queries are
+    /// grouped into blocks of exactly this many, each block one pool task
+    /// solving its queries in turn on one arena; the ragged remainder of
+    /// each shape group solves in one-query blocks.
+    static constexpr std::size_t batch_lane_width = 4;
     /// Solver options applied to every query (also folded into cache keys).
     model::SolverOptions solver;
   };
@@ -119,7 +118,7 @@ class SolverService {
   std::future<model::ModelSolution> Submit(model::ModelInput input,
                                            const model::SolverOptions& solver);
 
-  /// Solves on the calling thread instead of the worker pool (a one-lane
+  /// Solves on the calling thread instead of the worker pool (a one-query
   /// block), with the same cache / coalescing / warm-start treatment as
   /// Submit. Built for serving front-ends whose own workers execute requests
   /// (src/rpc): the caller's thread is the solver thread, so no pool hop. A
@@ -131,10 +130,9 @@ class SolverService {
   /// Schedules a batch of queries, returning one future per input in input
   /// order. Each query still gets the full cache / coalescing / warm-start
   /// treatment; the fresh (cache-missing, non-coalesced) queries are grouped
-  /// by solve shape and solved in lockstep blocks of
-  /// Options::batch_lane_width lanes through CaratModel::SolveBatchInto.
-  /// Shapes never mix within a block; ragged group remainders solve one
-  /// lane each.
+  /// by solve shape and cut into blocks of Options::batch_lane_width
+  /// queries. Shapes never mix within a block; ragged group remainders solve
+  /// one query per block.
   std::vector<std::future<model::ModelSolution>> SubmitBatch(
       std::vector<model::ModelInput> inputs);
   std::vector<std::future<model::ModelSolution>> SubmitBatch(
@@ -143,7 +141,7 @@ class SolverService {
 
   /// Solves a batch, returning solutions in input order. Blocks until every
   /// query in the batch has an answer; queries are scheduled concurrently
-  /// (via SubmitBatch, so same-shape queries solve in lockstep).
+  /// (via SubmitBatch).
   std::vector<model::ModelSolution> SolveBatch(
       std::vector<model::ModelInput> inputs);
 
@@ -171,20 +169,13 @@ class SolverService {
     model::ModelInput input;
   };
 
-  /// An arena plus reusable per-lane buffers, checked out per block so the
-  /// warm steady state allocates nothing in the solver. Pooled per (shape,
-  /// lane count), so one-lane solves never rebuild a full block's arena or
-  /// drop its warm state.
+  /// An arena plus reusable solve buffers, checked out per block so the
+  /// warm steady state allocates nothing in the solver. Pooled per shape.
   struct Slot {
     model::SolveArena arena;
-    std::vector<model::ModelSolution> outs;
-    std::vector<model::WarmStart> seeds;
-    std::vector<model::WarmStart> warm_outs;
-    std::vector<double> features;
-    std::vector<const model::ModelInput*> in_ptrs;
-    std::vector<const model::WarmStart*> seed_ptrs;
-    std::vector<model::ModelSolution*> out_ptrs;
-    std::vector<model::WarmStart*> warm_ptrs;
+    model::ModelSolution out;
+    model::WarmStart seed;
+    model::WarmStart warm_out;
   };
 
   /// Admission, under mu_: counts the query, then answers `promise` from the
@@ -194,15 +185,13 @@ class SolverService {
   bool AdmitLocked(const std::string& key,
                    std::promise<model::ModelSolution>* promise);
 
-  /// Solves one block of same-shape fresh queries (one lane each) on the
-  /// calling thread, fills the cache and warm index, and fulfills every
-  /// waiter of every lane's key — with the exception if the solve throws.
+  /// Solves one block of same-shape fresh queries in turn on the calling
+  /// thread. As each query's solve ends it fills the cache and warm index
+  /// and fulfills every waiter of that query's key; if a solve throws, the
+  /// waiters of that query and of the rest of the block get the exception.
   /// Never throws itself.
   void RunBlock(const std::string& shape, std::vector<Fresh> block,
                 const model::SolverOptions& solver);
-
-  std::unique_ptr<Slot> CheckOutSlot(const std::string& pool_key);
-  void ReturnSlot(const std::string& pool_key, std::unique_ptr<Slot> slot);
 
   Options options_;
   std::unique_ptr<exec::ThreadPool> owned_pool_;
@@ -213,8 +202,8 @@ class SolverService {
   std::size_t in_flight_ = 0;
   SolutionCache cache_;
   WarmStartIndex warm_index_;
-  /// Shape key + lane count -> free slots. Checked-out slots are owned by
-  /// the running task; a slot is never shared between concurrent solves.
+  /// Shape key -> free slots. Checked-out slots are owned by the running
+  /// task; a slot is never shared between concurrent solves.
   std::unordered_map<std::string, std::vector<std::unique_ptr<Slot>>> slots_;
   /// Canonical key -> waiters for the solve currently computing that key.
   std::unordered_map<std::string,

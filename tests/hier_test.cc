@@ -17,6 +17,7 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "carat/testbed.h"
@@ -238,26 +239,48 @@ TEST(HierSolver, CouplingStorageIsClassBoundedNotSiteQuadratic) {
   EXPECT_LE(hier_full, flat_full);
 }
 
+// Heap allocations of a second SolveInto of `model` through the arena its
+// first (cold) solve built.
+std::uint64_t WarmSolveAllocs(const CaratModel& model,
+                              const SolverOptions& opts) {
+  SolveArena arena;
+  ModelSolution out;
+  model.SolveInto(opts, &arena, nullptr, &out);  // cold: allocates freely
+  EXPECT_TRUE(out.ok) << out.error;
+  const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+  model.SolveInto(opts, &arena, nullptr, &out);
+  return g_alloc_calls.load(std::memory_order_relaxed) - before;
+}
+
 TEST(HierSolver, WarmArenaSolveIsAllocationFree) {
-  const ModelInput input = NodesInput(workload::MakeMB4, 4, 64);
-  CaratModel model(input);
+  const CaratModel model(NodesInput(workload::MakeMB4, 4, 64));
   SolverOptions opts;
   opts.use_exact_mva = false;
   for (const bool collapse : {true, false}) {
     opts.collapse_site_classes = collapse;
-    SolveArena arena;
-    ModelSolution out;
-    model.SolveInto(opts, &arena, nullptr, &out);  // cold: allocates freely
-    ASSERT_TRUE(out.ok) << out.error;
-    const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
-    model.SolveInto(opts, &arena, nullptr, &out);
-    const std::uint64_t after = g_alloc_calls.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
+    EXPECT_EQ(WarmSolveAllocs(model, opts), 0u)
         << "warm solve allocated (collapse=" << collapse << ")";
   }
 }
 
-// ------------------------------------------------------------- batch lanes --
+TEST(HierSolver, WarmExactArenaSolveIsAllocationFree) {
+  // The paper's workloads under exact MVA: the lattice plan, networks,
+  // workspaces and accelerator buffers of the cold solve are all reused.
+  using Make = workload::WorkloadSpec (*)(int, int);
+  const std::pair<const char*, Make> families[] = {
+      {"lb8", workload::MakeLB8},
+      {"mb4", workload::MakeMB4},
+      {"mb8", workload::MakeMB8},
+      {"ub6", workload::MakeUB6}};
+  for (const auto& [name, make] : families) {
+    for (const int n : {4, 12}) {
+      EXPECT_EQ(WarmSolveAllocs(CaratModel(make(n, 2).ToModelInput()), {}), 0u)
+          << "warm exact solve allocated (" << name << " n=" << n << ")";
+    }
+  }
+}
+
+// ------------------------------------------------------------- batch sweeps --
 
 TEST(HierSolver, BatchCollapsedLanesMatchScalarSolves) {
   // Three lanes of one shape (think time is a value, not part of the shape);
@@ -276,7 +299,7 @@ TEST(HierSolver, BatchCollapsedLanesMatchScalarSolves) {
     inputs.push_back(&lanes[w]);
     out_ptrs.push_back(&outs[w]);
   }
-  BatchSolveArena arena;
+  SolveArena arena;
   CaratModel::SolveBatchInto(inputs.data(), lanes.size(), opts, &arena,
                              nullptr, out_ptrs.data());
   for (std::size_t w = 0; w < lanes.size(); ++w) {

@@ -5,9 +5,12 @@
 // doubles), matching parallel_determinism_test's standard. Warm starting is
 // the one opt-in feature allowed to move results within solver tolerance.
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <future>
+#include <new>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,6 +27,26 @@
 #include "serve/warm_index.h"
 #include "util/random.h"
 #include "workload/spec.h"
+
+// Allocation-failure injection: while g_fail_alloc_bytes is nonzero, every
+// operator-new request of at least that many bytes throws std::bad_alloc.
+namespace {
+std::atomic<std::size_t> g_fail_alloc_bytes{0};
+
+void* Allocate(std::size_t size) {
+  const std::size_t limit = g_fail_alloc_bytes.load(std::memory_order_relaxed);
+  if (limit != 0 && size >= limit) throw std::bad_alloc();
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return Allocate(size); }
+void* operator new[](std::size_t size) { return Allocate(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace carat {
 namespace {
@@ -592,11 +615,11 @@ TEST(SolverService, ClearCacheForcesResolve) {
   EXPECT_EQ(service.stats().solved, 2u);
 }
 
-// ------------------------------------------------- lockstep batch solving ---
+// ---------------------------------------------------------- batch blocks ---
 
 TEST(SolverService, SubmitBatchSolvesLockstepBlocksBitIdentically) {
-  // 11 same-shape queries at lane width 4: two full lockstep blocks plus a
-  // ragged tail of three scalar solves. Every answer must match a direct
+  // 11 same-shape queries at block size 4: two full blocks plus a ragged
+  // tail of three one-query blocks. Every answer must match a direct
   // cold CaratModel::Solve() bit for bit.
   std::vector<model::ModelInput> inputs;
   for (const int n : {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}) {
@@ -610,7 +633,6 @@ TEST(SolverService, SubmitBatchSolvesLockstepBlocksBitIdentically) {
   serve::SolverService::Options opts;
   opts.threads = 2;
   opts.warm_start = false;
-  opts.batch_lane_width = 4;
   serve::SolverService service(std::move(opts));
   std::vector<std::future<model::ModelSolution>> futures =
       service.SubmitBatch(inputs);
@@ -629,7 +651,7 @@ TEST(SolverService, SubmitBatchSolvesLockstepBlocksBitIdentically) {
 
 TEST(SolverService, SubmitBatchGroupsByShapeAndNeverMixesBlocks) {
   // Interleaved mb4 / lb8 queries: the groups are cut per shape, so each
-  // family forms its own block (4 lanes) plus its own tail (2 scalars).
+  // family forms its own block (4 queries) plus its own tail (2 singles).
   std::vector<model::ModelInput> inputs;
   for (const int n : {2, 4, 6, 8, 10, 12}) {
     inputs.push_back(workload::MakeMB4(n).ToModelInput());
@@ -643,7 +665,6 @@ TEST(SolverService, SubmitBatchGroupsByShapeAndNeverMixesBlocks) {
   serve::SolverService::Options opts;
   opts.threads = 3;
   opts.warm_start = false;
-  opts.batch_lane_width = 4;
   serve::SolverService service(std::move(opts));
   const std::vector<model::ModelSolution> got = service.SolveBatch(inputs);
   ASSERT_EQ(got.size(), inputs.size());
@@ -661,7 +682,6 @@ TEST(SolverService, SubmitBatchCoalescesDuplicatesAndUsesTheCache) {
   serve::SolverService::Options opts;
   opts.threads = 2;
   opts.warm_start = false;
-  opts.batch_lane_width = 4;
   serve::SolverService service(std::move(opts));
 
   const model::ModelInput a = workload::MakeMB4(4).ToModelInput();
@@ -686,36 +706,13 @@ TEST(SolverService, SubmitBatchCoalescesDuplicatesAndUsesTheCache) {
   EXPECT_EQ(service.stats().solved, 2u);
 }
 
-TEST(SolverService, BatchLaneWidthZeroDisablesLockstepBatching) {
-  std::vector<model::ModelInput> inputs;
-  for (const int n : {2, 4, 6, 8}) {
-    inputs.push_back(workload::MakeMB4(n).ToModelInput());
-  }
-  serve::SolverService::Options opts;
-  opts.threads = 2;
-  opts.warm_start = false;
-  opts.batch_lane_width = 0;
-  serve::SolverService service(std::move(opts));
-  const std::vector<model::ModelSolution> got = service.SolveBatch(inputs);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE(i);
-    ExpectIdentical(got[i], model::CaratModel(inputs[i]).Solve());
-  }
-  const serve::ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.solved, 4u);
-  EXPECT_EQ(stats.batched, 0u);
-  EXPECT_EQ(stats.batch_blocks, 0u);
-  EXPECT_EQ(stats.batch_scalar_tail, 0u);
-}
-
 TEST(SolverService, WarmStartedBatchBlocksReachTheSameFixedPoint) {
-  // With warm starting on, a second nearby sweep seeds its lanes from the
+  // With warm starting on, a second nearby sweep seeds its queries from the
   // first sweep's converged states: same fixed point within tolerance, and
   // the warm_started counter proves the seeds were used.
   serve::SolverService::Options opts;
   opts.threads = 2;
   opts.warm_start = true;
-  opts.batch_lane_width = 4;
   serve::SolverService service(std::move(opts));
 
   std::vector<model::ModelInput> first, second;
@@ -745,12 +742,11 @@ TEST(SolverService, InvalidInputInsideABatchBlockFailsOnlyItsLane) {
     inputs.push_back(workload::MakeMB4(n).ToModelInput());
   }
   // A negative request count fails validation but keeps the chain-presence
-  // pattern, so the lane genuinely rides inside the lockstep block.
+  // pattern, so the query genuinely rides inside a 4-query block.
   inputs[2].sites[0].classes[0].local_requests = -1;
   serve::SolverService::Options opts;
   opts.threads = 2;
   opts.warm_start = false;
-  opts.batch_lane_width = 4;
   serve::SolverService service(std::move(opts));
   const std::vector<model::ModelSolution> got = service.SolveBatch(inputs);
   EXPECT_FALSE(got[2].ok);
@@ -760,6 +756,48 @@ TEST(SolverService, InvalidInputInsideABatchBlockFailsOnlyItsLane) {
     SCOPED_TRACE(i);
     ExpectIdentical(got[i], model::CaratModel(inputs[i]).Solve());
   }
+}
+
+TEST(SolverService, ThrowingSolveFailsOnlyItsOwnAndLaterQueriesOfABlock) {
+  // Four same-shape queries, one block. The third has a 7^6-state exact
+  // lattice, whose multi-megabyte buffers are the only allocations of the
+  // block at or above 1 MB, so failing those makes exactly the third solve
+  // throw. The first two were published as their own solves ended; the
+  // third and fourth get the exception, and nothing stays in flight.
+  std::vector<model::ModelInput> inputs;
+  for (const workload::NodeMix& mix :
+       {workload::NodeMix{1, 1, 1, 1}, workload::NodeMix{2, 1, 1, 1},
+        workload::NodeMix{6, 6, 6, 6}, workload::NodeMix{1, 2, 1, 1}}) {
+    workload::WorkloadSpec wl = workload::MakeMB4(8);
+    for (workload::NodeMix& node : wl.nodes) node = mix;
+    inputs.push_back(wl.ToModelInput());
+  }
+  serve::SolverService::Options opts;
+  opts.threads = 1;
+  opts.warm_start = false;
+  serve::SolverService service(std::move(opts));
+
+  g_fail_alloc_bytes = std::size_t{1} << 20;
+  std::vector<std::future<model::ModelSolution>> futures =
+      service.SubmitBatch(inputs);
+  service.Drain();
+  g_fail_alloc_bytes = 0;
+
+  for (std::size_t i : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE(i);
+    ExpectIdentical(futures[i].get(), model::CaratModel(inputs[i]).Solve());
+  }
+  EXPECT_THROW(futures[2].get(), std::bad_alloc);
+  EXPECT_THROW(futures[3].get(), std::bad_alloc);
+  EXPECT_EQ(service.stats().solved, 2u);
+  EXPECT_EQ(service.stats().batch_blocks, 1u);
+
+  // The failed keys left the pending map: re-submitting solves them afresh.
+  const std::vector<model::ModelSolution> retry =
+      service.SolveBatch({inputs[2], inputs[3]});
+  ExpectIdentical(retry[0], model::CaratModel(inputs[2]).Solve());
+  ExpectIdentical(retry[1], model::CaratModel(inputs[3]).Solve());
+  EXPECT_EQ(service.stats().solved, 4u);
 }
 
 TEST(SolverService, SubmitBatchMatchesSubmitOnRandomMixedShapes) {
@@ -779,7 +817,6 @@ TEST(SolverService, SubmitBatchMatchesSubmitOnRandomMixedShapes) {
   batch_opts.threads = 2;
   batch_opts.use_cache = false;
   batch_opts.warm_start = false;
-  batch_opts.batch_lane_width = 4;
   serve::SolverService batch_service(std::move(batch_opts));
   std::vector<std::future<model::ModelSolution>> futures =
       batch_service.SubmitBatch(inputs);

@@ -15,9 +15,9 @@
 // with source in {model, testbed}.
 //
 // The model side of the sweep runs as one batch through serve::SolverService
-// (same-shape sweep points solved in lockstep blocks at the service's default
-// lane width, bit-identical per point to one-at-a-time solves; arena reuse;
-// duplicate sizes answered from the solution cache); the testbed side fans
+// (same-shape sweep points solved in blocks of four on reused arenas,
+// bit-identical per point to one-at-a-time solves; duplicate sizes answered
+// from the solution cache); the testbed side fans
 // out over the same worker pool. --jobs N uses N workers (omitted: one per
 // hardware thread; N must be >= 1). Every point is independently seeded and
 // rows are emitted in sweep order, so the CSV is byte-identical for any N.
