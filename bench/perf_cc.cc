@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
   tiers[0].opts.seed = 5;
   tiers[0].opts.warmup_ms = 20'000;
   tiers[0].opts.measure_ms = paper_measure_ms;
-  tiers[0].opts.shards = 0;  // hardware
 
   tiers[1].name = "contended";
   tiers[1].spec = workload::MakeMB8(8, 4);
@@ -116,7 +115,6 @@ int main(int argc, char** argv) {
   tiers[1].opts.seed = 3;
   tiers[1].opts.warmup_ms = 10'000;
   tiers[1].opts.measure_ms = contended_measure_ms;
-  tiers[1].opts.shards = 0;  // hardware
 
   bool ok = true;
   RunStats stats[2][cc::kNumBackends];

@@ -1,13 +1,14 @@
-// Testbed kernel perf trajectory: events/s of the sharded event kernel at
-// shards = 1 (serial reference) versus shards = hardware on the local-only
-// 4-node LB8 workload, the one kind of run whose shards run free on their
-// own threads (a distributed run is serial at any shard request). One run
-// takes about a hundred milliseconds, so the times are medians of
-// interleaved serial/sharded pairs. The byte-identity invariant is enforced
-// on every run — a speedup that changes results would be a bug, not a win.
+// Testbed perf trajectory: events/s of one testbed run on the calling
+// thread, and the fan-out that parallelizes testbeds -- independent runs
+// over exec::ParallelFor, as bench::RunSweep does for every figure and
+// table. The input is the local-only 4-node LB8 workload at K = 8 seeds.
+// One run takes about a hundred milliseconds, so the times are medians of
+// interleaved serial/pooled passes. Every pooled run's fingerprint must
+// equal its serial twin's on every host: a run's result may not depend on
+// the thread it ran on or on what ran beside it.
 //
 // Results land in BENCH_testbed.json (cwd) so successive changes can track
-// the trajectory. The >= 1.5x speedup gate only arms on hosts with at least
+// the trajectory. The >= 1.5x fan-out gate only arms on hosts with at least
 // 4 hardware threads; determinism is enforced everywhere.
 
 #include <algorithm>
@@ -20,39 +21,46 @@
 #include <vector>
 
 #include "carat/testbed.h"
+#include "exec/thread_pool.h"
 #include "workload/spec.h"
 
 namespace {
 
-struct RunStats {
+constexpr int kSeeds = 8;
+
+struct Pass {
   double wall_ms = 0.0;
   std::uint64_t events = 0;
-  std::string fingerprint;
-  bool ok = false;
+  std::vector<std::string> fingerprints;
+  bool ok = true;
 };
 
-RunStats RunOnce(const carat::model::ModelInput& input, int shards,
-                 double measure_ms) {
-  carat::TestbedOptions opts;
-  opts.seed = 5;
-  opts.warmup_ms = 20'000;
-  opts.measure_ms = measure_ms;
-  opts.shards = shards;
+// Runs seeds 1..kSeeds, on the calling thread when `pool` is null, else
+// fanned out over `pool`.
+Pass RunPass(const carat::model::ModelInput& input, double measure_ms,
+             carat::exec::ThreadPool* pool) {
+  std::vector<carat::TestbedResult> results(kSeeds);
   const auto start = std::chrono::steady_clock::now();
-  const carat::TestbedResult result = carat::RunTestbed(input, opts);
+  carat::exec::ParallelFor(pool, 0, kSeeds, [&](std::size_t i) {
+    carat::TestbedOptions opts;
+    opts.seed = i + 1;
+    opts.warmup_ms = 20'000;
+    opts.measure_ms = measure_ms;
+    results[i] = carat::RunTestbed(input, opts);
+  });
   const auto stop = std::chrono::steady_clock::now();
-  RunStats stats;
-  stats.ok = result.ok && result.database_consistent;
-  if (!result.ok) {
-    std::fprintf(stderr, "FAIL: shards=%d: %s\n", shards,
-                 result.error.c_str());
-    return stats;
-  }
-  stats.wall_ms =
+  Pass pass;
+  pass.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
-  stats.events = result.events;
-  stats.fingerprint = carat::TestbedResultFingerprint(result);
-  return stats;
+  for (const carat::TestbedResult& r : results) {
+    if (!r.ok || !r.database_consistent) {
+      std::fprintf(stderr, "FAIL: testbed run: %s\n", r.error.c_str());
+      pass.ok = false;
+    }
+    pass.events += r.events;
+    pass.fingerprints.push_back(carat::TestbedResultFingerprint(r));
+  }
+  return pass;
 }
 
 }  // namespace
@@ -72,39 +80,39 @@ int main(int argc, char** argv) {
   }
 
   const unsigned hw = std::thread::hardware_concurrency();
+  carat::exec::ThreadPool pool;  // sized to the hardware
   const carat::model::ModelInput input =
       carat::workload::MakeLB8(8, 4).ToModelInput();
 
   constexpr int kReps = 5;
-  std::vector<double> serial_ms, sharded_ms, ratios;
-  RunStats serial, sharded;
+  std::vector<double> serial_ms, pooled_ms, ratios;
+  Pass serial, pooled;
   bool identical = true;
   for (int rep = 0; rep < kReps; ++rep) {
-    serial = RunOnce(input, /*shards=*/1, measure_ms);
-    sharded = RunOnce(input, /*shards=*/0, measure_ms);
-    if (!serial.ok || !sharded.ok) return 1;
-    identical = identical && serial.fingerprint == sharded.fingerprint;
+    serial = RunPass(input, measure_ms, nullptr);
+    pooled = RunPass(input, measure_ms, &pool);
+    if (!serial.ok || !pooled.ok) return 1;
+    identical = identical && serial.fingerprints == pooled.fingerprints;
     serial_ms.push_back(serial.wall_ms);
-    sharded_ms.push_back(sharded.wall_ms);
-    ratios.push_back(sharded.wall_ms > 0.0 ? serial.wall_ms / sharded.wall_ms
-                                           : 0.0);
+    pooled_ms.push_back(pooled.wall_ms);
+    ratios.push_back(pooled.wall_ms > 0.0 ? serial.wall_ms / pooled.wall_ms
+                                          : 0.0);
   }
   const auto median = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());
     return v[v.size() / 2];
   };
-  const auto events_per_s = [](const RunStats& run, double wall_ms) {
-    return wall_ms > 0.0 ? 1000.0 * run.events / wall_ms : 0.0;
+  const auto events_per_s = [](const Pass& pass, double wall_ms) {
+    return wall_ms > 0.0 ? 1000.0 * pass.events / wall_ms : 0.0;
   };
   const double serial_wall_ms = median(serial_ms);
-  const double sharded_wall_ms = median(sharded_ms);
+  const double pooled_wall_ms = median(pooled_ms);
   const double serial_rate = events_per_s(serial, serial_wall_ms);
-  const double sharded_rate = events_per_s(sharded, sharded_wall_ms);
+  const double pooled_rate = events_per_s(pooled, pooled_wall_ms);
 
   bool ok = true;
   if (!identical) {
-    std::fprintf(stderr,
-                 "FAIL: shards=hw result diverged from the serial run\n");
+    std::fprintf(stderr, "FAIL: a pooled run diverged from its serial twin\n");
     ok = false;
   }
   const double speedup = median(ratios);
@@ -125,16 +133,17 @@ int main(int argc, char** argv) {
                "  \"bench\": \"perf_testbed\",\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"workload\": \"lb8 n=8 nodes=4\",\n"
+               "  \"seeds\": %d,\n"
                "  \"measure_ms\": %.0f,\n"
                "  \"reps\": %d,\n"
                "  \"serial\": {\n"
-               "    \"shards\": 1,\n"
+               "    \"threads\": 1,\n"
                "    \"events\": %llu,\n"
                "    \"wall_ms\": %.3f,\n"
                "    \"events_per_s\": %.1f\n"
                "  },\n"
-               "  \"sharded\": {\n"
-               "    \"shards\": \"hardware\",\n"
+               "  \"pooled\": {\n"
+               "    \"threads\": %zu,\n"
                "    \"events\": %llu,\n"
                "    \"wall_ms\": %.3f,\n"
                "    \"events_per_s\": %.1f\n"
@@ -143,21 +152,22 @@ int main(int argc, char** argv) {
                "  \"speedup_gate_armed\": %s,\n"
                "  \"byte_identical\": %s\n"
                "}\n",
-               hw, measure_ms, kReps,
+               hw, kSeeds, measure_ms, kReps,
                static_cast<unsigned long long>(serial.events), serial_wall_ms,
-               serial_rate, static_cast<unsigned long long>(sharded.events),
-               sharded_wall_ms, sharded_rate, speedup,
-               gate_armed ? "true" : "false", identical ? "true" : "false");
+               serial_rate, pool.size(),
+               static_cast<unsigned long long>(pooled.events), pooled_wall_ms,
+               pooled_rate, speedup, gate_armed ? "true" : "false",
+               identical ? "true" : "false");
   std::fclose(f);
 
-  std::printf("median of %d interleaved pairs\n", kReps);
-  std::printf("serial:  %llu events in %.1f ms (%.0f events/s)\n",
+  std::printf("%d seeds, median of %d interleaved passes\n", kSeeds, kReps);
+  std::printf("serial: %llu events in %.1f ms (%.0f events/s)\n",
               static_cast<unsigned long long>(serial.events), serial_wall_ms,
               serial_rate);
-  std::printf("sharded: %llu events in %.1f ms (%.0f events/s, %.2fx, "
-              "hw=%u)\n",
-              static_cast<unsigned long long>(sharded.events),
-              sharded_wall_ms, sharded_rate, speedup, hw);
+  std::printf("pooled: %llu events in %.1f ms (%.0f events/s, %.2fx, "
+              "%zu threads, hw=%u)\n",
+              static_cast<unsigned long long>(pooled.events), pooled_wall_ms,
+              pooled_rate, speedup, pool.size(), hw);
   std::printf("byte-identical: %s\n", identical ? "yes" : "NO");
   return ok ? 0 : 1;
 }

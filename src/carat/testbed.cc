@@ -1,10 +1,8 @@
 #include "carat/testbed.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "lock/lock_manager_set.h"
@@ -20,36 +18,9 @@ namespace carat {
 
 namespace {
 
-using model::ClassParams;
 using model::TxnType;
 using txn::Node;
 using txn::RequestSpec;
-
-// True when some class actually ships requests to other sites; only then can
-// any event cross a site boundary (REMDO/2PC/abort messages and the global
-// probes that chase distributed wait chains).
-bool IsDistributed(const model::ModelInput& input) {
-  for (const model::SiteParams& site : input.sites) {
-    for (TxnType t :
-         {TxnType::kLRO, TxnType::kLU, TxnType::kDROC, TxnType::kDUC}) {
-      const ClassParams& c = site.Class(t);
-      if (c.population > 0 && c.remote_requests > 0) return true;
-    }
-  }
-  return false;
-}
-
-// Shard count actually used for the run. Shards never exchange events, so a
-// workload that sends any cross-site message runs on one thread.
-int PlannedShards(const model::ModelInput& input, int requested) {
-  if (IsDistributed(input)) return 1;
-  int shards = requested;
-  if (shards <= 0) {
-    shards = static_cast<int>(std::thread::hardware_concurrency());
-    if (shards <= 0) shards = 1;
-  }
-  return std::clamp(shards, 1, static_cast<int>(input.sites.size()));
-}
 
 // The in-process runtime: every site's txn::SiteProtocol in one virtual-time
 // kernel. A leg or a probe changes site only through network hops, and a
@@ -59,8 +30,7 @@ class Testbed final : public txn::Runtime {
   Testbed(const model::ModelInput& input, const TestbedOptions& options)
       : input_(input),
         options_(options),
-        kernel_(static_cast<int>(input.sites.size()),
-                PlannedShards(input, options.shards)),
+        kernel_(static_cast<int>(input.sites.size())),
         network_(kernel_, input.comm_delay_ms),
         locks_(kernel_),
         root_rng_(options.seed) {
@@ -249,13 +219,12 @@ class Testbed final : public txn::Runtime {
 
   const model::ModelInput& input_;
   TestbedOptions options_;
-  sim::ShardedKernel kernel_;
+  sim::Kernel kernel_;
   net::Network network_;
   lock::LockManagerSet locks_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<txn::SiteProtocol>> sites_;
-  // Committed update counts: [node][record]. A multi-shard run is local
-  // only, so a node's counts are written only from its own shard.
+  // Committed update counts: [node][record].
   std::vector<std::vector<std::uint32_t>> shadow_;
   std::vector<std::unique_ptr<txn::UserDriver>> drivers_;
   util::Rng root_rng_;
@@ -337,6 +306,10 @@ TestbedResult RunTestbed(const model::ModelInput& input,
                          const TestbedOptions& options) {
   TestbedResult failure;
   if (!input.Validate(&failure.error)) return failure;
+  if (options.shards != 1) {
+    failure.error = "TestbedOptions::shards must be 1 (a run has one thread)";
+    return failure;
+  }
   Testbed testbed(input, options);
   return testbed.Run();
 }

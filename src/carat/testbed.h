@@ -33,11 +33,9 @@ struct TestbedOptions {
   /// Simulated measurement window (ms).
   double measure_ms = 1'000'000;
 
-  /// Event shards (threads) for a local-only workload: 1 = serial (default),
-  /// 0 = hardware concurrency, clamped to the site count. Each shard runs
-  /// its sites free to the end of the run. A distributed workload (any class
-  /// with remote requests) accepts any value and runs serially. Results are
-  /// byte-identical at any value for the same seed.
+  /// Not a setting: a run has one thread, and RunTestbed refuses any value
+  /// but 1. Kept only because existing callers assign 1; parallelism lives
+  /// across independent runs (bench::RunSweep).
   int shards = 1;
 
   lock::VictimPolicy victim_policy = lock::VictimPolicy::kRequester;
@@ -106,7 +104,7 @@ TestbedResult RunTestbed(const model::ModelInput& input,
 
 /// Bit-exact textual digest of every field of `result` (doubles rendered as
 /// hex bit patterns). Two results are byte-identical iff their fingerprints
-/// compare equal; used to enforce the shards=1 vs shards=N invariant.
+/// compare equal; used to pin results across runs, builds and threads.
 std::string TestbedResultFingerprint(const TestbedResult& result);
 
 }  // namespace carat

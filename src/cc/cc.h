@@ -24,8 +24,8 @@
 //             resource order makes deadlock impossible; conflicts appear
 //             only as queueing delay at the granule partitions.
 //
-// Every backend preserves the sharded kernel's byte-determinism contract:
-// results are bit-identical at any shard count for a fixed seed.
+// Every backend preserves the kernel's byte-determinism contract: results
+// are bit-identical for a fixed seed, whatever thread runs the run.
 
 #ifndef CARAT_CC_CC_H_
 #define CARAT_CC_CC_H_

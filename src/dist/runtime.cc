@@ -8,7 +8,7 @@
 namespace carat::dist {
 
 RtSiteLoop::RtSiteLoop(double scale)
-    : clock_(scale), kernel_(/*num_sites=*/1, /*num_shards=*/1) {}
+    : clock_(scale), kernel_(/*num_sites=*/1) {}
 
 void RtSiteLoop::Arrive(sim::SmallFn fn) {
   if (stopped_) return;

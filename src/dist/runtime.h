@@ -2,7 +2,7 @@
 //
 // The in-process testbed (carat/testbed.h) runs every site on a virtual-time
 // event kernel. A carat_sited process runs its one site on the same kernel,
-// driven by the wall clock: RtSiteLoop owns a one-site sim::ShardedKernel
+// driven by the wall clock: RtSiteLoop owns a one-site sim::Kernel
 // and an RtClock (`scale` real milliseconds per virtual millisecond). Run
 // executes, on the calling thread, every event whose virtual time has come,
 // then sleeps in the process's rpc::ConnectionSet (epoll) until the next
@@ -96,7 +96,7 @@ class RtSiteLoop {
 
  private:
   RtClock clock_;
-  sim::ShardedKernel kernel_;
+  sim::Kernel kernel_;
   bool stopped_ = false;
 };
 

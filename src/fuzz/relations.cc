@@ -581,34 +581,6 @@ bool CheckGranuleInvariance(const Scenario& s, const CheckOptions& opts,
   return true;
 }
 
-// --- rule: sharded testbed vs serial ---------------------------------------
-
-bool CheckShardIdentity(const Scenario& s, const CheckOptions& opts,
-                        std::string* detail, bool* applicable) {
-  (void)opts;
-  if (s.input.sites.size() < 2) return true;  // shards clamp to site count
-  *applicable = true;
-  carat::TestbedOptions serial;
-  serial.seed = s.testbed_seed;
-  serial.warmup_ms = s.warmup_ms;
-  serial.measure_ms = s.measure_ms;
-  serial.shards = 1;
-  carat::TestbedOptions sharded = serial;
-  sharded.shards = static_cast<int>(s.input.sites.size());
-  const carat::TestbedResult a = RunTestbed(s.input, serial);
-  const carat::TestbedResult b = RunTestbed(s.input, sharded);
-  if (!a.ok || !b.ok) {
-    *detail = "testbed failed: " + a.error + b.error;
-    return false;
-  }
-  if (TestbedResultFingerprint(a) != TestbedResultFingerprint(b)) {
-    *detail = "shards=" + std::to_string(sharded.shards) +
-              " fingerprint differs from serial";
-    return false;
-  }
-  return true;
-}
-
 // --- rule: serving stack vs bare solver ------------------------------------
 
 bool CheckServeIdentity(const Scenario& s, const CheckOptions& opts,
@@ -988,42 +960,6 @@ bool CheckBackendDominance(const Scenario& s, const CheckOptions& opts,
   return true;
 }
 
-// --- rule: non-2PL sharded testbed vs serial -------------------------------
-
-bool CheckBackendShardIdentity(const Scenario& s, const CheckOptions& opts,
-                               std::string* detail, bool* applicable) {
-  (void)opts;
-  if (s.input.sites.size() < 2) return true;  // shards clamp to site count
-  // One non-2PL backend per scenario, drawn from the seed (deterministic);
-  // kShardIdentity already covers the scenario's own backend.
-  const cc::BackendKind kind =
-      cc::kAllBackends[1 + s.testbed_seed % (cc::kNumBackends - 1)];
-  if (kind == s.input.cc_backend) return true;
-  *applicable = true;
-  ModelInput variant = s.input;
-  variant.cc_backend = kind;
-  carat::TestbedOptions serial;
-  serial.seed = s.testbed_seed;
-  serial.warmup_ms = s.warmup_ms;
-  serial.measure_ms = s.measure_ms;
-  serial.shards = 1;
-  carat::TestbedOptions sharded = serial;
-  sharded.shards = static_cast<int>(s.input.sites.size());
-  const carat::TestbedResult a = RunTestbed(variant, serial);
-  const carat::TestbedResult b = RunTestbed(variant, sharded);
-  if (!a.ok || !b.ok) {
-    *detail = "testbed failed: " + a.error + b.error;
-    return false;
-  }
-  if (TestbedResultFingerprint(a) != TestbedResultFingerprint(b)) {
-    *detail = std::string(cc::Name(kind)) + " shards=" +
-              std::to_string(sharded.shards) +
-              " fingerprint differs from serial";
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 const char* RuleName(Rule r) {
@@ -1034,21 +970,18 @@ const char* RuleName(Rule r) {
     case Rule::kModelDemandScaling: return "model-demand-scaling";
     case Rule::kLockMassScaling: return "lock-mass-scaling";
     case Rule::kGranuleInvariance: return "granule-invariance";
-    case Rule::kShardIdentity: return "shard-identity";
     case Rule::kServeIdentity: return "serve-identity";
     case Rule::kExactVsSchweitzer: return "exact-vs-schweitzer";
     case Rule::kModelVsTestbed: return "model-vs-testbed";
     case Rule::kClassReplication: return "class-replication";
     case Rule::kBackendAgreement: return "backend-agreement";
     case Rule::kBackendDominance: return "backend-dominance";
-    case Rule::kBackendShardIdentity: return "backend-shard-identity";
   }
   return "?";
 }
 
 bool RuleNeedsTestbed(Rule r) {
-  return r == Rule::kShardIdentity || r == Rule::kModelVsTestbed ||
-         r == Rule::kBackendDominance || r == Rule::kBackendShardIdentity;
+  return r == Rule::kModelVsTestbed || r == Rule::kBackendDominance;
 }
 
 void CheckStats::Merge(const CheckStats& other) {
@@ -1081,8 +1014,6 @@ bool CheckRule(const Scenario& s, Rule rule, const CheckOptions& opts,
       return CheckLockMassScaling(s, opts, detail, applicable);
     case Rule::kGranuleInvariance:
       return CheckGranuleInvariance(s, opts, detail, applicable);
-    case Rule::kShardIdentity:
-      return CheckShardIdentity(s, opts, detail, applicable);
     case Rule::kServeIdentity:
       return CheckServeIdentity(s, opts, detail, applicable);
     case Rule::kExactVsSchweitzer:
@@ -1095,8 +1026,6 @@ bool CheckRule(const Scenario& s, Rule rule, const CheckOptions& opts,
       return CheckBackendAgreement(s, opts, detail, applicable);
     case Rule::kBackendDominance:
       return CheckBackendDominance(s, opts, detail, applicable);
-    case Rule::kBackendShardIdentity:
-      return CheckBackendShardIdentity(s, opts, detail, applicable);
   }
   return true;
 }

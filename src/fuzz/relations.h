@@ -6,7 +6,7 @@
 // stated next to its enum value and falls into four policy classes:
 //
 //   A  bit-exact        alternate code paths contracted to byte identity
-//                       (shards, serving, pow-of-two scaling)
+//                       (serving, pow-of-two scaling, class replication)
 //   B  analytic FP      same math, different rounding order (permutation,
 //                       chain split); tight relative tolerances
 //   C  approximation    exact MVA vs Schweitzer-Bard; wide documented bound
@@ -53,9 +53,6 @@ enum class Rule : int {
   /// excluded because the hot region is a granule-count-dependent number
   /// of blocks.)
   kGranuleInvariance,
-  /// A: the sharded testbed kernel is byte-identical to serial at any shard
-  /// count.
-  kShardIdentity,
   /// A: SolverService with cache and warm starts off returns byte-identical
   /// solutions to bare CaratModel::Solve, through Submit and SubmitBatch.
   kServeIdentity,
@@ -78,20 +75,14 @@ enum class Rule : int {
   /// as many transactions as 2PL when 2PL is thrashing (more deadlock
   /// victims than commits).
   kBackendDominance,
-  /// A: the sharded testbed kernel is byte-identical to serial for a
-  /// non-2PL backend variant of the scenario (the backend is drawn from the
-  /// testbed seed; kShardIdentity covers the scenario's own backend).
-  kBackendShardIdentity,
 };
 
-inline constexpr int kNumRules = 14;
+inline constexpr int kNumRules = 12;
 inline constexpr std::array<Rule, kNumRules> kAllRules = {
     Rule::kSitePermutation, Rule::kChainSplit,       Rule::kQnDemandScaling,
     Rule::kModelDemandScaling, Rule::kLockMassScaling, Rule::kGranuleInvariance,
-    Rule::kShardIdentity,  Rule::kServeIdentity,
-    Rule::kExactVsSchweitzer, Rule::kModelVsTestbed, Rule::kClassReplication,
-    Rule::kBackendAgreement, Rule::kBackendDominance,
-    Rule::kBackendShardIdentity,
+    Rule::kServeIdentity, Rule::kExactVsSchweitzer, Rule::kModelVsTestbed,
+    Rule::kClassReplication, Rule::kBackendAgreement, Rule::kBackendDominance,
 };
 
 const char* RuleName(Rule r);
@@ -101,8 +92,8 @@ const char* RuleName(Rule r);
 bool RuleNeedsTestbed(Rule r);
 
 struct CheckOptions {
-  /// Evaluate the testbed-backed rules (kShardIdentity, kModelVsTestbed and
-  /// the testbed half of kGranuleInvariance).
+  /// Evaluate the testbed-backed rules (kModelVsTestbed, kBackendDominance
+  /// and the testbed half of kGranuleInvariance).
   bool with_testbed = false;
   /// Evaluate kServeIdentity (spins up a SolverService with worker threads).
   bool with_serve = true;

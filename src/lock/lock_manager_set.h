@@ -1,11 +1,10 @@
 // Per-site lock managers behind one facade.
 //
-// CARAT keeps a lock table per site; the sharded kernel makes that structural:
-// each site's LockManager lives on that site's timeline and is only touched by
-// events executing there, so the free-running shards of a local-only run
-// never contend on lock state. Global deadlocks (cycles spanning sites) are
-// the distributed detector's job (txn::GlobalDeadlockDetector), whose probes
-// travel between sites as network messages.
+// CARAT keeps a lock table per site; the kernel's per-site timelines make that
+// structural: each site's LockManager lives on that site's timeline and is
+// only touched by events executing there. Global deadlocks (cycles spanning
+// sites) are the distributed detector's job (txn::GlobalDeadlockDetector),
+// whose probes travel between sites as network messages.
 
 #ifndef CARAT_LOCK_LOCK_MANAGER_SET_H_
 #define CARAT_LOCK_LOCK_MANAGER_SET_H_
@@ -22,7 +21,7 @@ namespace carat::lock {
 class LockManagerSet {
  public:
   /// One LockManager per site of `kernel`, each on its own site's timeline.
-  explicit LockManagerSet(sim::ShardedKernel& kernel);
+  explicit LockManagerSet(sim::Kernel& kernel);
   LockManagerSet(const LockManagerSet&) = delete;
   LockManagerSet& operator=(const LockManagerSet&) = delete;
 

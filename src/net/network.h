@@ -9,9 +9,8 @@
 // A hop is also the only way a process changes site: the awaiter always
 // suspends and re-schedules the coroutine on the destination site's
 // timeline, so the resumed code runs on (and may touch the state of) the
-// destination site. Changing site is legal only in a one-shard kernel
-// (sim/simulation.h), so every run that sends a message is single-threaded
-// and one counter serves.
+// destination site. A run's kernel drains on one thread (sim/simulation.h),
+// so one counter serves every site.
 
 #ifndef CARAT_NET_NETWORK_H_
 #define CARAT_NET_NETWORK_H_
@@ -27,7 +26,7 @@ namespace carat::net {
 /// Message-hop accounting and delay.
 class Network {
  public:
-  Network(sim::ShardedKernel& kernel, double one_way_delay_ms)
+  Network(sim::Kernel& kernel, double one_way_delay_ms)
       : kernel_(kernel), delay_ms_(one_way_delay_ms) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -66,7 +65,7 @@ class Network {
   void ResetStats() { sent_ = 0; }
 
  private:
-  sim::ShardedKernel& kernel_;
+  sim::Kernel& kernel_;
   double delay_ms_;
   std::uint64_t sent_ = 0;
 };

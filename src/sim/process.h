@@ -7,9 +7,10 @@
 // A process that is still suspended when its run ends would never finish, so
 // every frame registers with the kernel it was spawned on: the kernel
 // executing the current event on this thread, else the most recently
-// constructed kernel still alive on this thread. ShardedKernel destroys the
-// frames still registered at teardown (ShardedKernel::DestroyProcesses). A
-// Process spawned on a thread with no live kernel is not tracked.
+// constructed kernel still alive on this thread. The kernel destroys the
+// frames still registered at teardown (Kernel::DestroyProcesses). A Process
+// spawned on a thread with no live kernel is not tracked. Frames attach and
+// detach only on the kernel's thread, so the list needs no lock.
 
 #ifndef CARAT_SIM_PROCESS_H_
 #define CARAT_SIM_PROCESS_H_
@@ -19,7 +20,7 @@
 
 namespace carat::sim {
 
-class ShardedKernel;
+class Kernel;
 
 namespace internal {
 
@@ -27,7 +28,7 @@ namespace internal {
 struct ProcessLink {
   ProcessLink* prev = nullptr;
   ProcessLink* next = nullptr;
-  ShardedKernel* kernel = nullptr;
+  Kernel* kernel = nullptr;
   std::coroutine_handle<> frame;
 };
 

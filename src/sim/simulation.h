@@ -1,18 +1,17 @@
-// Discrete-event simulation kernel, sharded by site.
+// Discrete-event simulation kernel with one timeline per site.
 //
 // The testbed processes (user TRs, TM servers, DM servers, the commit and
-// deadlock machinery) are C++20 coroutines driven by event heaps. Events are
-// arbitrary callbacks, so resources and channels can chain work (complete one
-// service, start the next) without helper coroutines. Time is in
-// milliseconds, matching the model.
+// deadlock machinery) are C++20 coroutines driven by an event heap. Events
+// are arbitrary callbacks, so resources and channels can chain work
+// (complete one service, start the next) without helper coroutines. Time is
+// in milliseconds, matching the model.
 //
-// The kernel owns one timeline per CARAT *site* and runs sites on
-// `num_shards` OS threads (site -> shard is `site % num_shards`). Shards run
-// free: each thread drains its own heap to `until` and never exchanges
-// an event with another, so only a one-shard kernel may schedule across
-// sites from inside an event (asserted). Delivery order on a heap is the
-// (time, origin site, origin seq) key, never heap insertion order, so the
-// per-site event sequences are byte-identical at any shard count.
+// The kernel owns one timeline per CARAT *site*: each site has its own
+// clock, sequence counter and executed-event count, and an event names the
+// site it runs on. All sites share one heap, drained on the thread that
+// calls RunUntil. Delivery order is the (time, origin site, origin seq)
+// key, never heap insertion order. Parallelism lives across independent
+// runs (bench::RunSweep), not inside one.
 
 #ifndef CARAT_SIM_SIMULATION_H_
 #define CARAT_SIM_SIMULATION_H_
@@ -20,7 +19,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/event.h"
@@ -28,25 +26,22 @@
 
 namespace carat::sim {
 
-class ShardedKernel {
+class Kernel {
  public:
-  /// `num_shards` (1..num_sites) threads run the sites' timelines.
-  ShardedKernel(int num_sites, int num_shards);
-  ShardedKernel(const ShardedKernel&) = delete;
-  ShardedKernel& operator=(const ShardedKernel&) = delete;
-  ~ShardedKernel();
+  explicit Kernel(int num_sites);
+  Kernel(const Kernel&) = delete;
+  Kernel& operator=(const Kernel&) = delete;
+  ~Kernel();
 
   int num_sites() const { return num_sites_; }
-  int num_shards() const { return num_shards_; }
 
-  /// Current simulated time (ms) on `site`'s timeline. Site clocks advance
-  /// independently during a run and are aligned to `until` afterwards.
+  /// Current simulated time (ms) on `site`'s timeline. A site's clock is the
+  /// time of the last event it ran, aligned to `until` after RunUntil.
   double now(int site) const { return per_site_[site].clock; }
 
   /// Schedules `fn` on `site`'s timeline after `delay` ms (>= 0, non-NaN;
   /// enforced). When called from inside an event, the sending site's clock
-  /// and sequence counter stamp the event; a send to another site needs a
-  /// one-shard kernel (enforced).
+  /// and sequence counter stamp the event.
   void Schedule(int site, double delay, SmallFn fn);
 
   /// Schedules a coroutine resumption on `site`'s timeline.
@@ -54,22 +49,18 @@ class ShardedKernel {
     Schedule(site, delay, SmallFn([handle]() { handle.resume(); }));
   }
 
-  /// Runs events until every heap empties or passes `until`. Events
-  /// scheduled beyond `until` remain pending. Spawns `num_shards - 1`
-  /// worker threads for the duration of the call; shard 0 runs on the
-  /// caller. Serial when num_shards == 1.
+  /// Runs events on the calling thread until the heap empties or passes
+  /// `until`. Events scheduled beyond `until` remain pending.
   void RunUntil(double until);
 
-  /// Total events executed so far, summed over sites. Identical for the
-  /// same seed at any shard count. Not safe to call during RunUntil.
+  /// Total events executed so far, summed over sites.
   std::uint64_t events_executed() const;
 
   /// Time of the earliest pending event on any site, +infinity when none is
   /// pending; a real-time loop sleeps until it. Events scheduled but not
-  /// yet run, summed over sites. Neither is safe to call during RunUntil
-  /// except from an event running on a one-shard kernel.
+  /// yet run.
   double NextEventTime() const;
-  std::size_t pending_events() const;
+  std::size_t pending_events() const { return heap_.size(); }
 
   /// Site of the event currently executing on this thread in this kernel,
   /// or -1 when called from outside event execution.
@@ -85,7 +76,6 @@ class ShardedKernel {
 
  private:
   friend void internal::AttachProcess(internal::ProcessLink* link);
-  friend void internal::DetachProcess(internal::ProcessLink* link);
 
   struct Event {
     double time;
@@ -103,33 +93,23 @@ class ShardedKernel {
     return a.origin_seq > b.origin_seq;
   }
 
-  struct alignas(64) PerSite {
+  struct PerSite {
     double clock = 0.0;
     std::uint64_t next_seq = 0;
     std::uint64_t executed = 0;
   };
 
-  // Padded so concurrently running shards never share a cache line.
-  struct alignas(64) Shard {
-    std::vector<Event> heap;  // binary heap ordered by After()
-  };
-
-  void RunShard(int shard_index, double until);
-
   const int num_sites_;
-  const int num_shards_;
   std::unique_ptr<PerSite[]> per_site_;
-  std::unique_ptr<Shard[]> shards_;
-  // Live Process frames: a circular list through the sentinel. Frames
-  // attach and detach from any shard thread, hence the mutex.
-  std::mutex processes_mu_;
+  std::vector<Event> heap_;  // binary heap ordered by After()
+  // Live Process frames: a circular list through the sentinel.
   internal::ProcessLink processes_;
 };
 
 /// Value handle onto one site's timeline: everything a site-local process or
 /// resource needs from the kernel. Copyable, 16 bytes.
 struct SitePort {
-  ShardedKernel* kernel = nullptr;
+  Kernel* kernel = nullptr;
   int site = 0;
 
   double now() const { return kernel->now(site); }
@@ -156,20 +136,20 @@ struct Delay {
   void await_resume() const noexcept {}
 };
 
-/// Single-site, single-shard facade over ShardedKernel preserving the
-/// original serial API. Converts implicitly to its site-0 SitePort, so the
-/// primitives (Delay, FcfsResource, FifoMutex, ...) accept it directly.
-class Simulation : public ShardedKernel {
+/// Single-site facade over Kernel preserving the original serial API.
+/// Converts implicitly to its site-0 SitePort, so the primitives (Delay,
+/// FcfsResource, FifoMutex, ...) accept it directly.
+class Simulation : public Kernel {
  public:
-  Simulation() : ShardedKernel(/*num_sites=*/1, /*num_shards=*/1) {}
+  Simulation() : Kernel(/*num_sites=*/1) {}
 
-  double now() const { return ShardedKernel::now(0); }
+  double now() const { return Kernel::now(0); }
 
   void Schedule(double delay, SmallFn fn) {
-    ShardedKernel::Schedule(0, delay, std::move(fn));
+    Kernel::Schedule(0, delay, std::move(fn));
   }
   void Schedule(double delay, std::coroutine_handle<> handle) {
-    ShardedKernel::Schedule(0, delay, handle);
+    Kernel::Schedule(0, delay, handle);
   }
 
   operator SitePort() { return SitePort{this, 0}; }  // NOLINT

@@ -1,11 +1,6 @@
 // Concurrency-control backend suite (DESIGN.md §15).
 //
 // Pins the four cc::Backend policies end to end:
-//   - sharded determinism: every backend's testbed fingerprint is
-//     byte-identical at shards 1/2/4, on the contended distributed mix
-//     (which a sharded request runs serially) and on its local-only twin
-//     (which runs on free-running shard threads; the label carries
-//     "tsan-testbed" so the ThreadSanitizer job inherits those runs);
 //   - zero-contention equivalence: with only read locks in play the policies
 //     cannot diverge — model observables are bitwise equal across all four
 //     backends, testbed observables are bitwise equal across the three
@@ -66,29 +61,12 @@ workload::WorkloadSpec ContendedSpec(cc::BackendKind kind) {
   return spec;
 }
 
-// The same users with every remote request zeroed: each distributed user
-// becomes a local user of its access mode, so no message ever crosses a
-// site and a multi-shard request really runs one thread per shard.
-workload::WorkloadSpec LocalOnly(workload::WorkloadSpec spec) {
-  for (workload::NodeMix& mix : spec.nodes) {
-    mix.lro += mix.dro;
-    mix.lu += mix.du;
-    mix.dro = mix.du = 0;
-  }
-  return spec;
-}
-
-TestbedResult RunContended(const model::ModelInput& input, int shards) {
+TestbedResult RunContended(cc::BackendKind kind) {
   TestbedOptions opt;
   opt.seed = 3;
   opt.warmup_ms = 10'000;
   opt.measure_ms = 100'000;
-  opt.shards = shards;
-  return RunTestbed(input, opt);
-}
-
-TestbedResult RunContended(cc::BackendKind kind, int shards) {
-  return RunContended(ContendedSpec(kind).ToModelInput(), shards);
+  return RunTestbed(ContendedSpec(kind).ToModelInput(), opt);
 }
 
 std::uint64_t TotalCommits(const TestbedResult& r) {
@@ -144,29 +122,6 @@ void ExpectSameObservables(const TestbedResult& a, const TestbedResult& b,
       EXPECT_EQ(ta.submissions, tb.submissions) << label;
       EXPECT_TRUE(SameBits(ta.response_ms, tb.response_ms)) << label;
       EXPECT_TRUE(SameBits(ta.lock_wait_ms, tb.lock_wait_ms)) << label;
-    }
-  }
-}
-
-TEST(CcBackends, ShardedDeterminismFingerprintsPerBackend) {
-  for (const cc::BackendKind kind : cc::kAllBackends) {
-    for (const bool local_only : {false, true}) {
-      const model::ModelInput input =
-          (local_only ? LocalOnly(ContendedSpec(kind)) : ContendedSpec(kind))
-              .ToModelInput();
-      const std::string label = std::string(cc::Name(kind)) +
-                                (local_only ? " local-only" : " distributed");
-      const TestbedResult serial = RunContended(input, 1);
-      ASSERT_TRUE(serial.ok) << label << ": " << serial.error;
-      ASSERT_TRUE(serial.database_consistent) << label;
-      EXPECT_EQ(serial.network_messages == 0, local_only) << label;
-      const std::string reference = TestbedResultFingerprint(serial);
-      for (const int shards : {2, 4}) {
-        const TestbedResult sharded = RunContended(input, shards);
-        ASSERT_TRUE(sharded.ok) << label << ": " << sharded.error;
-        EXPECT_EQ(TestbedResultFingerprint(sharded), reference)
-            << label << " diverges at shards=" << shards;
-      }
     }
   }
 }
@@ -247,14 +202,14 @@ TEST(CcBackends, ZeroContentionBackendsAgree) {
 }
 
 TEST(CcBackends, QueueRecordsZeroDeadlocksWhereTwoPhaseLockingThrashes) {
-  const TestbedResult two_pl = RunContended(cc::BackendKind::k2PL, 1);
+  const TestbedResult two_pl = RunContended(cc::BackendKind::k2PL);
   ASSERT_TRUE(two_pl.ok) << two_pl.error;
   ASSERT_TRUE(two_pl.database_consistent);
   // The contention tier is only meaningful if 2PL is actually thrashing.
   ASSERT_GT(TotalDeadlocks(two_pl), 0u);
   ASSERT_GT(TotalAborts(two_pl), TotalCommits(two_pl));
 
-  const TestbedResult queue = RunContended(cc::BackendKind::kQueue, 1);
+  const TestbedResult queue = RunContended(cc::BackendKind::kQueue);
   ASSERT_TRUE(queue.ok) << queue.error;
   ASSERT_TRUE(queue.database_consistent);
   EXPECT_EQ(TotalDeadlocks(queue), 0u);

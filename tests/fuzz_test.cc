@@ -137,7 +137,7 @@ TEST(Generator, EveryScenarioValidatesWithAUser) {
     read_only += all_read_only;
   }
   // The distribution must keep feeding every oracle's precondition.
-  EXPECT_GT(multi_site, 1000);  // permutation / shard / distributed rules
+  EXPECT_GT(multi_site, 1000);  // permutation / distributed rules
   EXPECT_GT(read_only, 300);    // granule-invariance pool
   EXPECT_GT(with_think, 1000);  // think-time code paths
 }
@@ -177,8 +177,8 @@ TEST(Relations, RuleNamesAreUniqueAndStable) {
   }
   // The findings-file format and the --rule flag depend on these strings.
   EXPECT_STREQ(RuleName(Rule::kModelVsTestbed), "model-vs-testbed");
-  EXPECT_TRUE(RuleNeedsTestbed(Rule::kShardIdentity));
   EXPECT_TRUE(RuleNeedsTestbed(Rule::kModelVsTestbed));
+  EXPECT_TRUE(RuleNeedsTestbed(Rule::kBackendDominance));
   EXPECT_FALSE(RuleNeedsTestbed(Rule::kSitePermutation));
 }
 
@@ -220,8 +220,9 @@ TEST(Relations, CheckScenarioCountsPerRule) {
   const auto violations = CheckScenario(s, opts, &stats);
   EXPECT_TRUE(violations.empty());
   // Testbed rules must not have run.
-  EXPECT_EQ(stats.per_rule_checked[static_cast<int>(Rule::kShardIdentity)], 0);
   EXPECT_EQ(stats.per_rule_checked[static_cast<int>(Rule::kModelVsTestbed)], 0);
+  EXPECT_EQ(stats.per_rule_checked[static_cast<int>(Rule::kBackendDominance)],
+            0);
   // The always-applicable model rules must have.
   EXPECT_EQ(stats.per_rule_checked[static_cast<int>(Rule::kQnDemandScaling)],
             1);

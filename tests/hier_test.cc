@@ -392,9 +392,8 @@ TEST(GeneratorClassMode, FiveThousandDrawsDeterministicAndValidAtN1024) {
 // --------------------------------------------- model vs testbed, large N ---
 
 // The validation suite pins the paper's 2-node design points; this pins the
-// largest configuration the testbed reaches in the tier-1 budget. MB4 is
-// distributed, so the shards = 0 request runs serially, and the model —
-// solved hierarchically, 2 classes — must still track the simulation on
+// largest configuration the testbed reaches in the tier-1 budget: the model
+// — solved hierarchically, 2 classes — must still track the simulation on
 // aggregate throughput.
 TEST(HierValidation, ModelTracksTestbedAtSixteenSites) {
   ModelInput input = NodesInput(workload::MakeMB4, 4, 16);
@@ -423,7 +422,6 @@ TEST(HierValidation, ModelTracksTestbedAtSixteenSites) {
 
   carat::TestbedOptions topts;
   topts.seed = 16;
-  topts.shards = 0;
   topts.warmup_ms = 20'000;
   topts.measure_ms = 200'000;
   const carat::TestbedResult sim = carat::RunTestbed(input, topts);

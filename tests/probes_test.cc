@@ -2,7 +2,7 @@
 // nodes, drive two distributed transactions into a textbook cross-site
 // deadlock, and watch the probes break it.
 //
-// The test transactions follow the sharded kernel's site discipline: every
+// The test transactions follow the kernel's per-site discipline: every
 // lock table and registry is touched only from its own site's timeline, and
 // moves between sites are explicit network hops (with the coordinator's
 // current-node pointer updated at the home site before departing), exactly
@@ -26,14 +26,14 @@ namespace {
 // Two or more nodes with one detector each; probes between sites ride the
 // simulated network, like the testbed's in-process runtime.
 struct Harness : ProbeTransport {
-  sim::ShardedKernel kernel;
+  sim::Kernel kernel;
   net::Network network;
   std::vector<std::unique_ptr<SiteRegistry>> registries;
   std::vector<std::unique_ptr<Node>> nodes;
   std::vector<std::unique_ptr<GlobalDeadlockDetector>> detectors;
 
   explicit Harness(int num_nodes = 2)
-      : kernel(num_nodes, /*num_shards=*/1),
+      : kernel(num_nodes),
         network(kernel, /*one_way_delay_ms=*/1.0) {
     GlobalDeadlockDetector::Options options;
     options.reprobe_interval_ms = 20.0;

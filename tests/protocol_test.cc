@@ -27,12 +27,12 @@ class NoTransport final : public Runtime {
 struct Site0 {
   explicit Site0(const model::ModelInput& in)
       : input(in),
-        kernel(static_cast<int>(in.sites.size()), /*num_shards=*/1),
+        kernel(static_cast<int>(in.sites.size())),
         node(sim::SitePort{&kernel, 0}, 0, input.sites[0]),
         protocol(input, node, transport) {}
 
   model::ModelInput input;
-  sim::ShardedKernel kernel;
+  sim::Kernel kernel;
   Node node;
   NoTransport transport;
   SiteProtocol protocol;

@@ -78,6 +78,34 @@ TEST(Testbed, DifferentSeedsDiffer) {
   EXPECT_NE(a.events, b.events);
 }
 
+TEST(TestbedDeterminism, DifferentSeedsStillDiffer) {
+  // Guards against a fingerprint that ignores the interesting fields.
+  auto wl = workload::MakeMB4(8, 4);
+  wl.comm_delay_ms = 5.0;
+  const auto input = wl.ToModelInput();
+  TestbedOptions opts;
+  opts.warmup_ms = 10'000;
+  opts.measure_ms = 100'000;
+  opts.seed = 3;
+  const TestbedResult a = RunTestbed(input, opts);
+  opts.seed = 4;
+  const TestbedResult b = RunTestbed(input, opts);
+  ASSERT_TRUE(a.ok);
+  ASSERT_TRUE(b.ok);
+  EXPECT_NE(TestbedResultFingerprint(a), TestbedResultFingerprint(b));
+}
+
+TEST(Testbed, RefusesMoreThanOneShard) {
+  // A run has one thread; `shards` survives only as a field that must be 1.
+  TestbedOptions opts = FastOptions();
+  opts.shards = 4;
+  const TestbedResult r =
+      RunTestbed(workload::MakeLB8(8, 4).ToModelInput(), opts);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("shards"), std::string::npos) << r.error;
+  EXPECT_TRUE(r.nodes.empty());
+}
+
 TEST(Testbed, FasterDiskYieldsMoreThroughput) {
   const auto input = workload::MakeLB8(8).ToModelInput();
   const TestbedResult r = RunTestbed(input, FastOptions());
